@@ -2,7 +2,8 @@
 
 Used for test functions fed to the Laplacian and for the polynomial
 perturbation term of a symplectic potential.  Coefficients are plain floats;
-differentiation is exact term manipulation.
+differentiation is exact term manipulation.  Evaluation takes points of shape
+(..., nvars) and works on the last axis.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class MultiPoly:
         for expo in self.terms:
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
+        self._derivatives: dict = {}
 
     @classmethod
     def coordinate(cls, nvars: int, axis: int, shift: float = 0.0) -> "MultiPoly":
@@ -36,18 +38,23 @@ class MultiPoly:
     def constant(cls, nvars: int, value: float) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: float(value)})
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        total = 0.0
+    def _value_t(self, coords):
+        """Value at points given coordinate-first, as the transpose of (..., n)."""
+        total = np.zeros(coords.shape[1:])
         for expo, c in self.terms.items():
             term = c
-            for xi, e in zip(x, expo):
-                if e:
-                    term *= xi**e
-            total += term
+            for xi, e in zip(coords, expo):
+                for _ in range(e):  # products, not pow: one point and a batch round alike
+                    term = term * xi
+            total = total + term
         return total
 
+    def value(self, x):
+        return self._value_t(np.asarray(x, dtype=float).T).T
+
     def derivative(self, axis: int) -> "MultiPoly":
+        if axis in self._derivatives:
+            return self._derivatives[axis]
         out: dict = {}
         for expo, c in self.terms.items():
             e = expo[axis]
@@ -57,19 +64,21 @@ class MultiPoly:
             new[axis] = e - 1
             key = tuple(new)
             out[key] = out.get(key, 0.0) + c * e
-        return MultiPoly(self.nvars, out)
+        self._derivatives[axis] = MultiPoly(self.nvars, out)
+        return self._derivatives[axis]
 
     def gradient(self, x) -> np.ndarray:
-        return np.array([self.derivative(i).value(x) for i in range(self.nvars)])
+        coords = np.asarray(x, dtype=float).T
+        return np.array([self.derivative(i)._value_t(coords) for i in range(self.nvars)]).T
 
     def hessian(self, x) -> np.ndarray:
+        coords = np.asarray(x, dtype=float).T
         n = self.nvars
-        H = np.empty((n, n))
-        firsts = [self.derivative(i) for i in range(n)]
+        H = np.empty((n, n) + coords.shape[1:])
         for i in range(n):
             for j in range(i, n):
-                H[i, j] = H[j, i] = firsts[i].derivative(j).value(x)
-        return H
+                H[i, j] = H[j, i] = self.derivative(i).derivative(j)._value_t(coords)
+        return H.T
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

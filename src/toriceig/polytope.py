@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .parallel import pmap_chunks
-
 __all__ = [
     "PolytopeError",
     "InvalidPolytope",
@@ -361,16 +359,11 @@ class LabelledPolytope:
             for i in range(self.dim)
         ]
 
-        def scan(first_values):
-            pts = []
-            for j0 in first_values:
-                for rest in itertools.product(*ranges[1:]):
-                    cand = tuple(Fraction(j, k) for j in (j0, *rest))
-                    if self.contains(cand):
-                        pts.append(cand)
-            return pts
-
-        points = pmap_chunks(scan, list(ranges[0]))
+        points = []
+        for js in itertools.product(*ranges):
+            cand = tuple(Fraction(j, k) for j in js)
+            if self.contains(cand):
+                points.append(cand)
         if not points:
             raise EmptyLattice(f"P contains no point of Z^{self.dim}/{k}")
         points = tuple(sorted(points))
@@ -525,14 +518,18 @@ def polytope_from_dict(data: dict) -> LabelledPolytope:
     try:
         dim = int(data["dim"])
         raw_facets = data["facets"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPolytope("polytope JSON needs 'dim' and 'facets'") from exc
+    if not isinstance(raw_facets, list):
+        raise InvalidPolytope("'facets' must be a list")
     facets = []
     for idx, entry in enumerate(raw_facets):
         try:
             normal = entry["normal"]
         except (KeyError, TypeError) as exc:
             raise InvalidPolytope(f"facet {idx}: missing 'normal'") from exc
+        if not isinstance(normal, list):
+            raise InvalidPolytope(f"facet {idx}: normal must be a list of integers")
         for v in normal:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidPolytope(f"facet {idx}: normal entries must be integers")

@@ -2,16 +2,25 @@
 
 A potential u is a strictly convex function on the interior of P whose
 Hessian G = Hess u and inverse H = G^{-1} encode a torus-invariant Kahler
-metric.  Four kinds are provided:
+metric.  Every kind here has the Guillemin/Abreu form
 
-* ``guillemin``            -- the canonical u0 = 1/2 sum (L_k log L_k - L_k);
-* ``quadratic_perturbed``  -- u0 + (c/2) x_i^2, which degenerates H along
+    u = 1/2 sum_k psi(L_k) + v,    G = 1/2 sum_k psi''(L_k) nu_k nu_k^T + Hess v
+
+for a facet profile psi and a polynomial v, so the value, gradient, G, dG and
+d2G are the facet sums 1/2 sum_k psi^(r)(L_k) nu_k^(r-fold tensor) for
+r = 0..4 plus the derivatives of v.  The kinds differ only in psi and v:
+
+* ``guillemin``            -- psi(L) = L log L - L, v = 0 (the canonical u0);
+* ``quadratic_perturbed``  -- v = (c/2) x_i^2, which degenerates H along
                               axis i as c grows;
-* ``dilation``             -- u0 - u0^s / s built from the dilated polytope sP,
-                              which blows H up as s drops to 1;
-* ``guillemin_plus_poly``  -- u0 + v for a polynomial v, validity checked by
-                              sampling.
+* ``dilation``             -- psi(L) - psi(L + (s-1) c)/s, i.e. u0 - u0^s/s for
+                              the dilated polytope sP, which blows H up as s
+                              drops to 1;
+* ``guillemin_plus_poly``  -- any polynomial v, validity checked by sampling.
 
+Points are arrays of shape (..., n): every method evaluates on the last axis
+and puts the batch axes in front.  Each point is a (1 x d) row-vector product
+of its own, so a row of a batch gets exactly the bits of a one-point call.
 All evaluation happens at strictly interior points (every L_i >= EPS_INTERIOR)
 because G entries scale like 1/L_i.
 """
@@ -43,7 +52,6 @@ __all__ = [
     "OriginNotInterior",
     "HessianSample",
     "SymplecticPotential",
-    "GuilleminPotential",
     "QuadraticPerturbedPotential",
     "DilationPotential",
     "GuilleminPlusPolyPotential",
@@ -77,104 +85,131 @@ class OriginNotInterior(PotentialError):
 
 @dataclass(frozen=True)
 class HessianSample:
-    """Hessian G, inverse H and log det G of a potential at one point."""
+    """Hessian G, inverse H and log det G at the points x (batch axes in
+    front), with the inverse Cholesky factor Rinv: G = R R^T, H = Rinv^T Rinv."""
 
     x: np.ndarray
     G: np.ndarray
     H: np.ndarray
-    logdetG: float
+    logdetG: np.ndarray
+    Rinv: np.ndarray
+
+
+# psi^(r) for the Guillemin profile psi(L) = L log L - L, r = 0..4
+_LOG_PROFILE = (
+    lambda L: L * np.log(L) - L,
+    np.log,
+    lambda L: 1.0 / L,
+    lambda L: -1.0 / L**2,
+    lambda L: 2.0 / L**3,
+)
 
 
 class SymplecticPotential:
-    """Common evaluation machinery; subclasses supply the Hessian pieces."""
+    """u = 1/2 sum_k psi(L_k) + v.  This base class is the Guillemin kind;
+    the other kinds change only `profile` and the added polynomial."""
 
-    kind = "abstract"
+    kind = "guillemin"
     closed_derivatives = True  # dG, d2G available in closed form
+    added: MultiPoly | None = None  # the polynomial v
 
     def __init__(self, polytope: LabelledPolytope):
         self.polytope = polytope
         self._A = np.array(polytope.normals, dtype=float)  # d x n
         self._c = np.array([float(v) for v in polytope.offsets])
+        # 1/2 nu_k tensored r times and flattened, r = 0..4: shape (d, n**r)
+        self._half_nu_powers = [np.full((len(self._A), 1), 0.5)]
+        for _ in range(4):
+            self._half_nu_powers.append(
+                np.einsum("ka,ki->kai", self._half_nu_powers[-1], self._A).reshape(len(self._A), -1)
+            )
+
+    def profile(self, L: np.ndarray, order: int) -> np.ndarray:
+        """psi^(order) at every facet value in L."""
+        return _LOG_PROFILE[order](L)
 
     # -- interior guard -------------------------------------------------------
 
     def facet_values(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self._A.T + self._c
+        """L_k(x) = <x, nu_k> + c_k on the last axis of x."""
+        x = np.asarray(x, dtype=float)
+        return (x[..., None, :] @ self._A.T)[..., 0, :] + self._c
 
     def _interior_L(self, x) -> np.ndarray:
         L = self.facet_values(x)
-        if np.min(L) < EPS_INTERIOR:
+        if L.min() < EPS_INTERIOR:
+            low = L.min(axis=-1)
+            worst = np.unravel_index(np.argmin(low), low.shape)
             raise BoundaryPoint(
-                f"point {np.asarray(x, float)} has facet value {np.min(L):.3e} < {EPS_INTERIOR}"
+                f"point {np.asarray(x, float)[worst]} has facet value "
+                f"{low[worst]:.3e} < {EPS_INTERIOR}"
             )
         return L
 
     # -- values, gradients, Hessians -------------------------------------------
 
-    def value(self, x) -> float:
-        raise NotImplementedError
+    def _derivative(self, x, order: int) -> np.ndarray:
+        """The order-th derivative tensor of u at x, 1/2 sum_k psi^(order)(L_k)
+        nu_k^(order-fold), plus that derivative of v."""
+        L = self._interior_L(x)
+        total = self.profile(L, order)[..., None, :] @ self._half_nu_powers[order]
+        total = total.reshape(L.shape[:-1] + (self._A.shape[1],) * order)
+        # the quadratic v of uc has no third derivatives, and the general v of
+        # guillemin_plus_poly takes dG and d2G by finite differences
+        if self.added is not None and order <= 2:
+            v = self.added
+            total = total + (v.value, v.gradient, v.hessian)[order](x)
+        return total
+
+    def _closed_derivative(self, x, order: int) -> np.ndarray:
+        if not self.closed_derivatives:
+            raise NotImplementedError(f"{self.kind} uses finite differences for dH and d2H")
+        return self._derivative(x, order)
+
+    def value(self, x):
+        return self._derivative(x, 0)[()]
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._derivative(x, 1)
 
     def hessian(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._derivative(x, 2)
 
     def hessian_derivative(self, x) -> np.ndarray:
-        """dG[i, j, m] = d G_ij / d x_m (closed-form kinds only)."""
-        raise NotImplementedError
+        """dG[..., i, j, m] = d G_ij / d x_m (closed-form kinds only)."""
+        return self._closed_derivative(x, 3)
 
     def hessian_second_derivative(self, x) -> np.ndarray:
-        """d2G[i, j, m, l] = d^2 G_ij / d x_m d x_l (closed-form kinds only)."""
-        raise NotImplementedError
+        """d2G[..., i, j, m, l] = d^2 G_ij / d x_m d x_l (closed-form kinds only)."""
+        return self._closed_derivative(x, 4)
 
     def sample(self, x) -> HessianSample:
-        """G, H = G^{-1} and log det G at an interior point.
+        """G, H = G^{-1} and log det G at interior points.
 
         H is produced by a symmetric (Cholesky) factorization; a nonpositive
-        pivot raises NotPositiveDefinite.
+        pivot raises NotPositiveDefinite naming the point with the smallest
+        Hessian eigenvalue.
         """
         x = np.asarray(x, dtype=float)
         G = self.hessian(x)
-        G = 0.5 * (G + G.T)
+        G = 0.5 * (G + G.swapaxes(-1, -2))
         try:
-            chol = np.linalg.cholesky(G)
+            R = np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"Hessian not positive definite at {x}") from exc
-        inv_chol = np.linalg.inv(chol)
-        H = inv_chol.T @ inv_chol
-        H = 0.5 * (H + H.T)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return HessianSample(x=x, G=G, H=H, logdetG=logdet)
+            low = np.linalg.eigvalsh(G)[..., 0]
+            worst = np.unravel_index(np.argmin(low), low.shape)
+            raise NotPositiveDefinite(
+                f"Hessian not positive definite at {x[worst]} "
+                f"(smallest eigenvalue {low[worst]:.3e})"
+            ) from exc
+        Rinv = np.linalg.inv(R)
+        H = Rinv.swapaxes(-1, -2) @ Rinv
+        H = 0.5 * (H + H.swapaxes(-1, -2))
+        logdet = 2.0 * np.log(R.diagonal(0, -2, -1)).sum(-1)
+        return HessianSample(x=x, G=G, H=H, logdetG=logdet, Rinv=Rinv)
 
 
-class GuilleminPotential(SymplecticPotential):
-    kind = "guillemin"
-
-    def value(self, x) -> float:
-        L = self._interior_L(x)
-        return 0.5 * float(np.sum(L * np.log(L) - L))
-
-    def gradient(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        return 0.5 * (np.log(L) @ self._A)
-
-    def hessian(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        return 0.5 * np.einsum("k,ki,kj->ij", 1.0 / L, self._A, self._A)
-
-    def hessian_derivative(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        return -0.5 * np.einsum("k,ki,kj,km->ijm", 1.0 / L**2, self._A, self._A, self._A)
-
-    def hessian_second_derivative(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        return np.einsum(
-            "k,ki,kj,km,kl->ijml", 1.0 / L**3, self._A, self._A, self._A, self._A
-        )
-
-
-class QuadraticPerturbedPotential(GuilleminPotential):
+class QuadraticPerturbedPotential(SymplecticPotential):
     """u0 + (c/2) x_axis^2.  The Hessian gains c on the (axis, axis) entry;
     all higher derivatives coincide with the Guillemin ones."""
 
@@ -188,24 +223,14 @@ class QuadraticPerturbedPotential(GuilleminPotential):
             raise ValueError("perturbation strength c must be >= 0")
         self.axis = axis
         self.c = float(c)
-
-    def value(self, x) -> float:
-        return super().value(x) + 0.5 * self.c * float(np.asarray(x, float)[self.axis]) ** 2
-
-    def gradient(self, x) -> np.ndarray:
-        g = super().gradient(x)
-        g[self.axis] += self.c * float(np.asarray(x, float)[self.axis])
-        return g
-
-    def hessian(self, x) -> np.ndarray:
-        G = super().hessian(x)
-        G[self.axis, self.axis] += self.c
-        return G
+        square = tuple(2 if j == axis else 0 for j in range(polytope.dim))
+        self.added = MultiPoly(polytope.dim, {square: 0.5 * self.c})
 
 
 class DilationPotential(SymplecticPotential):
     """u0 - u0^s / s where u0^s is the Guillemin potential of the dilated
-    polytope sP (s > 1).
+    polytope sP (s > 1): the profile psi(L) - psi(L + (s-1) c)/s, since the
+    facet values of sP are L^s = <x, nu> + s c = L + (s-1) c.
 
     Needs 0 in the interior of P; if it is not, the polytope is translated by
     its vertex barycenter and the shift recorded in ``shift``.  All evaluation
@@ -222,44 +247,12 @@ class DilationPotential(SymplecticPotential):
         self.s = float(s)
         self.shift = shift
 
-    def _Ls(self, L: np.ndarray) -> np.ndarray:
-        # L^s = <x, nu> + s c = L + (s-1) c
-        return L + (self.s - 1.0) * self._c
-
-    def value(self, x) -> float:
-        L = self._interior_L(x)
-        Ls = self._Ls(L)
-        u0 = 0.5 * float(np.sum(L * np.log(L) - L))
-        u0s = 0.5 * float(np.sum(Ls * np.log(Ls) - Ls))
-        return u0 - u0s / self.s
-
-    def gradient(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        Ls = self._Ls(L)
-        return 0.5 * ((np.log(L) - np.log(Ls) / self.s) @ self._A)
-
-    def hessian(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        Ls = self._Ls(L)
-        coeff = 1.0 / L - 1.0 / (self.s * Ls)
-        return 0.5 * np.einsum("k,ki,kj->ij", coeff, self._A, self._A)
-
-    def hessian_derivative(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        Ls = self._Ls(L)
-        coeff = -1.0 / L**2 + 1.0 / (self.s * Ls**2)
-        return 0.5 * np.einsum("k,ki,kj,km->ijm", coeff, self._A, self._A, self._A)
-
-    def hessian_second_derivative(self, x) -> np.ndarray:
-        L = self._interior_L(x)
-        Ls = self._Ls(L)
-        coeff = 1.0 / L**3 - 1.0 / (self.s * Ls**3)
-        return np.einsum(
-            "k,ki,kj,km,kl->ijml", coeff, self._A, self._A, self._A, self._A
-        )
+    def profile(self, L: np.ndarray, order: int) -> np.ndarray:
+        psi = _LOG_PROFILE[order]
+        return psi(L) - psi(L + (self.s - 1.0) * self._c) / self.s
 
 
-class GuilleminPlusPolyPotential(GuilleminPotential):
+class GuilleminPlusPolyPotential(SymplecticPotential):
     """u0 + v for a polynomial v.  There is no algorithmic membership test for
     the valid-potential class, so positivity of the Hessian is checked by
     sampling at construction (disable with check=False to inspect a bad v via
@@ -272,7 +265,7 @@ class GuilleminPlusPolyPotential(GuilleminPotential):
         super().__init__(polytope)
         if poly.nvars != polytope.dim:
             raise ValueError("polynomial variable count must match the polytope dimension")
-        self.poly = poly
+        self.poly = self.added = poly
         if check:
             report = validate(self, samples=40)
             if not report["passed"]:
@@ -280,27 +273,12 @@ class GuilleminPlusPolyPotential(GuilleminPotential):
                     f"Hessian of u0 + v fails positivity: worst margin {report['worst_margin']:.3e}"
                 )
 
-    def value(self, x) -> float:
-        return super().value(x) + self.poly.value(x)
-
-    def gradient(self, x) -> np.ndarray:
-        return super().gradient(x) + self.poly.gradient(x)
-
-    def hessian(self, x) -> np.ndarray:
-        return super().hessian(x) + self.poly.hessian(x)
-
-    def hessian_derivative(self, x):
-        raise NotImplementedError("guillemin_plus_poly uses finite differences for dH")
-
-    def hessian_second_derivative(self, x):
-        raise NotImplementedError("guillemin_plus_poly uses finite differences for d2H")
-
 
 # -- constructors -------------------------------------------------------------
 
 
-def guillemin(P: LabelledPolytope) -> GuilleminPotential:
-    return GuilleminPotential(P)
+def guillemin(P: LabelledPolytope) -> SymplecticPotential:
+    return SymplecticPotential(P)
 
 
 def quadratic_perturbed(P: LabelledPolytope, axis: int, c: float) -> QuadraticPerturbedPotential:
@@ -359,7 +337,13 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
         path = spec[len("poly:") :]
         with open(path, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
-        terms = {tuple(e["exponents"]): float(e["coeff"]) for e in entries}
+        try:
+            terms = {tuple(e["exponents"]): float(e["coeff"]) for e in entries}
+        except (TypeError, KeyError) as exc:
+            raise ValueError(
+                f"bad polynomial file {path!r}: need a list of "
+                '{"exponents": [...], "coeff": <float>} entries'
+            ) from exc
         return guillemin_plus_poly(P, MultiPoly(P.dim, terms))
     raise ValueError(f"unknown potential spec {spec!r}")
 
@@ -432,8 +416,7 @@ def hc_diag(u_c: QuadraticPerturbedPotential, x) -> float:
     eval_grad_hess, as a cross-check."""
     if not isinstance(u_c, QuadraticPerturbedPotential):
         raise TypeError("hc_diag expects a quadratic_perturbed potential")
-    base = GuilleminPotential(u_c.polytope)
-    G0 = base.hessian(x)
+    G0 = guillemin(u_c.polytope).hessian(x)
     i = u_c.axis
     minor = np.delete(np.delete(G0, i, axis=0), i, axis=1)
     det_minor = float(np.linalg.det(minor)) if minor.size else 1.0

@@ -139,7 +139,7 @@ def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X: np.ndarray) -> np
             contrib = logL[:, mask] * expo[m, mask]
             out[:, m] = np.sum(contrib, axis=1)
         return out
-    grads = np.array([u.gradient(x) for x in X])  # raises BoundaryPoint near dP
+    grads = u.gradient(X)  # raises BoundaryPoint near dP
     pts = np.array(E.points, dtype=float)
     return 2.0 * grads @ pts.T
 
@@ -199,10 +199,8 @@ class BalanceWeights:
         }
 
 
-def _psi_averages(
-    E: EmbeddingData, u: SymplecticPotential, alpha: np.ndarray, Q: QuadratureRule
-) -> np.ndarray:
-    logz2 = _log_z2_nodes(E, u, Q.nodes)
+def _psi_averages(logz2: np.ndarray, alpha: np.ndarray, Q: QuadratureRule) -> np.ndarray:
+    """Quadrature integrals of every Psi_mm, given log |Z_m|^2 at the nodes."""
     logw = logz2 + 2.0 * np.log(alpha)
     logw -= np.max(logw, axis=1, keepdims=True)
     w = np.exp(logw)
@@ -232,8 +230,9 @@ def balance(
         alpha = alpha / np.sum(alpha)
     vol = float(Q.exact_volume)
     target = vol / count
+    logz2 = _log_z2_nodes(E, u, Q.nodes)  # independent of alpha
     for iteration in range(max_iter + 1):
-        averages = _psi_averages(E, u, alpha, Q)
+        averages = _psi_averages(logz2, alpha, Q)
         residual = float(np.max(np.abs(averages / vol - 1.0 / count)))
         if residual < tol:
             return BalanceWeights(alpha=alpha, residual=residual, iterations=iteration)
@@ -311,7 +310,7 @@ def saturation_check(
         L = u.facet_values(pts)  # (q, d)
         glog = np.einsum("md,qd,di->qmi", E.exponents.astype(float), 1.0 / L, A)
     else:
-        G = np.array([u.sample(x).G for x in pts])  # (q, n, n)
+        G = u.sample(pts).G  # (q, n, n)
         glog = 2.0 * np.einsum("qij,mj->qmi", G, pts_arr)
 
     grad_psi00 = psi[:, 0:1] * (glog[:, 0, :] - np.einsum("qm,qmi->qi", psi, glog))

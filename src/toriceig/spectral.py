@@ -8,9 +8,13 @@ minimum of the Rayleigh quotient
 over functions on the polytope.  The trial space is the span of monomials of
 total degree <= D (affinely normalized to the bounding box and mean-centered
 against the quadrature), so every computed value is an upper bound for the
-true eigenvalue.  The generalized problem is reduced by a pivoted Cholesky
-factorization of the mass matrix and solved with a cyclic Jacobi iteration;
-everything is deterministic, so identical inputs give bit-identical output.
+true eigenvalue.  Trial values and gradients come from one table of
+coordinate powers at the nodes.  With G = R R^T at each node, the stiffness
+matrix is sum_i F_i^T F_i for F = sqrt(w) R^{-1} grad(phi), so it is symmetric
+by construction.  The generalized problem is reduced by a pivoted Cholesky
+factorization of the mass matrix (which reports the dropped basis) and the
+whitened matrix is diagonalized by LAPACK `eigh`; everything is
+deterministic, so identical inputs give bit-identical output.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh, solve_triangular
 
-from .parallel import pmap_chunks
 from .polytope import LabelledPolytope
 from .potential import (
     SymplecticPotential,
@@ -64,53 +67,68 @@ class QuadratureTooCoarse(SpectralError):
 
 
 PIVOT_DROP = 1e-10
-JACOBI_TOL = 1e-12
+
+
+def _power_table(xhat: np.ndarray, degree: int) -> np.ndarray:
+    """xhat_i^p for p = 0..degree, shape (..., n, degree + 1)."""
+    return xhat[..., None] ** np.arange(degree + 1)
+
+
+def _monomials(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """xhat^e for every row e of the (B, n) exponent array, shape (..., B)."""
+    out = table[..., 0, :].take(exponents[:, 0], axis=-1)
+    for i in range(1, exponents.shape[1]):
+        out = out * table[..., i, :].take(exponents[:, i], axis=-1)
+    return out
+
+
+def _monomial_gradients(table, exponents, halfwidth) -> list:
+    """d/dx_j of every monomial, one (..., B) array per coordinate j."""
+    grads = []
+    for j in range(exponents.shape[1]):
+        lowered = exponents.copy()
+        lowered[:, j] = np.maximum(lowered[:, j] - 1, 0)
+        grads.append(_monomials(table, lowered) * (exponents[:, j] / halfwidth[j]))
+    return grads
+
+
+def _stiffness(S: np.ndarray, grads: list) -> np.ndarray:
+    """sum_i F_i^T F_i with F_i = sum_j S[:, i, j] grads[j]: the stiffness
+    matrix when S = sqrt(w) R^{-1} for G = R R^T at each node."""
+    A = 0.0
+    for i in range(len(grads)):
+        F = S[:, i, 0, None] * grads[0]
+        for j in range(1, len(grads)):
+            F += S[:, i, j, None] * grads[j]
+        A = A + F.T @ F
+    return A
 
 
 class TrialFunction:
     """Polynomial in normalized coordinates xhat = (x - center)/halfwidth,
-    determined by monomial exponents and a coefficient vector."""
+    determined by monomial exponents and a coefficient vector.  Evaluates at
+    points of shape (..., n)."""
 
     def __init__(self, coeffs, exponents, center, halfwidth):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.exponents = tuple(tuple(e) for e in exponents)
         self.center = np.asarray(center, dtype=float)
         self.halfwidth = np.asarray(halfwidth, dtype=float)
+        self._E = np.array(self.exponents, dtype=int).reshape(len(self.exponents), -1)
 
-    def _monomials(self, xhat: np.ndarray) -> np.ndarray:
-        cols = [np.prod(xhat ** np.array(e), axis=-1) for e in self.exponents]
-        return np.stack(cols, axis=-1)
-
-    def value(self, x) -> float:
+    def _table(self, x) -> np.ndarray:
         xhat = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
-        return float(self._monomials(xhat) @ self.coeffs)
+        return _power_table(xhat, int(self._E.max(initial=0)))
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        xhat = (np.atleast_2d(np.asarray(x, dtype=float)) - self.center) / self.halfwidth
-        return self._monomials(xhat) @ self.coeffs
+    def values(self, x) -> np.ndarray:
+        return _monomials(self._table(x), self._E) @ self.coeffs
 
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.gradients(x[None, :])[0]
+    def gradients(self, x) -> np.ndarray:
+        grads = _monomial_gradients(self._table(x), self._E, self.halfwidth)
+        return np.stack([g @ self.coeffs for g in grads], axis=-1)
 
-    def gradients(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        xhat = (x - self.center) / self.halfwidth
-        m, n = xhat.shape
-        out = np.zeros((m, n))
-        for coef, expo in zip(self.coeffs, self.exponents):
-            if coef == 0:
-                continue
-            for j, ej in enumerate(expo):
-                if ej == 0:
-                    continue
-                term = np.full(m, coef * ej / self.halfwidth[j])
-                for i, ei in enumerate(expo):
-                    power = ei - 1 if i == j else ei
-                    if power:
-                        term = term * xhat[:, i] ** power
-                out[:, j] += term
-        return out
+    value = values
+    gradient = gradients
 
 
 @dataclass(frozen=True)
@@ -153,28 +171,21 @@ def _require_matching(u: SymplecticPotential, Q: QuadratureRule):
         )
 
 
-def _hessian_inverses(u: SymplecticPotential, nodes: np.ndarray) -> np.ndarray:
-    def block(rows):
-        return [u.sample(x).H for x in rows]
-
-    return np.array(pmap_chunks(block, list(nodes), min_chunk=64))
+def _weighted_factors(u: SymplecticPotential, Q: QuadratureRule) -> np.ndarray:
+    """sqrt(w_q) R_q^{-1} with Hess u = R R^T at every node, shape (m, n, n)."""
+    return np.sqrt(Q.weights)[:, None, None] * u.sample(Q.nodes).Rinv
 
 
 def rayleigh_quotient(u: SymplecticPotential, f, Q: QuadratureRule) -> float:
     """integral H(df, df) / integral (f - fbar)^2 by quadrature; an upper
-    bound for lambda1T up to quadrature error."""
+    bound for lambda1T up to quadrature error.  f evaluates value(x) and
+    gradient(x) on arrays of points, as MultiPoly and TrialFunction do."""
     _require_matching(u, Q)
     w = Q.weights
-    if hasattr(f, "values"):
-        vals = np.asarray(f.values(Q.nodes), dtype=float)
-    else:
-        vals = np.array([f.value(x) for x in Q.nodes])
-    if hasattr(f, "gradients"):
-        grads = np.asarray(f.gradients(Q.nodes), dtype=float)
-    else:
-        grads = np.array([f.gradient(x) for x in Q.nodes])
-    Hs = _hessian_inverses(u, Q.nodes)
-    numerator = float(np.einsum("q,qi,qij,qj->", w, grads, Hs, grads))
+    vals = np.asarray(f.value(Q.nodes), dtype=float)
+    grads = np.asarray(f.gradient(Q.nodes), dtype=float)
+    columns = [grads[:, j, None] for j in range(grads.shape[1])]
+    numerator = float(_stiffness(_weighted_factors(u, Q), columns)[0, 0])
     fbar = float(w @ vals) / float(np.sum(w))
     centered = vals - fbar
     denominator = float(w @ centered**2)
@@ -223,47 +234,6 @@ def _pivoted_cholesky(M: np.ndarray, rel_drop: float):
     return L[:rank, :rank], perm[:rank]
 
 
-def _jacobi_eigh(C: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
-    """Cyclic Jacobi diagonalization of a symmetric matrix; returns ascending
-    eigenvalues and the matching orthonormal eigenvectors (columns)."""
-    A = np.array(C, dtype=float, copy=True)
-    n = A.shape[0]
-    V = np.eye(n)
-    norm = float(np.sqrt(np.sum(A**2)))
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(2.0 * np.sum(np.tril(A, -1) ** 2)))
-        if off <= tol * max(norm, 1e-300):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                for M in (A,):
-                    col_p = M[:, p].copy()
-                    col_q = M[:, q].copy()
-                    M[:, p] = c * col_p - s * col_q
-                    M[:, q] = s * col_p + c * col_q
-                    row_p = M[p, :].copy()
-                    row_q = M[q, :].copy()
-                    M[p, :] = c * row_p - s * row_q
-                    M[q, :] = s * row_p + c * row_q
-                col_p = V[:, p].copy()
-                col_q = V[:, q].copy()
-                V[:, p] = c * col_p - s * col_q
-                V[:, q] = s * col_p + c * col_q
-    eigs = np.diag(A).copy()
-    order = np.argsort(eigs, kind="stable")
-    return eigs[order], V[:, order]
-
-
 def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) -> RitzResult:
     """Ritz upper bound for the first invariant eigenvalue on the span of
     mean-centered monomials of total degree <= degree."""
@@ -279,24 +249,14 @@ def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) ->
     halfwidth = np.maximum((hi_f - lo_f) / 2.0, 1e-12)
 
     exponents = _monomial_exponents(n, degree)
+    E = np.array(exponents)
     w = Q.weights
-    total_w = float(np.sum(w))
-    xhat = (Q.nodes - center) / halfwidth
-    vals = np.stack(
-        [np.prod(xhat ** np.array(e), axis=-1) for e in exponents], axis=-1
-    )  # (m, B)
-    vals = vals - (w @ vals) / total_w  # mean-zero against the rule
-
-    grads = np.zeros((len(w), len(exponents), n))
-    for b, expo in enumerate(exponents):
-        basis_fn = TrialFunction(
-            np.eye(len(exponents))[b], exponents, center, halfwidth
-        )
-        grads[:, b, :] = basis_fn.gradients(Q.nodes)
-
-    Hs = _hessian_inverses(u, Q.nodes)
+    table = _power_table((Q.nodes - center) / halfwidth, degree)
+    vals = _monomials(table, E)  # (m, B)
+    vals -= (w @ vals) / float(np.sum(w))  # mean-zero against the rule
     M = np.einsum("q,qa,qb->ab", w, vals, vals)
-    A = np.einsum("q,qai,qij,qbj->ab", w, grads, Hs, grads)
+    del vals
+    A = _stiffness(_weighted_factors(u, Q), _monomial_gradients(table, E, halfwidth))
 
     asym = float(np.max(np.abs(A - A.T)))
     if asym > 1e-8 * max(1.0, float(np.max(np.abs(A)))):
@@ -310,7 +270,7 @@ def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) ->
     Y = solve_triangular(L11, A_kept, lower=True)
     C = solve_triangular(L11, Y.T, lower=True).T
     C = 0.5 * (C + C.T)
-    eigs, vecs = _jacobi_eigh(C)
+    eigs, vecs = eigh(C)
     z = solve_triangular(L11.T, vecs[:, 0], lower=False)
     coeffs = np.zeros(len(exponents))
     coeffs[kept] = z

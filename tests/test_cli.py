@@ -176,6 +176,37 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "lambda1t", INTERVAL01, "--potential", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command,polytope,poly",
+        [
+            ("info", {"dim": 2, "facets": 5}, None),
+            ("lambda1t", {"dim": 2, "facets": 5}, None),
+            ("info", {"dim": 1, "facets": [{"normal": 1, "offset": 0}]}, None),
+            ("lambda1t", {"dim": 1, "facets": [{"normal": 1, "offset": 0}]}, None),
+            ("lambda1t", None, [1, 2]),
+        ],
+    )
+    def test_malformed_json_shapes(self, capsys, tmp_path, command, polytope, poly):
+        path = INTERVAL01
+        if polytope is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(polytope))
+        argv = [command, str(path)]
+        if poly is not None:
+            coeffs = tmp_path / "v.json"
+            coeffs.write_text(json.dumps(poly))
+            argv += ["--potential", f"poly:{coeffs}"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "invalid input" in err and "Traceback" not in err
+
+    def test_indefinite_poly_potential(self, capsys, tmp_path):
+        coeffs = tmp_path / "v.json"
+        coeffs.write_text('[{"exponents": [2], "coeff": -10.0}]')
+        code, _, err = run_cli(capsys, "lambda1t", INTERVAL01, "--potential", f"poly:{coeffs}")
+        assert code == 3
+        assert "numerical failure" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -29,6 +29,19 @@ interval01 = example_polytope("interval01")
 intervalC = example_polytope("intervalC")
 simplex2 = example_polytope("simplex2")
 square = example_polytope("square")
+cube = LabelledPolytope(
+    3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+        ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
+)
+
+KINDS = {
+    "guillemin": guillemin,
+    "uc": lambda P: quadratic_perturbed(P, 0, 3.0),
+    "dilation": lambda P: dilation(P, 1.5),
+    "poly": lambda P: guillemin_plus_poly(
+        P, MultiPoly(P.dim, {(2,) + (1,) * (P.dim - 1): 0.05, (1,) * P.dim: 0.01})
+    ),
+}
 
 
 class TestEvalGradHess:
@@ -64,6 +77,35 @@ class TestEvalGradHess:
                 assert np.max(np.abs(s.H - s.H.T)) < 1e-12
                 assert np.max(np.abs(s.G @ s.H - np.eye(u.polytope.dim))) < 1e-10
                 assert np.all(np.linalg.eigvalsh(s.G) > 0)
+
+
+class TestBatchedEvaluation:
+    """A (m, n) array of points gives, row by row, the bits of one-point calls."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize(
+        "P", [interval01, simplex2, square, cube], ids=["interval", "simplex2", "square", "cube"]
+    )
+    def test_rows_equal_one_point_calls(self, kind, P):
+        u = KINDS[kind](P)
+        X = interior_points(u.polytope, 25)
+        G, grad, H = u.hessian(X), u.gradient(X), u.sample(X).H
+        assert G.shape == (25, P.dim, P.dim) and grad.shape == (25, P.dim)
+        for q, x in enumerate(X):
+            assert G[q].tobytes() == u.hessian(x).tobytes()
+            assert grad[q].tobytes() == u.gradient(x).tobytes()
+            assert H[q].tobytes() == u.sample(x).H.tobytes()
+
+    def test_boundary_guard_names_the_point(self):
+        X = np.array([[0.5], [1.5], [0.25]])
+        with pytest.raises(BoundaryPoint, match=r"point \[1.5\]"):
+            guillemin(interval01).hessian(X)
+
+    def test_not_positive_definite_names_the_point(self):
+        u = guillemin_plus_poly(interval01, MultiPoly(1, {(2,): -10.0}), check=False)
+        # G = 1/(2x(1-x)) - 20 is most negative at the midpoint
+        with pytest.raises(NotPositiveDefinite, match=r"at \[0.5\]"):
+            u.sample(np.array([[0.01], [0.5], [0.99]]))
 
 
 class TestClosedFormVsFiniteDifferences:

@@ -1,6 +1,8 @@
 """Rayleigh-Ritz eigenvalue computations against the model cases, a
 finite-difference Sturm-Liouville oracle and Riemann-grid integrals."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,20 @@ from oracles import (
     sturm_liouville_lambda1,
 )
 from toriceig import (
+    LabelledPolytope,
     MultiPoly,
     build_quadrature,
     dilation,
     example_polytope,
     guillemin,
+    guillemin_plus_poly,
     lambda1_invariant,
     quadratic_perturbed,
     rayleigh_quotient,
     sweep_dilation,
     sweep_uc,
 )
+from toriceig.potential import NotPositiveDefinite
 from toriceig.spectral import TrialFunction, ZeroDenominator
 
 interval01 = example_polytope("interval01")
@@ -150,6 +155,61 @@ class TestLambda1:
         result = lambda1_invariant(guillemin(interval01), 6, Q)
         assert result.basis_size <= len(Q)
         assert result.lambda1T > 0
+
+
+def reference_eigenvalues(u, degree, Q):
+    """Ritz eigenvalues assembled node by node: per-node inverse Hessians, the
+    4-operand stiffness einsum, a plain Cholesky whitening and numpy's eigh."""
+    P, w = u.polytope, Q.weights
+    lo, hi = (np.array([float(v) for v in b]) for b in P.bounding_box())
+    center, half = (lo + hi) / 2, (hi - lo) / 2
+    exps = [
+        np.array(e) for e in itertools.product(range(degree + 1), repeat=P.dim)
+        if 1 <= sum(e) <= degree
+    ]
+    xhat = (Q.nodes - center) / half
+    vals = np.stack([np.prod(xhat**e, axis=-1) for e in exps], axis=-1)
+    vals -= (w @ vals) / np.sum(w)
+    grads = np.zeros((len(w), len(exps), P.dim))
+    for b, e in enumerate(exps):
+        for j in np.flatnonzero(e):
+            lowered = e - np.eye(P.dim, dtype=int)[j]
+            grads[:, b, j] = e[j] / half[j] * np.prod(xhat**lowered, axis=-1)
+    Hs = np.array([np.linalg.inv(u.hessian(x)) for x in Q.nodes])
+    M = np.einsum("q,qa,qb->ab", w, vals, vals)
+    A = np.einsum("q,qai,qij,qbj->ab", w, grads, Hs, grads)
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    C = Linv @ A @ Linv.T
+    return np.linalg.eigh(0.5 * (C + C.T))[0]
+
+
+class TestBatchedCore:
+    @pytest.mark.parametrize(
+        "P,depth",
+        [
+            (simplex2, 2),
+            (
+                LabelledPolytope(
+                    3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                        ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
+                ),
+                1,
+            ),
+        ],
+        ids=["simplex2", "cube"],
+    )
+    def test_eigenvalues_match_node_by_node_reference(self, P, depth):
+        Q = build_quadrature(P, 3, depth)
+        u = guillemin(P)
+        result = lambda1_invariant(u, 4, Q)
+        ref = reference_eigenvalues(u, 4, Q)
+        assert result.basis_size == len(ref)
+        assert np.max(np.abs(result.eigenvalues - ref) / np.abs(ref)) < 1e-12
+
+    def test_not_positive_definite_raised(self):
+        u = guillemin_plus_poly(interval01, MultiPoly(1, {(2,): -10.0}), check=False)
+        with pytest.raises(NotPositiveDefinite, match="not positive definite at"):
+            lambda1_invariant(u, 4, build_quadrature(interval01, 3, 2))
 
 
 class TestOracleEquivalence:
