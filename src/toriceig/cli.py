@@ -16,7 +16,14 @@ import json
 import sys
 
 from . import geometry
-from .polytope import LabelledPolytope, PolytopeError, load_polytope, polytope_to_dict
+from .polytope import (
+    BlyBound,
+    LabelledPolytope,
+    PolytopeError,
+    PrematureK,
+    load_polytope,
+    polytope_to_dict,
+)
 from .potential import NotPositiveDefinite, PotentialError, potential_from_spec
 from .projective import NoConvergence, balance, bound_report, build_embedding, saturation_check
 from .quadrature import build_quadrature
@@ -169,7 +176,9 @@ def _cmd_bound(args, P: LabelledPolytope) -> dict:
         **report.to_dict(),
     }
     if args.k is not None:
-        out["single_k"] = P.bly_bound(args.k, k_max=args.k_max).to_dict()
+        if args.k < report.k0:
+            raise PrematureK(f"k={args.k} is below k0={report.k0}")
+        out["single_k"] = BlyBound.from_lattice(P.dim, P.lattice_points(args.k)).to_dict()
     return out
 
 

@@ -4,8 +4,10 @@ A labelled polytope is the data (P, nu): a compact simple polytope cut out
 by affine inequalities L_i(x) = <x, nu_i> + c_i >= 0 with primitive integer
 inward normals nu_i and rational offsets c_i.  Everything in this module
 (membership, vertices, lattice enumeration, the shrunk polytopes P_k and the
-eigenvalue bound they produce) is computed over `fractions.Fraction`, so
-results are exact and reruns are bit-identical.
+eigenvalue bound they produce) is exact, so reruns are bit-identical.
+Vertices and offsets are `fractions.Fraction`.  The lattice scan decides
+membership of j/k and the facet minima L_min in integers, from
+<nu_i, j> >= ceil(-k c_i), and builds `Fraction` values only for its output.
 """
 
 from __future__ import annotations
@@ -200,6 +202,19 @@ class BlyBound:
     bound: Fraction
     is_integer_bound: bool
 
+    @classmethod
+    def from_lattice(cls, dim: int, data: LatticeData) -> "BlyBound":
+        """The bound at data.k from its lattice count N_k."""
+        if data.n_k == 0:
+            raise DegenerateN(f"N_{data.k} = 0: the bound formula is undefined")
+        bound = Fraction(2 * dim * data.k * (data.n_k + 1), data.n_k)
+        return cls(
+            k_used=data.k,
+            n_k=data.n_k,
+            bound=bound,
+            is_integer_bound=bound.denominator == 1,
+        )
+
     def to_dict(self) -> dict:
         return {
             "k_used": self.k_used,
@@ -358,17 +373,42 @@ class LabelledPolytope:
             range(math.ceil(k * lo[i]), math.floor(k * hi[i]) + 1)
             for i in range(self.dim)
         ]
-
+        # j/k lies in P iff <nu_i, j> >= t_i = ceil(-k c_i).  Over each prefix
+        # of the first n-1 coordinates every facet bounds the last coordinate
+        # j_n from below (nu_in > 0), from above (nu_in < 0) or not at all.
+        facets = [
+            (nu[:-1], nu[-1], math.ceil(-k * c))
+            for nu, c in zip(self.normals, self.offsets)
+        ]
+        last = ranges[-1]
+        last_fracs = [Fraction(j, k) for j in last]
+        prefix_fracs = [{j: Fraction(j, k) for j in r} for r in ranges[:-1]]
         points = []
-        for js in itertools.product(*ranges):
-            cand = tuple(Fraction(j, k) for j in js)
-            if self.contains(cand):
-                points.append(cand)
+        low_sums = [math.inf] * len(facets)  # min <nu_i, j> over the points
+        for js in itertools.product(*ranges[:-1]):
+            sums = [sum(v * j for v, j in zip(head, js)) for head, _, _ in facets]
+            j_lo, j_hi = last.start, last.stop - 1
+            for s, (_, a, t) in zip(sums, facets):
+                if a > 0:
+                    j_lo = max(j_lo, -((s - t) // a))
+                elif a < 0:
+                    j_hi = min(j_hi, (t - s) // a)
+                elif s < t:  # the prefix itself lies outside facet i
+                    j_hi = j_lo - 1
+            if j_lo > j_hi:
+                continue
+            low_sums = [
+                min(m, s + a * (j_lo if a > 0 else j_hi))
+                for m, s, (_, a, _) in zip(low_sums, sums, facets)
+            ]
+            head = tuple(fr[j] for fr, j in zip(prefix_fracs, js))
+            points.extend(
+                head + (f,) for f in last_fracs[j_lo - last.start : j_hi - last.start + 1]
+            )
         if not points:
             raise EmptyLattice(f"P contains no point of Z^{self.dim}/{k}")
-        points = tuple(sorted(points))
-        values = [self.defining_values(p) for p in points]
-        l_min = tuple(min(v[i] for v in values) for i in range(self.num_facets))
+        points = tuple(points)
+        l_min = tuple(Fraction(m, k) + c for m, c in zip(low_sums, self.offsets))
         shrunk = LabelledPolytope(
             self.dim,
             [(nu, c - m) for nu, c, m in zip(self.normals, self.offsets, l_min)],
@@ -422,16 +462,7 @@ class LabelledPolytope:
             k = threshold
         elif k < threshold:
             raise PrematureK(f"k={k} is below k0={threshold}")
-        data = self.lattice_points(k)
-        if data.n_k == 0:
-            raise DegenerateN(f"N_{k} = 0: the bound formula is undefined")
-        bound = Fraction(2 * self.dim * k * (data.n_k + 1), data.n_k)
-        return BlyBound(
-            k_used=k,
-            n_k=data.n_k,
-            bound=bound,
-            is_integer_bound=bound.denominator == 1,
-        )
+        return BlyBound.from_lattice(self.dim, self.lattice_points(k))
 
     # -- misc -----------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import LabelledPolytope, PolytopeError, _fraction_to_json
+from .polytope import BlyBound, LabelledPolytope, PolytopeError, _fraction_to_json
 from .potential import SymplecticPotential
 from .quadrature import QuadratureRule
 from .sampling import interior_points, polytope_scale
@@ -362,10 +362,16 @@ class BoundReport:
 
 
 def bound_report(P: LabelledPolytope, k_max: int = 64) -> BoundReport:
-    """Tabulate the lattice-point bound over k0 .. k0+4 (exact rationals)."""
+    """Tabulate the lattice-point bound over k0 .. k0+4 (exact rationals).
+
+    k0 is searched once; an integral P has k0 = 1 (its vertices are lattice
+    points, so P_1 = P), and its k = 1 bound is the first row.
+    """
     k_first = P.k0(k_max)
-    bounds = tuple(P.bly_bound(k) for k in range(k_first, k_first + 5))
-    integral = P.bly_bound(1) if P.is_integral() else None
+    bounds = tuple(
+        BlyBound.from_lattice(P.dim, P.lattice_points(k)) for k in range(k_first, k_first + 5)
+    )
+    integral = bounds[0] if P.is_integral() else None
     recommended = min(b.bound for b in bounds)
     return BoundReport(
         k0=k_first, bounds=bounds, integral_bound=integral, recommended=recommended

@@ -154,3 +154,27 @@ def symbolic_uc_scal_interval(c: float, x_val: float):
 
 def guillemin_G_interval(x: np.ndarray) -> np.ndarray:
     return 1.0 / (2.0 * x * (1.0 - x))
+
+
+def brute_force_lattice(P, k: int):
+    """(points, l_min) of P intersect Z^n/k, testing every candidate of the
+    bounding box with exact `Fraction` membership; raises EmptyLattice.
+
+    This is a reference for the integer lattice scan: it shares only the
+    bounding box and `contains` with the library.
+    """
+    from toriceig.polytope import EmptyLattice
+
+    lo, hi = P.bounding_box()
+    ranges = [range(math.ceil(k * lo[i]), math.floor(k * hi[i]) + 1) for i in range(P.dim)]
+    points = []
+    for js in itertools.product(*ranges):
+        cand = tuple(Fraction(j, k) for j in js)
+        if P.contains(cand):
+            points.append(cand)
+    if not points:
+        raise EmptyLattice(f"P contains no point of Z^{P.dim}/{k}")
+    points = tuple(sorted(points))
+    values = [P.defining_values(p) for p in points]
+    l_min = tuple(min(v[i] for v in values) for i in range(P.num_facets))
+    return points, l_min

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from toriceig import example_path
+from toriceig import LabelledPolytope, example_path
 from toriceig.cli import main
 
 INTERVAL01 = str(example_path("interval01"))
@@ -55,6 +55,23 @@ class TestBound:
         report = json.loads(out)
         assert report["k0"] == 3
         assert report["bounds"][0]["bound"] == 12
+
+    def test_single_k_searches_k0_once(self, capsys, monkeypatch):
+        calls = []
+        original = LabelledPolytope.k0
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabelledPolytope, "k0", counted)
+        code, out, _ = run_cli(capsys, "bound", THIRD, "--k", "4")
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["single_k"] == {
+            "bound": 16, "is_integer_bound": True, "k_used": 4, "n_k": 1
+        }
+        code, _, err = run_cli(capsys, "bound", THIRD, "--k", "2")
+        assert code == 2 and "k=2 is below k0=3" in err
 
 
 class TestLambda1t:

@@ -5,6 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_lattice
 
 from toriceig import (
     LabelledPolytope,
@@ -162,6 +166,98 @@ class TestLattice:
         a = simplex2.lattice_points(3)
         b = simplex2.lattice_points(3)
         assert a.points == b.points and a.l_min == b.l_min
+
+
+# Normals of the 2-D families whose GL(2, Z) images the scan is checked on, and
+# their offsets at scale s (a polygon in the positive quadrant).
+FAMILIES_2D = {
+    "simplex2": (((1, 0), (0, 1), (-1, -1)), lambda s: (0, 0, s)),
+    "square": (((1, 0), (0, 1), (-1, 0), (0, -1)), lambda s: (0, 0, s, s)),
+    "hirzebruch": (((1, 0), (0, 1), (0, -1), (-1, -1)), lambda s: (0, 0, s, 2 * s)),
+}
+UNIMODULAR_STEPS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, -1), (0, 1)),
+                    ((1, 0), (-1, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)))
+
+rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+shifts = st.one_of(
+    st.just(0), st.sampled_from((10**15, -10**15)), st.integers(-10**15, 10**15)
+)
+
+
+def _translated_facets(normals, offsets, shift):
+    """Facets of P + shift."""
+    return [(nu, c - sum(v * t for v, t in zip(nu, shift))) for nu, c in zip(normals, offsets)]
+
+
+@st.composite
+def boxes(draw):
+    dim = draw(st.integers(1, 3))
+    facets = []
+    for axis in range(dim):
+        e = tuple(int(a == axis) for a in range(dim))
+        lo = draw(rationals) + draw(shifts)
+        width = F(draw(st.integers(1, 6 // dim)), draw(st.integers(1, 12)))
+        facets += [(e, -lo), (tuple(-v for v in e), lo + width)]
+    return LabelledPolytope(dim, facets)
+
+
+@st.composite
+def unimodular_polygons(draw):
+    normals, offsets = FAMILIES_2D[draw(st.sampled_from(sorted(FAMILIES_2D)))]
+    M = ((1, 0), (0, 1))
+    for step in draw(st.lists(st.sampled_from(UNIMODULAR_STEPS), max_size=3)):
+        M = tuple(tuple(sum(a[t] * M[t][j] for t in range(2)) for j in range(2)) for a in step)
+    image = [tuple(sum(M[i][j] * nu[j] for j in range(2)) for i in range(2)) for nu in normals]
+    scale = F(draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    shift = tuple(draw(rationals) + draw(shifts) for _ in range(2))
+    return LabelledPolytope(2, _translated_facets(image, offsets(scale), shift))
+
+
+@st.composite
+def prisms(draw):
+    """A unimodular polygon times an interval: a 3-D polytope whose facets
+    with a zero last normal component are not implied by the bounding box."""
+    base = draw(unimodular_polygons())
+    lo = draw(rationals) + draw(shifts)
+    height = F(1, draw(st.integers(1, 4)))
+    facets = [(nu + (0,), c) for nu, c in zip(base.normals, base.offsets)]
+    facets += [((0, 0, 1), -lo), ((0, 0, -1), lo + height)]
+    return LabelledPolytope(3, facets)
+
+
+class TestIntegerScan:
+    """`lattice_points` against the Fraction enumeration of the bounding box."""
+
+    @staticmethod
+    def check(P, k):
+        try:
+            ref_points, ref_l_min = brute_force_lattice(P, k)
+        except EmptyLattice:
+            with pytest.raises(EmptyLattice):
+                P.lattice_points(k)
+            return
+        data = P.lattice_points(k)
+        assert data.points == ref_points
+        assert all(type(x) is F for p in data.points for x in p)
+        assert data.n_k == len(ref_points) - 1
+        assert data.l_min == ref_l_min
+        assert all(type(m) is F for m in data.l_min)
+        assert data.shrunk.offsets == tuple(c - m for c, m in zip(P.offsets, ref_l_min))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(P=boxes(), k=st.integers(1, 12))
+    def test_boxes(self, P, k):
+        self.check(P, k)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(P=unimodular_polygons(), k=st.integers(1, 12))
+    def test_unimodular_polygons(self, P, k):
+        self.check(P, k)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=prisms(), k=st.integers(1, 12))
+    def test_prisms(self, P, k):
+        self.check(P, k)
 
 
 class TestCombinatorialType:

@@ -310,3 +310,42 @@ class TestBoundReport:
         row = report.bounds[1]
         assert (row.k_used, row.n_k, row.bound) == (2, 5, F(48, 5))
         assert not row.is_integer_bound
+
+
+class TestBoundReportCalls:
+    """bound_report searches k0 once and keeps nothing between calls."""
+
+    def test_one_k0_search_per_report(self, monkeypatch):
+        calls = {"k0": 0, "lattice_points": 0}
+        for name in calls:
+            original = getattr(LabelledPolytope, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(LabelledPolytope, name, counted)
+        # Hirzebruch-type polygon: 0 <= y <= 1/17, x + y <= 20/17; k0 = 17
+        P = LabelledPolytope(
+            2,
+            [((1, 0), 0), ((0, 1), 0), ((0, -1), F(1, 17)), ((-1, -1), F(20, 17))],
+        )
+        counts = []
+        for _ in range(2):
+            report = bound_report(P)
+            counts.append(dict(calls))
+            calls.update(k0=0, lattice_points=0)
+            assert report.k0 == 17
+            assert [b.bound for b in report.bounds] == [
+                F(697, 10), F(516, 7), F(855, 11), F(1880, 23), F(343, 4)
+            ]
+        assert counts[0]["k0"] == 1
+        assert counts[0]["lattice_points"] <= 22
+        assert counts[1] == counts[0]
+
+    def test_k_max_above_default(self):
+        # k0 = 67 lies beyond the default search cutoff of 64
+        P = LabelledPolytope(1, [((1,), 0), ((-1,), F(1, 67))])
+        report = bound_report(P, k_max=100)
+        assert report.k0 == 67
+        assert report.bounds[0].bound == 268
