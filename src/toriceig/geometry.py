@@ -1,4 +1,4 @@
-"""Pointwise metric geometry of a symplectic potential.
+"""Metric geometry of a symplectic potential on points of shape (..., n).
 
 The inverse Hessian H drives everything here: the invariant Laplacian acting
 on functions of the moment coordinates,
@@ -9,6 +9,12 @@ the scalar curvature  scal = - sum_ij d^2 H_ij / dx_i dx_j,  the Ricci
 coefficients  rho_kl = -1/2 sum_i d^2 H_li / dx_i dx_k,  and the
 Kahler-Einstein residual test: the metric is Einstein with constant lam
 exactly when  Lap x_i = 2 lam (x_i - xbar_i)  for every coordinate.
+
+All of it comes from one batched path, `hessian_inverse_derivatives`, which
+evaluates H, dH and d2H on the last axis of its points with the batch axes in
+front: in closed form from dG and d2G, or by central differences from one
+`sample` call over the stencils of every point.  A row of a batch gets exactly
+the bits of a one-point call.
 
 Signs follow the positive-Laplacian convention, pinned by the sphere metric
 on the interval [0, 1] where H = 2x(1-x), Lap x = 4x - 2 and scal = 4.
@@ -27,7 +33,7 @@ from .potential import (
     PotentialError,
     SymplecticPotential,
 )
-from .sampling import interior_points, polytope_scale
+from .sampling import facet_values, interior_points, polytope_scale
 
 __all__ = [
     "StepUnderflow",
@@ -49,7 +55,7 @@ class CurvatureSample:
     """Scalar curvature, Ricci coefficients and the H-derivatives behind them."""
 
     x: np.ndarray
-    scal: float
+    scal: float | np.ndarray
     ricci: np.ndarray  # rho[k, l]: coefficient of dx_k ^ dtheta_l
     dH: np.ndarray  # dH[i, j, k]   = d H_ij / d x_k
     d2H: np.ndarray  # d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l
@@ -83,78 +89,62 @@ def _resolve_method(u: SymplecticPotential, method: str) -> str:
     raise ValueError(f"unknown derivative method {method!r}")
 
 
-def _fd_step(u: SymplecticPotential, x: np.ndarray) -> float:
-    L = u.facet_values(x)
-    h = 1e-4 * float(np.min(L))
-    if h <= 0:
-        raise StepUnderflow(f"finite-difference step underflows at {x}")
-    return h
-
-
-def _H_at(u: SymplecticPotential, x: np.ndarray) -> np.ndarray:
-    return u.sample(x).H
-
-
-def _check_stencil(u: SymplecticPotential, pts) -> None:
-    for p in pts:
-        if np.min(u.facet_values(p)) < EPS_INTERIOR:
-            raise StepUnderflow("finite-difference stencil left the interior guard")
-
-
 def hessian_inverse_derivatives(
     u: SymplecticPotential, x, method: str = "auto", second: bool = True
 ):
-    """(H, dH, d2H) of u at x.
+    """(H, dH, d2H) of u at points x of shape (..., n), batch axes in front:
+    dH[..., i, j, k] = d H_ij / d x_k and d2H[..., i, j, k, l].
 
     Closed path: dH = -H (dG) H and the corresponding product rule for d2H.
-    FD path: central differences of H with step 1e-4 * min_i L_i(x).
+    FD path: central differences of H with step 1e-4 * min_i L_i(x), from one
+    `sample` call over the whole stencil of every point.
     With second=False, d2H is returned as None.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     how = _resolve_method(u, method)
-    H = _H_at(u, x)
 
     if how == "closed":
-        dG = u.hessian_derivative(x)  # (n, n, m)
-        dH = -np.einsum("ia,abm,bj->ijm", H, dG, H)
+        H = u.sample(x).H
+        dG = u.hessian_derivative(x)  # (..., n, n, m)
+        dH = -np.einsum("...ia,...abm,...bj->...ijm", H, dG, H)
         if not second:
             return H, dH, None
-        d2G = u.hessian_second_derivative(x)  # (n, n, m, l)
-        term_cross = np.einsum("ia,abl,bc,cdm,dj->ijml", H, dG, H, dG, H)
+        d2G = u.hessian_second_derivative(x)  # (..., n, n, m, l)
+        term_cross = np.einsum("...ia,...abl,...bc,...cdm,...dj->...ijml", H, dG, H, dG, H)
         d2H = (
             term_cross
-            + np.transpose(term_cross, (0, 1, 3, 2))
-            - np.einsum("ia,abml,bj->ijml", H, d2G, H)
+            + np.swapaxes(term_cross, -1, -2)
+            - np.einsum("...ia,...abml,...bj->...ijml", H, d2G, H)
         )
         return H, dH, d2H
 
-    h = _fd_step(u, x)
-    basis = np.eye(n)
-    plus = [x + h * basis[k] for k in range(n)]
-    minus = [x - h * basis[k] for k in range(n)]
-    _check_stencil(u, plus + minus)
-    Hp = [_H_at(u, p) for p in plus]
-    Hm = [_H_at(u, p) for p in minus]
+    # stencil offsets in units of h: 0, +e_k, -e_k, then +-e_k +-e_l for k < l
+    eye = np.eye(n)
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)] if second else []
+    offsets = [np.zeros(n), *eye, *-eye] + [
+        s * eye[k] + t * eye[l] for k, l in pairs for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    ]
+    # the centre's own guard comes first, so a boundary point raises BoundaryPoint
+    h = 1e-4 * u._interior_L(x).min(axis=-1)
+    pts = x[..., None, :] + h[..., None, None] * np.array(offsets)
+    if facet_values(u.polytope, pts).min() < EPS_INTERIOR:
+        raise StepUnderflow("finite-difference stencil left the interior guard")
+    Hs = np.moveaxis(u.sample(pts).H, -3, 0)  # (stencil, ..., n, n)
+    H, Hp, Hm = Hs[0], Hs[1 : n + 1], Hs[n + 1 : 2 * n + 1]
+    h = h[..., None, None]
     dH = np.stack([(Hp[k] - Hm[k]) / (2 * h) for k in range(n)], axis=-1)
     if not second:
         return H, dH, None
-    d2H = np.empty((n, n, n, n))
+    # libm pow, as h**2 of a Python float takes it: numpy's h**2 is h*h, which
+    # can round differently
+    h2 = np.float_power(h, 2)
+    d2H = np.empty(x.shape[:-1] + (n,) * 4)
     for k in range(n):
-        d2H[:, :, k, k] = (Hp[k] - 2 * H + Hm[k]) / h**2
-    for k in range(n):
-        for l in range(k + 1, n):
-            pts = [
-                x + h * basis[k] + h * basis[l],
-                x + h * basis[k] - h * basis[l],
-                x - h * basis[k] + h * basis[l],
-                x - h * basis[k] - h * basis[l],
-            ]
-            _check_stencil(u, pts)
-            Hpp, Hpm, Hmp, Hmm = (_H_at(u, p) for p in pts)
-            mixed = (Hpp - Hpm - Hmp + Hmm) / (4 * h**2)
-            d2H[:, :, k, l] = mixed
-            d2H[:, :, l, k] = mixed
+        d2H[..., k, k] = (Hp[k] - 2 * H + Hm[k]) / h2
+    corners = Hs[2 * n + 1 :].reshape((len(pairs), 4) + H.shape)
+    for (k, l), (Hpp, Hpm, Hmp, Hmm) in zip(pairs, corners):
+        d2H[..., k, l] = d2H[..., l, k] = (Hpp - Hpm - Hmp + Hmm) / (4 * h2)
     return H, dH, d2H
 
 
@@ -186,17 +176,21 @@ def laplacian_invariant(u: SymplecticPotential, f, x, method: str = "auto") -> f
 
 
 def scalar_curvature(u: SymplecticPotential, x, method: str = "auto") -> CurvatureSample:
-    """Scalar curvature and Ricci coefficients at x.
+    """Scalar curvature and Ricci coefficients at points x of shape (..., n);
+    scal is a float for one point and an array over the batch axes otherwise.
 
     Requires min_i L_i(x) >= 1e-4: second derivatives of H amplify boundary
     ill-conditioning.
     """
     x = np.asarray(x, dtype=float)
-    if float(np.min(u.facet_values(x))) < 1e-4:
-        raise BoundaryPoint(f"curvature needs min L_i >= 1e-4, got {np.min(u.facet_values(x)):.2e}")
+    low = float(np.min(facet_values(u.polytope, x)))
+    if low < 1e-4:
+        raise BoundaryPoint(f"curvature needs min L_i >= 1e-4, got {low:.2e}")
     _, dH, d2H = hessian_inverse_derivatives(u, x, method=method, second=True)
-    scal = -float(np.einsum("ijij->", d2H))
-    ricci = -0.5 * np.einsum("liik->kl", d2H)
+    scal = -np.einsum("...ijij->...", d2H)
+    if x.ndim == 1:
+        scal = float(scal)
+    ricci = -0.5 * np.einsum("...liik->...kl", d2H)
     return CurvatureSample(x=x, scal=scal, ricci=ricci, dH=dH, d2H=d2H)
 
 
@@ -223,10 +217,8 @@ def ke_check(
     pts = interior_points(P, samples, min_facet=polytope_scale(P) * 5e-3)
     # f = x_i has gradient e_i and zero Hessian, so Lap x_i = -sum_j dH_ji/dx_j:
     # one derivative evaluation gives all n coordinates.
-    lap = np.empty((samples, n))
-    for q, x in enumerate(pts):
-        _, dH, _ = hessian_inverse_derivatives(u, x, method=how, second=False)
-        lap[q] = -np.einsum("iji->j", dH)
+    _, dH, _ = hessian_inverse_derivatives(u, pts, method=how, second=False)
+    lap = -np.einsum("...iji->...j", dH)
 
     # least squares for Lap x_i ~ a * x_i + b_i with one slope a = 2 lam
     xc = pts - pts.mean(axis=0)

@@ -80,51 +80,15 @@ class DegenerateN(PolytopeError):
 # exact linear algebra over Fraction
 
 
-def _solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve an n x n rational system; None if singular."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _nullspace_vector(rows: Sequence[Sequence[Fraction]], n: int):
-    """One nonzero rational vector orthogonal to all rows, or None."""
+def _rref(rows: Sequence[Sequence], ncols: int):
+    """Gauss-Jordan reduction over Fraction, pivoting on the first `ncols`
+    columns: (reduced rows, pivot columns).  The reduced form is unique."""
     mat = [[Fraction(v) for v in row] for row in rows]
     pivots: list[int] = []
-    rank = 0
-    for col in range(n):
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
@@ -136,7 +100,26 @@ def _nullspace_vector(rows: Sequence[Sequence[Fraction]], n: int):
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         pivots.append(col)
-        rank += 1
+    return mat, pivots
+
+
+def _solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]):
+    """Solve an n x n system with integer rows and rational right-hand side;
+    None if singular."""
+    if _det_int(rows) == 0:
+        return None
+    n = len(rows)
+    mat, _ = _rref([list(row) + [rhs[i]] for i, row in enumerate(rows)], n)
+    return tuple(row[n] for row in mat)
+
+
+def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _nullspace_vector(rows: Sequence[Sequence[Fraction]], n: int):
+    """One nonzero rational vector orthogonal to all rows, or None."""
+    mat, pivots = _rref(rows, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None

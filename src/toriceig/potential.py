@@ -27,6 +27,8 @@ because G entries scale like 1/L_i.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,13 +132,8 @@ class SymplecticPotential:
 
     # -- interior guard -------------------------------------------------------
 
-    def facet_values(self, x) -> np.ndarray:
-        """L_k(x) = <x, nu_k> + c_k on the last axis of x."""
-        x = np.asarray(x, dtype=float)
-        return (x[..., None, :] @ self._A.T)[..., 0, :] + self._c
-
     def _interior_L(self, x) -> np.ndarray:
-        L = self.facet_values(x)
+        L = facet_values(self.polytope, x)
         if L.min() < EPS_INTERIOR:
             low = L.min(axis=-1)
             worst = np.unravel_index(np.argmin(low), low.shape)
@@ -219,6 +216,8 @@ class QuadraticPerturbedPotential(SymplecticPotential):
         super().__init__(polytope)
         if not 0 <= axis < polytope.dim:
             raise ValueError(f"axis {axis} out of range for dim {polytope.dim}")
+        if not math.isfinite(c):
+            raise ValueError(f"perturbation strength c must be finite, got {c}")
         if c < 0:
             raise ValueError("perturbation strength c must be >= 0")
         self.axis = axis
@@ -242,6 +241,8 @@ class DilationPotential(SymplecticPotential):
     def __init__(self, polytope: LabelledPolytope, s: float):
         if not s > 1:
             raise ValueError("dilation parameter s must be > 1")
+        if not math.isfinite(s):
+            raise ValueError(f"dilation parameter s must be finite, got {s}")
         centered, shift = center_polytope(polytope)
         super().__init__(centered)
         self.s = float(s)
@@ -367,44 +368,31 @@ def validate(u: SymplecticPotential, samples: int = 40) -> dict:
     if samples < 10:
         raise ValueError("samples must be >= 10")
     P = u.polytope
+    distances = [polytope_scale(P) * 10.0**-e for e in range(2, 7)]
+    # (point, where, (facet, distance)): a probe's facet-tangent block is checked too
+    checks = [(x, "interior", None) for x in interior_points(P, samples)]
+    checks += [
+        (x, f"near facet {i} (distance {d:.1e})", (i, d))
+        for i, d, x in facet_proximal_points(P, distances)
+    ]
+    X = np.array([x for x, _, _ in checks])
+    inside = np.min(facet_values(P, X), axis=-1) >= EPS_INTERIOR  # probes below are skipped
+    G = u.hessian(X[inside])
+    G = 0.5 * (G + G.swapaxes(-1, -2))
+    lowest = np.linalg.eigvalsh(G)[:, 0]
     failures = []
     worst = np.inf
-
-    def check_full(x, tag):
-        nonlocal worst
-        try:
-            G = u.hessian(np.asarray(x, dtype=float))
-        except BoundaryPoint:
-            return
-        eig = np.linalg.eigvalsh(0.5 * (G + G.T))
-        worst = min(worst, float(eig[0]))
-        if eig[0] <= 0:
-            failures.append({"point": list(map(float, x)), "where": tag, "margin": float(eig[0])})
-
-    for x in interior_points(P, samples):
-        check_full(x, "interior")
-
-    distances = [polytope_scale(P) * 10.0**-e for e in range(2, 7)]
-    for facet, dist, x in facet_proximal_points(P, distances):
-        check_full(x, f"near facet {facet} (distance {dist:.1e})")
-        basis = facet_tangent_basis(P, facet)
-        if basis.shape[0] == 0:
-            continue
-        try:
-            G = u.hessian(x)
-        except BoundaryPoint:
-            continue
-        Gt = basis @ (0.5 * (G + G.T)) @ basis.T
-        eig = np.linalg.eigvalsh(Gt)
-        worst = min(worst, float(eig[0]))
-        if eig[0] <= 0:
-            failures.append(
-                {
-                    "point": list(map(float, x)),
-                    "where": f"tangent to facet {facet} (distance {dist:.1e})",
-                    "margin": float(eig[0]),
-                }
-            )
+    for (x, where, probe), Gq, low in zip(itertools.compress(checks, inside), G, lowest):
+        margins = [(where, low)]
+        if probe and P.dim > 1:
+            facet, dist = probe
+            basis = facet_tangent_basis(P, facet)
+            tangent = np.linalg.eigvalsh(basis @ Gq @ basis.T)[0]
+            margins.append((f"tangent to facet {facet} (distance {dist:.1e})", tangent))
+        for tag, margin in margins:
+            worst = min(worst, float(margin))
+            if margin <= 0:
+                failures.append({"point": list(map(float, x)), "where": tag, "margin": float(margin)})
 
     return {"passed": not failures, "worst_margin": float(worst), "failures": failures}
 
@@ -432,7 +420,7 @@ def dilation_limit_B(P: LabelledPolytope, x) -> np.ndarray:
         raise OriginNotInterior("all offsets must be positive (translate P first)")
     A = np.array(P.normals, dtype=float)
     c = np.array([float(v) for v in P.offsets])
-    L = facet_values(P, x)[0]
+    L = facet_values(P, x)
     if np.min(L) < EPS_INTERIOR:
         raise BoundaryPoint(f"point {x} is not interior")
     coeff = (L + c) / L**2

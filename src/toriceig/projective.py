@@ -28,7 +28,7 @@ import numpy as np
 from .polytope import BlyBound, LabelledPolytope, PolytopeError, _fraction_to_json
 from .potential import SymplecticPotential
 from .quadrature import QuadratureRule
-from .sampling import interior_points, polytope_scale
+from .sampling import facet_values, interior_points, polytope_scale
 
 __all__ = [
     "ProjectiveError",
@@ -126,7 +126,7 @@ def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X: np.ndarray) -> np
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if u.kind == "guillemin":
-        L = u.facet_values(X)  # (q, d)
+        L = facet_values(u.polytope, X)  # (q, d)
         with np.errstate(divide="ignore"):
             logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
         expo = E.exponents.astype(float)  # (N+1, d)
@@ -307,7 +307,7 @@ def saturation_check(
     # gradient of log |Z_m|^2 at each sample
     if u.kind == "guillemin":
         A = np.array(P.normals, dtype=float)
-        L = u.facet_values(pts)  # (q, d)
+        L = facet_values(P, pts)  # (q, d)
         glog = np.einsum("md,qd,di->qmi", E.exponents.astype(float), 1.0 / L, A)
     else:
         G = u.sample(pts).G  # (q, n, n)

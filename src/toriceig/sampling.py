@@ -5,28 +5,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polytope import LabelledPolytope
+from .polytope import LabelledPolytope, PolytopeError
 
 _PRIMES = (2, 3, 5, 7, 11)
+_MAX_CANDIDATES = 782 * 256
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    inv = 0.0
-    f = 1.0 / base
-    i = index
-    while i > 0:
-        inv += f * (i % base)
-        i //= base
-        f /= base
-    return inv
+class SamplingError(PolytopeError):
+    """Too few Halton candidates land inside the polytope: it is too thin, or
+    the count exceeds the candidate budget."""
 
 
 def halton(count: int, dim: int, skip: int = 20) -> np.ndarray:
     """`count` Halton points in [0,1)^dim (leading entries skipped)."""
-    pts = np.empty((count, dim))
+    pts = np.zeros((count, dim))
     for j in range(dim):
         base = _PRIMES[j]
-        pts[:, j] = [_radical_inverse(i + skip, base) for i in range(count)]
+        # radical inverse of every index at once, one base-`base` digit a pass
+        i = np.arange(skip, skip + count)
+        f = 1.0 / base
+        while i.any():
+            pts[:, j] += f * (i % base)
+            i //= base
+            f /= base
     return pts
 
 
@@ -35,12 +36,16 @@ def polytope_scale(P: LabelledPolytope) -> float:
     return max(float(h - l) for l, h in zip(lo, hi))
 
 
-def facet_values(P: LabelledPolytope, x: np.ndarray) -> np.ndarray:
-    """L_i(x) for every facet, float, vectorized over rows of x."""
+def facet_values(P: LabelledPolytope, x) -> np.ndarray:
+    """L_k(x) = <x, nu_k> + c_k for every facet, on the last axis of x.
+
+    Each point is a (1 x n) row-vector product of its own, so a row of a batch
+    gets exactly the bits of a one-point call.
+    """
     A = np.array(P.normals, dtype=float)
     c = np.array([float(v) for v in P.offsets])
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return x @ A.T + c
+    x = np.asarray(x, dtype=float)
+    return (x[..., None, :] @ A.T)[..., 0, :] + c
 
 
 def interior_points(
@@ -48,28 +53,29 @@ def interior_points(
 ) -> np.ndarray:
     """`count` deterministic interior points with all L_i >= min_facet.
 
-    Halton points in the bounding box are filtered by margin; the margin is
-    halved (at most 12 times) if the polytope is too thin for the default.
+    Halton points in the bounding box, at most 782 blocks of 256, are filtered
+    by margin; the margin is halved (at most 12 times) if the polytope is too
+    thin for the default.  Candidates are made on demand and kept across
+    margins.
     """
     lo, hi = P.bounding_box()
     lo_f = np.array([float(v) for v in lo])
     hi_f = np.array([float(v) for v in hi])
     margin = polytope_scale(P) * 1e-2 if min_facet is None else float(min_facet)
+    pts = np.empty((0, P.dim))
+    low = np.empty(0)  # min_i L_i at each candidate
     for _ in range(12):
-        accepted = []
-        idx = 0
-        block = 256
-        while len(accepted) < count and idx < 200_000:
-            unit = halton(block, P.dim, skip=20 + idx)
-            pts = lo_f + unit * (hi_f - lo_f)
-            vals = facet_values(P, pts)
-            good = pts[np.min(vals, axis=1) >= margin]
-            accepted.extend(map(tuple, good))
-            idx += block
-        if len(accepted) >= count:
-            return np.array(accepted[:count])
+        good = pts[low >= margin]
+        while len(good) < count and len(pts) < _MAX_CANDIDATES:
+            more = min(max(len(pts), 256), _MAX_CANDIDATES - len(pts))
+            new = lo_f + halton(more, P.dim, skip=20 + len(pts)) * (hi_f - lo_f)
+            pts = np.concatenate([pts, new])
+            low = np.concatenate([low, np.min(facet_values(P, new), axis=1)])
+            good = pts[low >= margin]
+        if len(good) >= count:
+            return good[:count]
         margin *= 0.5
-    raise RuntimeError(f"could not place {count} interior points in {P!r}")
+    raise SamplingError(f"could not place {count} interior points in {P!r}")
 
 
 def facet_proximal_points(P: LabelledPolytope, distances) -> list:
@@ -89,8 +95,7 @@ def facet_proximal_points(P: LabelledPolytope, distances) -> list:
         nsq = float(nu_f @ nu_f)
         for dist in distances:
             x = centroid + (dist / nsq) * nu_f
-            vals = facet_values(P, x)[0]
-            if np.min(vals) <= 0:
+            if np.min(facet_values(P, x)) <= 0:
                 continue
             out.append((i, float(dist), x))
     return out

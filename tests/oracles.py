@@ -178,3 +178,14 @@ def brute_force_lattice(P, k: int):
     values = [P.defining_values(p) for p in points]
     l_min = tuple(min(v[i] for v in values) for i in range(P.num_facets))
     return points, l_min
+
+
+def lattice_perimeter(P) -> int:
+    """|dP| in the lattice measure of a lattice polygon: each edge counts its
+    lattice steps, the gcd of its integer edge vector."""
+    verts = P.vertices()
+    total = 0
+    for i in range(P.num_facets):
+        a, b = (v.coords for v in verts if i in v.active)
+        total += math.gcd(*(int(p - q) for p, q in zip(a, b)))
+    return total

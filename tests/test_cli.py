@@ -11,6 +11,7 @@ INTERVAL01 = str(example_path("interval01"))
 INTERVALC = str(example_path("intervalC"))
 SIMPLEX2 = str(example_path("simplex2"))
 THIRD = str(example_path("interval-third"))
+SQUARE = str(example_path("square"))
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +217,40 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "invalid input" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ke-check", "--potential", "uc:i=0,c=nan"),
+            ("ke-check", "--potential", "uc:i=0,c=inf"),
+            ("ke-check", "--potential", "dilation:s=inf"),
+            ("sweep-uc", "--c", "0,nan"),
+        ],
+    )
+    def test_non_finite_potential_parameters(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], SQUARE, *argv[1:])
+        assert code == 2 and out == ""
+        assert "must be finite" in err
+
+    def test_thin_polytope_ke_check(self, capsys, tmp_path):
+        # no Halton point of the box keeps a margin from the facets 1e-9 apart
+        thin = tmp_path / "thin.json"
+        thin.write_text(
+            json.dumps(
+                {
+                    "dim": 2,
+                    "facets": [
+                        {"normal": [1, 0], "offset": 0},
+                        {"normal": [-1, 0], "offset": 1},
+                        {"normal": [0, 1], "offset": 0},
+                        {"normal": [0, -1], "offset": "1/1000000000"},
+                    ],
+                }
+            )
+        )
+        code, _, err = run_cli(capsys, "ke-check", str(thin))
+        assert code == 2
+        assert "could not place 40 interior points" in err and "Traceback" not in err
 
     def test_indefinite_poly_potential(self, capsys, tmp_path):
         coeffs = tmp_path / "v.json"

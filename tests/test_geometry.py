@@ -4,9 +4,12 @@ symbolic 1D cross-checks, Ricci consistency and the Einstein residual test."""
 import numpy as np
 import pytest
 
-from oracles import symbolic_uc_scal_interval
+from oracles import lattice_perimeter, symbolic_uc_scal_interval
 from toriceig import (
+    LabelledPolytope,
     MultiPoly,
+    build_quadrature,
+    dilation,
     example_polytope,
     guillemin,
     guillemin_plus_poly,
@@ -15,13 +18,17 @@ from toriceig import (
     quadratic_perturbed,
     scalar_curvature,
 )
-from toriceig.geometry import hessian_inverse_derivatives
+from toriceig.geometry import StepUnderflow, hessian_inverse_derivatives
 from toriceig.potential import BoundaryPoint
 from toriceig.sampling import interior_points
 
 interval01 = example_polytope("interval01")
 simplex2 = example_polytope("simplex2")
 square = example_polytope("square")
+cube = LabelledPolytope(
+    3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+        ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
+)
 
 x_1d = MultiPoly.coordinate(1, 0)
 
@@ -188,3 +195,62 @@ class TestKECheck:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             ke_check(guillemin(interval01), samples=10)
+
+
+class TestBatchedDerivatives:
+    """Points of shape (..., n) give, point by point, the bits of one-point calls."""
+
+    @pytest.mark.parametrize("second", [False, True])
+    @pytest.mark.parametrize("method", ["closed", "fd"])
+    @pytest.mark.parametrize(
+        "P", [interval01, simplex2, square, cube], ids=["interval", "simplex2", "square", "cube"]
+    )
+    def test_rows_equal_one_point_calls(self, P, method, second):
+        u = quadratic_perturbed(P, 0, 2.5)
+        X = interior_points(P, 12, min_facet=0.02).reshape(3, 4, P.dim)
+        batch = hessian_inverse_derivatives(u, X, method=method, second=second)
+        assert batch[1].shape == (3, 4) + (P.dim,) * 3
+        for idx in np.ndindex(3, 4):
+            one = hessian_inverse_derivatives(u, X[idx], method=method, second=second)
+            for b, o in zip(batch, one):
+                assert (b is None and o is None) or b[idx].tobytes() == o.tobytes()
+
+    @pytest.mark.parametrize("method", ["closed", "fd"])
+    def test_scalar_curvature_rows(self, method):
+        u = quadratic_perturbed(square, 1, 2.5)
+        X = interior_points(square, 10, min_facet=0.05)
+        batch = scalar_curvature(u, X, method=method)
+        assert batch.scal.shape == (10,) and batch.ricci.shape == (10, 2, 2)
+        for q, x in enumerate(X):
+            one = scalar_curvature(u, x, method=method)
+            assert type(one.scal) is float and one.scal == batch.scal[q]
+            assert one.ricci.tobytes() == batch.ricci[q].tobytes()
+
+    @pytest.mark.parametrize("method", ["closed", "fd"])
+    def test_boundary_point(self, method):
+        with pytest.raises(BoundaryPoint):
+            hessian_inverse_derivatives(guillemin(interval01), [5e-11], method=method)
+
+    def test_step_underflow(self):
+        # the centre passes the guard L >= 1e-10; its stencil point x - h does not
+        u = guillemin(interval01)
+        with pytest.raises(StepUnderflow):
+            hessian_inverse_derivatives(u, [1.00001e-10], method="fd")
+        hessian_inverse_derivatives(u, [1.00001e-10], method="closed")
+
+
+class TestDonaldsonIdentity:
+    """int_P scal = 2 |dP|_lattice for every potential with Guillemin boundary
+    behaviour (Donaldson, J. Diff. Geom. 62, 2002), over one batched call."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [guillemin, lambda P: quadratic_perturbed(P, 0, 5.0), lambda P: dilation(P, 1.5)],
+        ids=["guillemin", "uc5", "dilation1.5"],
+    )
+    @pytest.mark.parametrize("P", [simplex2, square], ids=["simplex2", "square"])
+    def test_total_scalar_curvature(self, P, make):
+        u = make(P)
+        Q = build_quadrature(u.polytope, 4, 4)
+        total = float(Q.weights @ scalar_curvature(u, Q.nodes, method="closed").scal)
+        assert total == pytest.approx(2 * lattice_perimeter(P), abs=5e-7)

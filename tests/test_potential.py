@@ -149,6 +149,31 @@ class TestValidate:
         assert not report["passed"]
         assert report["worst_margin"] < 0
 
+    def test_report_order_on_indefinite_square(self):
+        # u0 - 10 x_0^2 on [0,1]^2 has G = diag(g(x_0) - 20, g(x_1)) with
+        # g(t) = 1/(2t(1-t)): it fails at most interior points, and at every
+        # probe near the facets x_1 = 0 (facet 1) and x_1 = 1 (facet 3), both in
+        # full and along the facet; near facets 0 and 2 g(x_0) is large.
+        u = guillemin_plus_poly(square, MultiPoly(2, {(2, 0): -10.0}), check=False)
+        report = validate(u, samples=20)
+
+        def g(t):
+            return 1 / (2 * t * (1 - t))
+
+        X = interior_points(square, 20)
+        low = np.minimum(g(X[:, 0]) - 20, g(X[:, 1]))
+        expected = [("interior", x, m) for x, m in zip(X, low) if m <= 0]
+        for facet, edge in ((1, 0.0), (3, 1.0)):
+            for e in range(2, 7):
+                point = [0.5, abs(edge - 10.0**-e)]
+                tag = f"facet {facet} (distance {10.0**-e:.1e})"
+                expected += [(f"near {tag}", point, -18.0), (f"tangent to {tag}", point, -18.0)]
+        failures = report["failures"]
+        assert [f["where"] for f in failures] == [w for w, _, _ in expected]
+        assert np.allclose([f["point"] for f in failures], [p for _, p, _ in expected], atol=1e-15)
+        assert np.allclose([f["margin"] for f in failures], [m for _, _, m in expected], rtol=1e-12)
+        assert len(expected) == 39 and report["worst_margin"] == pytest.approx(-18.0, rel=1e-12)
+
     def test_bad_poly_rejected_at_construction(self):
         with pytest.raises(NotPositiveDefinite):
             guillemin_plus_poly(interval01, MultiPoly(1, {(2,): -10.0}))
