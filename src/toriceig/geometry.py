@@ -22,6 +22,7 @@ on the interval [0, 1] where H = 2x(1-x), Lap x = 4x - 2 and scal = 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +213,8 @@ def ke_check(
     how = _resolve_method(u, method)
     if tol is None:
         tol = 1e-6 if how == "closed" else 1e-4
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     P = u.polytope
     n = P.dim
     pts = interior_points(P, samples, min_facet=polytope_scale(P) * 5e-3)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "PolytopeError",
     "InvalidPolytope",
@@ -138,6 +140,9 @@ def _det_int(rows: Sequence[Sequence[int]]) -> int:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     det = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
@@ -242,6 +247,7 @@ class LabelledPolytope:
         self.normals = tuple(normals)
         self.offsets = tuple(offsets)
         self._vertices: Optional[tuple] = None
+        self._float_facets: Optional[tuple] = None
         if validate:
             if len(normals) < dim + 1:
                 raise InvalidPolytope(f"need at least {dim + 1} facets, got {len(normals)}")
@@ -262,6 +268,16 @@ class LabelledPolytope:
 
     def contains(self, x: Sequence) -> bool:
         return all(v >= 0 for v in self.defining_values(x))
+
+    def float_facets(self) -> tuple:
+        """(normals, offsets) as read-only float arrays of shape (d, n) and
+        (d,), built on first use."""
+        if self._float_facets is None:
+            A = np.array(self.normals, dtype=float)
+            c = np.array([float(v) for v in self.offsets])
+            A.flags.writeable = c.flags.writeable = False
+            self._float_facets = (A, c)
+        return self._float_facets
 
     def vertices(self) -> tuple:
         """All vertices as `Vertex` objects, sorted lexicographically.

@@ -117,8 +117,7 @@ class SymplecticPotential:
 
     def __init__(self, polytope: LabelledPolytope):
         self.polytope = polytope
-        self._A = np.array(polytope.normals, dtype=float)  # d x n
-        self._c = np.array([float(v) for v in polytope.offsets])
+        self._A, self._c = polytope.float_facets()  # d x n, d
         # 1/2 nu_k tensored r times and flattened, r = 0..4: shape (d, n**r)
         self._half_nu_powers = [np.full((len(self._A), 1), 0.5)]
         for _ in range(4):
@@ -418,8 +417,7 @@ def dilation_limit_B(P: LabelledPolytope, x) -> np.ndarray:
     Requires 0 interior to P (all offsets positive)."""
     if any(c <= 0 for c in P.offsets):
         raise OriginNotInterior("all offsets must be positive (translate P first)")
-    A = np.array(P.normals, dtype=float)
-    c = np.array([float(v) for v in P.offsets])
+    A, c = P.float_facets()
     L = facet_values(P, x)
     if np.min(L) < EPS_INTERIOR:
         raise BoundaryPoint(f"point {x} is not interior")

@@ -20,6 +20,7 @@ canonical metric).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,15 +200,6 @@ class BalanceWeights:
         }
 
 
-def _psi_averages(logz2: np.ndarray, alpha: np.ndarray, Q: QuadratureRule) -> np.ndarray:
-    """Quadrature integrals of every Psi_mm, given log |Z_m|^2 at the nodes."""
-    logw = logz2 + 2.0 * np.log(alpha)
-    logw -= np.max(logw, axis=1, keepdims=True)
-    w = np.exp(logw)
-    psi = w / np.sum(w, axis=1, keepdims=True)
-    return Q.weights @ psi
-
-
 def balance(
     E: EmbeddingData,
     u: SymplecticPotential,
@@ -222,6 +214,8 @@ def balance(
     to sum(alpha) = 1, until every average matches 1/(N+1)."""
     if u.polytope != E.polytope or Q.polytope != E.polytope:
         raise ValueError("potential, quadrature and embedding must share one polytope")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     count = E.count
     if start is None:
         alpha = np.full(count, 1.0 / count)
@@ -230,9 +224,13 @@ def balance(
         alpha = alpha / np.sum(alpha)
     vol = float(Q.exact_volume)
     target = vol / count
-    logz2 = _log_z2_nodes(E, u, Q.nodes)  # independent of alpha
+    # Psi_mm = Z_m a_m^2 / sum_j Z_j a_j^2 with Z = |Z|^2 scaled per node by
+    # its largest entry; Z does not depend on alpha, so it is built once.
+    logz2 = _log_z2_nodes(E, u, Q.nodes)
+    Z = np.exp(logz2 - np.max(logz2, axis=1, keepdims=True))
     for iteration in range(max_iter + 1):
-        averages = _psi_averages(logz2, alpha, Q)
+        a2 = alpha**2
+        averages = ((Q.weights / (Z @ a2)) @ Z) * a2
         residual = float(np.max(np.abs(averages / vol - 1.0 / count)))
         if residual < tol:
             return BalanceWeights(alpha=alpha, residual=residual, iterations=iteration)
@@ -292,6 +290,8 @@ def saturation_check(
         raise ValueError("potential must live on the embedding's translated polytope")
     if tol is None:
         tol = 1e-6 if u.closed_derivatives else 1e-4
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     a = _normalized_alpha(alpha, E.count)
     P = E.polytope
     n, N = E.n, E.N
@@ -306,7 +306,7 @@ def saturation_check(
 
     # gradient of log |Z_m|^2 at each sample
     if u.kind == "guillemin":
-        A = np.array(P.normals, dtype=float)
+        A = P.float_facets()[0]
         L = facet_values(P, pts)  # (q, d)
         glog = np.einsum("md,qd,di->qmi", E.exponents.astype(float), 1.0 / L, A)
     else:

@@ -1,24 +1,28 @@
 """Polytope quadrature for n <= 3.
 
 The polytope is triangulated exactly (rational vertices) by coning its vertex
-barycenter over the triangulated facets, each simplex optionally red-refined
-``depth`` times, and a conical-product Gauss-Jacobi rule of degree 2*order - 1
-is mapped onto every simplex.  The rule has strictly interior nodes and
-positive weights, and its total weight reproduces the exact rational volume
-of the triangulation.
+barycenter over the triangulated facets.  `build_quadrature` scales that
+triangulation once to integers (by the lcm of its denominators times
+2**depth), red-refines every simplex ``depth`` times with integer midpoints
+and takes each exact volume from an integer determinant, so no `Fraction` is
+made per simplex.  A conical-product Gauss-Jacobi rule of degree 2*order - 1
+is mapped onto all simplices in one batched product.  The rule has strictly
+interior nodes and positive weights, and its total weight reproduces the
+exact rational volume of the triangulation.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .polytope import LabelledPolytope, PolytopeError
+from .polytope import LabelledPolytope, PolytopeError, _det_int
 
 __all__ = ["DimUnsupported", "QuadratureRule", "triangulate", "build_quadrature"]
 
@@ -32,15 +36,24 @@ class DimUnsupported(PolytopeError):
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite rule: nodes (m, n), positive weights (m,) and the exact
-    rational triangulation it was built on."""
+    rational triangulation it was built on, kept as integer vertices over the
+    common denominator `_scale`."""
 
     polytope: LabelledPolytope
     nodes: np.ndarray
     weights: np.ndarray
-    triangulation: tuple
     order: int
     depth: int
     exact_volume: Fraction
+    _simplices: tuple = field(repr=False)
+    _scale: int = field(repr=False)
+
+    @functools.cached_property
+    def triangulation(self) -> tuple:
+        """The simplices as tuples of `Fraction` vertices, in canonical order."""
+        return tuple(
+            tuple(tuple(Fraction(c, self._scale) for c in v) for v in s) for s in self._simplices
+        )
 
     @property
     def degree(self) -> int:
@@ -97,15 +110,10 @@ def triangulate(P: LabelledPolytope) -> tuple:
     if n > 3:
         raise DimUnsupported(f"dimension {n} > 3")
     bary = P.vertex_barycenter()
-    simplices = []
-    if n == 1:
-        for v in P.vertices():
-            simplices.append((bary, v.coords))
-    elif n == 2:
-        for facet in range(P.num_facets):
-            edge = _facet_vertices(P, facet)
-            simplices.append((bary, edge[0], edge[1]))
+    if n < 3:  # a facet is one vertex (n = 1) or one edge (n = 2)
+        simplices = [(bary, *_facet_vertices(P, f)) for f in range(P.num_facets)]
     else:
+        simplices = []
         for facet in range(P.num_facets):
             poly = _facet_vertices(P, facet)
             nu = P.normals[facet]
@@ -117,52 +125,18 @@ def triangulate(P: LabelledPolytope) -> tuple:
     return tuple(sorted(canon))
 
 
-def _midpoint(a, b):
-    return tuple((ai + bi) / 2 for ai, bi in zip(a, b))
-
-
-def _refine(simplex: tuple) -> list:
-    """One red refinement step with rational midpoints."""
-    n = len(simplex) - 1
-    if n == 1:
-        a, b = simplex
-        m = _midpoint(a, b)
-        return [(a, m), (m, b)]
-    if n == 2:
-        a, b, c = simplex
-        mab, mac, mbc = _midpoint(a, b), _midpoint(a, c), _midpoint(b, c)
-        return [(a, mab, mac), (b, mab, mbc), (c, mac, mbc), (mab, mbc, mac)]
-    a, b, c, d = simplex
-    mab, mac, mad = _midpoint(a, b), _midpoint(a, c), _midpoint(a, d)
-    mbc, mbd, mcd = _midpoint(b, c), _midpoint(b, d), _midpoint(c, d)
-    return [
-        (a, mab, mac, mad),
-        (mab, b, mbc, mbd),
-        (mac, mbc, c, mcd),
-        (mad, mbd, mcd, d),
-        (mab, mac, mad, mbd),
-        (mab, mac, mbc, mbd),
-        (mac, mad, mbd, mcd),
-        (mac, mbc, mbd, mcd),
-    ]
-
-
-def _simplex_volume(simplex: tuple) -> Fraction:
-    n = len(simplex) - 1
-    base = simplex[0]
-    rows = [[v[i] - base[i] for i in range(n)] for v in simplex[1:]]
-    if n == 1:
-        det = rows[0][0]
-    elif n == 2:
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    else:
-        det = (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-    factorial = (1, 1, 2, 6)[n]
-    return abs(det) / factorial if isinstance(det, Fraction) else Fraction(abs(det), factorial)
+# Red refinement: the midpoints of `_RED[n][0]` (index pairs into the
+# simplex) are appended to its vertices, and `_RED[n][1]` lists the children
+# as indices into that point list.
+_RED = {
+    1: (((0, 1),), ((0, 2), (2, 1))),
+    2: (((0, 1), (0, 2), (1, 2)), ((0, 3, 4), (1, 3, 5), (2, 4, 5), (3, 5, 4))),
+    3: (
+        ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+        ((0, 4, 5, 6), (4, 1, 7, 8), (5, 7, 2, 9), (6, 8, 9, 3),
+         (4, 5, 6, 8), (4, 5, 7, 8), (5, 6, 8, 9), (5, 7, 8, 9)),
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,35 +171,42 @@ def build_quadrature(P: LabelledPolytope, order: int = 3, depth: int = 2) -> Qua
         raise ValueError(f"order must be one of {sorted(RULE_DEGREES)}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    simplices = list(triangulate(P))
+    n = P.dim
+    base = triangulate(P)
+    scale = math.lcm(*(c.denominator for s in base for v in s for c in v)) << depth
+    simplices = [
+        tuple(tuple(c.numerator * (scale // c.denominator) for c in v) for v in s) for s in base
+    ]
+    pairs, children = _RED[n]
     for _ in range(depth):
         refined = []
         for s in simplices:
-            refined.extend(_refine(s))
-        simplices = [tuple(sorted(s)) for s in refined]
+            pts = s + tuple(tuple((a + b) >> 1 for a, b in zip(s[i], s[j])) for i, j in pairs)
+            refined.extend(tuple(sorted(pts[k] for k in child)) for child in children)
+        simplices = refined
     simplices.sort()
 
-    n = P.dim
+    # Python int / int is correctly rounded, so every float below equals the
+    # float of the exact rational it stands for.
+    edges = [[[b - a for a, b in zip(s[0], v)] for v in s[1:]] for s in simplices]
+    dets = [abs(_det_int(e)) for e in edges]
+    fact = math.factorial(n)
+    denom = scale**n * fact
+    v0 = np.fromiter((c / scale for s in simplices for c in s[0]), float).reshape(-1, n)
+    # J[s] has the edge vectors as columns, x = v0 + J @ lam
+    J = np.fromiter(
+        (e[i][j] / scale for e in edges for j in range(n) for i in range(n)), float
+    ).reshape(-1, n, n)
     lam, base_w = _unit_simplex_rule(n, order)
-    exact_volume = Fraction(0)
-    all_nodes = []
-    all_weights = []
-    for s in simplices:
-        vol = _simplex_volume(s)
-        exact_volume += vol
-        v0 = np.array([float(c) for c in s[0]])
-        J = np.array([[float(s[i + 1][j] - s[0][j]) for i in range(n)] for j in range(n)])
-        # columns of J are edge vectors; x = v0 + J @ lam
-        nodes = v0 + lam @ J.T
-        scale = float(vol) * (1, 1, 2, 6)[n]  # |det J| recovered from the volume
-        all_nodes.append(nodes)
-        all_weights.append(base_w * scale)
+    nodes = v0[:, None, :] + lam @ J.transpose(0, 2, 1)
+    vol_scale = np.array([d / denom * fact for d in dets])  # |det J| per simplex
     return QuadratureRule(
         polytope=P,
-        nodes=np.vstack(all_nodes),
-        weights=np.concatenate(all_weights),
-        triangulation=tuple(simplices),
+        nodes=nodes.reshape(-1, n),
+        weights=(vol_scale[:, None] * base_w).reshape(-1),
         order=order,
         depth=depth,
-        exact_volume=exact_volume,
+        exact_volume=Fraction(sum(dets), denom),
+        _simplices=tuple(simplices),
+        _scale=scale,
     )

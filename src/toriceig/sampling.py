@@ -42,8 +42,7 @@ def facet_values(P: LabelledPolytope, x) -> np.ndarray:
     Each point is a (1 x n) row-vector product of its own, so a row of a batch
     gets exactly the bits of a one-point call.
     """
-    A = np.array(P.normals, dtype=float)
-    c = np.array([float(v) for v in P.offsets])
+    A, c = P.float_facets()
     x = np.asarray(x, dtype=float)
     return (x[..., None, :] @ A.T)[..., 0, :] + c
 

@@ -9,7 +9,8 @@ over functions on the polytope.  The trial space is the span of monomials of
 total degree <= D (affinely normalized to the bounding box and mean-centered
 against the quadrature), so every computed value is an upper bound for the
 true eigenvalue.  Trial values and gradients come from one table of
-coordinate powers at the nodes.  With G = R R^T at each node, the stiffness
+coordinate powers at the nodes.  The mass matrix is one GEMM, (w V)^T V for
+the mean-centered trial values V.  With G = R R^T at each node, the stiffness
 matrix is sum_i F_i^T F_i for F = sqrt(w) R^{-1} grad(phi), so it is symmetric
 by construction.  The generalized problem is reduced by a pivoted Cholesky
 factorization of the mass matrix (which reports the dropped basis) and the
@@ -254,7 +255,7 @@ def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) ->
     table = _power_table((Q.nodes - center) / halfwidth, degree)
     vals = _monomials(table, E)  # (m, B)
     vals -= (w @ vals) / float(np.sum(w))  # mean-zero against the rule
-    M = np.einsum("q,qa,qb->ab", w, vals, vals)
+    M = (vals * w[:, None]).T @ vals
     del vals
     A = _stiffness(_weighted_factors(u, Q), _monomial_gradients(table, E, halfwidth))
 

@@ -84,6 +84,17 @@ def simplex2_centroid_integral(fn, k: int = 400) -> float:
     return float(np.sum(vals) * area)
 
 
+def _det(mat):
+    """Determinant by cofactor expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    total = Fraction(0)
+    for j in range(len(mat)):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        total += (-1) ** j * mat[0][j] * _det(minor)
+    return total
+
+
 def exact_monomial_integral_simplex(vertices, exponents) -> Fraction:
     """Exact integral of x^exponents over the simplex with rational vertices.
 
@@ -94,17 +105,7 @@ def exact_monomial_integral_simplex(vertices, exponents) -> Fraction:
     n = len(verts) - 1
     base = verts[0]
     rows = [[verts[i + 1][j] - base[j] for j in range(n)] for i in range(n)]
-
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = Fraction(0)
-        for j in range(len(mat)):
-            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            total += (-1) ** j * mat[0][j] * det(minor)
-        return total
-
-    vol = abs(det(rows)) / math.factorial(n)
+    vol = abs(_det(rows)) / math.factorial(n)
 
     # polynomial in barycentric coordinates lam_0..lam_n as {beta: coeff}
     poly = {(0,) * (n + 1): Fraction(1)}
@@ -189,3 +190,85 @@ def lattice_perimeter(P) -> int:
         a, b = (v.coords for v in verts if i in v.active)
         total += math.gcd(*(int(p - q) for p, q in zip(a, b)))
     return total
+
+
+def _midpoint(a, b):
+    return tuple((ai + bi) / 2 for ai, bi in zip(a, b))
+
+
+def _red_refine(simplex: tuple) -> list:
+    """One red refinement step with rational midpoints."""
+    n = len(simplex) - 1
+    if n == 1:
+        a, b = simplex
+        m = _midpoint(a, b)
+        return [(a, m), (m, b)]
+    if n == 2:
+        a, b, c = simplex
+        mab, mac, mbc = _midpoint(a, b), _midpoint(a, c), _midpoint(b, c)
+        return [(a, mab, mac), (b, mab, mbc), (c, mac, mbc), (mab, mbc, mac)]
+    a, b, c, d = simplex
+    mab, mac, mad = _midpoint(a, b), _midpoint(a, c), _midpoint(a, d)
+    mbc, mbd, mcd = _midpoint(b, c), _midpoint(b, d), _midpoint(c, d)
+    return [
+        (a, mab, mac, mad),
+        (mab, b, mbc, mbd),
+        (mac, mbc, c, mcd),
+        (mad, mbd, mcd, d),
+        (mab, mac, mad, mbd),
+        (mab, mac, mbc, mbd),
+        (mac, mad, mbd, mcd),
+        (mac, mbc, mbd, mcd),
+    ]
+
+
+def fraction_quadrature(P, order: int, depth: int):
+    """(nodes, weights, triangulation, exact_volume) of the composite rule,
+    built with `Fraction` arithmetic on every simplex and one small map per
+    simplex.
+
+    This is a reference for the integer build of `build_quadrature`: it
+    shares only the base triangulation and the unit-simplex rule with the
+    library.
+    """
+    from toriceig.quadrature import _unit_simplex_rule, triangulate
+
+    simplices = list(triangulate(P))
+    for _ in range(depth):
+        simplices = [tuple(sorted(c)) for s in simplices for c in _red_refine(s)]
+    simplices.sort()
+    n = P.dim
+    lam, base_w = _unit_simplex_rule(n, order)
+    exact_volume = Fraction(0)
+    all_nodes, all_weights = [], []
+    for s in simplices:
+        rows = [[v[i] - s[0][i] for i in range(n)] for v in s[1:]]
+        vol = abs(Fraction(_det(rows))) / math.factorial(n)
+        exact_volume += vol
+        v0 = np.array([float(c) for c in s[0]])
+        J = np.array([[float(s[i + 1][j] - s[0][j]) for i in range(n)] for j in range(n)])
+        all_nodes.append(v0 + lam @ J.T)
+        all_weights.append(base_w * (float(vol) * math.factorial(n)))
+    return np.vstack(all_nodes), np.concatenate(all_weights), tuple(simplices), exact_volume
+
+
+def balance_exp_per_iteration(logz2, weights, volume, tol=1e-10, max_iter=200, damping=0.5):
+    """(alpha, residual, iterations) of the damped balance fixed point,
+    exponentiating log(alpha_m^2 |Z_m|^2) afresh at every node and iteration.
+
+    This is a reference for `balance`, which scales |Z|^2 once before the
+    loop; it shares only the log |Z_m|^2 table with the library.  Returns
+    None when the iteration does not reach `tol`.
+    """
+    count = logz2.shape[1]
+    alpha = np.full(count, 1.0 / count)
+    for iteration in range(max_iter + 1):
+        logw = logz2 + 2.0 * np.log(alpha)
+        w = np.exp(logw - np.max(logw, axis=1, keepdims=True))
+        averages = weights @ (w / np.sum(w, axis=1, keepdims=True))
+        residual = float(np.max(np.abs(averages / volume - 1.0 / count)))
+        if residual < tol:
+            return alpha, residual, iteration
+        alpha = alpha * (volume / count / averages) ** (damping / 2.0)
+        alpha = alpha / np.sum(alpha)
+    return None

@@ -232,6 +232,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ke-check", SQUARE, "--tol", "nan"),
+            ("balance", SIMPLEX2, "--tol", "nan"),
+            ("saturate", SIMPLEX2, "--tol", "inf"),
+        ],
+    )
+    def test_non_finite_tol(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "tol must be finite" in err
+
     def test_thin_polytope_ke_check(self, capsys, tmp_path):
         # no Halton point of the box keeps a margin from the facets 1e-9 apart
         thin = tmp_path / "thin.json"

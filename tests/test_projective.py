@@ -6,7 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import interval_midpoint_integral, simplex2_centroid_integral
+from oracles import (
+    balance_exp_per_iteration,
+    interval_midpoint_integral,
+    simplex2_centroid_integral,
+)
 from toriceig import (
     LabelledPolytope,
     balance,
@@ -23,7 +27,7 @@ from toriceig import (
     z_squared,
 )
 from toriceig.polytope import PolytopeError
-from toriceig.projective import NoConvergence, is_standard_simplex
+from toriceig.projective import NoConvergence, _log_z2_nodes, is_standard_simplex
 from toriceig.sampling import interior_points
 
 interval01 = example_polytope("interval01")
@@ -225,6 +229,32 @@ class TestBalance:
         Q = build_quadrature(E.polytope, 2, 1)
         with pytest.raises(NoConvergence):
             balance(E, u, Q, tol=1e-14, max_iter=0)
+
+    @pytest.mark.parametrize("kind", ["guillemin", "uc"])
+    @pytest.mark.parametrize(
+        "P",
+        [
+            simplex2,
+            LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 4), ((0, -1), 4)]),
+            LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)]),
+            LabelledPolytope(
+                3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                    ((-1, 0, 0), 2), ((0, -1, 0), 2), ((0, 0, -1), 2)],
+            ),
+        ],
+        ids=["simplex2", "square4", "hirzebruch2", "cube2"],
+    )
+    def test_matches_exp_per_iteration_oracle(self, P, kind):
+        E = build_embedding(P)
+        u = guillemin(E.polytope) if kind == "guillemin" else quadratic_perturbed(E.polytope, 0, 1.0)
+        Q = build_quadrature(E.polytope, 3, 1)
+        w = balance(E, u, Q, max_iter=1000)
+        alpha, residual, iterations = balance_exp_per_iteration(
+            _log_z2_nodes(E, u, Q.nodes), Q.weights, float(Q.exact_volume), max_iter=1000
+        )
+        assert w.iterations == iterations
+        assert np.max(np.abs(w.alpha - alpha) / alpha) < 1e-13
+        assert w.residual == pytest.approx(residual, rel=1e-4, abs=1e-13)
 
 
 class TestSaturation:

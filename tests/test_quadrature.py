@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import exact_monomial_integral
+from oracles import exact_monomial_integral, fraction_quadrature
 from toriceig import LabelledPolytope, build_quadrature, example_polytope
 from toriceig.quadrature import DimUnsupported, triangulate
 from toriceig.sampling import facet_values
@@ -41,6 +41,25 @@ VOLUMES = {
     "cube": Fraction(1),
     "simplex3": Fraction(1, 6),
 }
+
+
+# Rational offsets, and intervals whose scaled integer coordinates exceed
+# 2**53, so that a float conversion that is not correctly rounded shows: the
+# offset 121030708615038487/446673754019253275 was searched for so that
+# float(d) / float(D) differs from d / D in the weights.
+EXACT_BUILD_CASES = [
+    *((name, example_polytope(name)) for name in (
+        "interval01", "intervalC", "simplex2", "square", "interval-third", "perturbed-simplex")),
+    ("hirzebruch17", LabelledPolytope(
+        2, [((1, 0), 0), ((0, 1), 0), ((0, -1), Fraction(1, 17)), ((-1, -1), Fraction(20, 17))])),
+    ("box", LabelledPolytope(
+        3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+            ((-1, 0, 0), Fraction(1, 3)), ((0, -1, 0), Fraction(1, 2)), ((0, 0, -1), 1)])),
+    ("tiny-offset", LabelledPolytope(1, [((1,), Fraction(1, 2**55 + 1)), ((-1,), 1)])),
+    ("far", LabelledPolytope(1, [((1,), -(10**17)), ((-1,), 10**17 + 1)])),
+    ("wide-denominator", LabelledPolytope(
+        1, [((1,), Fraction(121030708615038487, 446673754019253275)), ((-1,), 1)])),
+]
 
 
 def polytopes():
@@ -152,3 +171,21 @@ class TestStructure:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             build_quadrature(simplex2, 5, 0)
+
+
+class TestIntegerBuild:
+    @pytest.mark.parametrize("name,P", EXACT_BUILD_CASES, ids=[c[0] for c in EXACT_BUILD_CASES])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_bitwise_equal_to_fraction_build(self, name, P, depth):
+        Q = build_quadrature(P, 3, depth)
+        nodes, weights, triangulation, volume = fraction_quadrature(P, 3, depth)
+        assert Q.nodes.shape == nodes.shape and Q.nodes.tobytes() == nodes.tobytes()
+        assert Q.weights.shape == weights.shape and Q.weights.tobytes() == weights.tobytes()
+        assert Q.exact_volume == volume
+        assert Q.triangulation == triangulation
+        assert all(type(c) is Fraction for s in Q.triangulation for v in s for c in v)
+
+    def test_triangulation_built_on_first_access(self):
+        Q = build_quadrature(square, 2, 1)
+        assert "triangulation" not in vars(Q)
+        assert Q.triangulation is Q.triangulation

@@ -52,3 +52,21 @@ class TestInteriorPoints:
         with pytest.raises(SamplingError, match="could not place 40 interior points"):
             interior_points(rectangle(Fraction(1, 10**9)), 40)
         assert issubclass(SamplingError, PolytopeError)
+
+
+class TestFacetValues:
+    P = example_polytope("perturbed-simplex")
+
+    def test_float_facets_built_once_read_only(self):
+        A, c = self.P.float_facets()
+        assert self.P.float_facets()[0] is A and self.P.float_facets()[1] is c
+        assert not A.flags.writeable and not c.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 1.0
+
+    def test_bitwise_equal_to_fresh_arrays(self):
+        A = np.array(self.P.normals, dtype=float)
+        c = np.array([float(v) for v in self.P.offsets])
+        X = halton(200, 2).reshape(4, 50, 2)
+        assert facet_values(self.P, X).tobytes() == ((X[..., None, :] @ A.T)[..., 0, :] + c).tobytes()
+        assert facet_values(self.P, X[1, 7]).tobytes() == (X[1, 7] @ A.T + c).tobytes()
