@@ -26,7 +26,7 @@ from .polytope import (
 )
 from .potential import NotPositiveDefinite, PotentialError, potential_from_spec
 from .projective import NoConvergence, balance, bound_report, build_embedding, saturation_check
-from .quadrature import build_quadrature
+from .quadrature import MAX_ORDER, build_quadrature
 from .spectral import (
     MassSingular,
     QuadratureTooCoarse,
@@ -73,7 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if quad:
             p.add_argument("--degree", type=int, default=6, help="trial polynomial degree")
-            p.add_argument("--quad-order", type=int, default=3, help="base rule order 1..4")
+            p.add_argument(
+                "--quad-order", type=int, default=3,
+                help=f"base rule order q in 1..{MAX_ORDER}, exact to degree 2q - 1",
+            )
             p.add_argument("--quad-depth", type=int, default=2, help="uniform subdivisions")
         p.add_argument(
             "--output",

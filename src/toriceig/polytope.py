@@ -415,8 +415,13 @@ class LabelledPolytope:
         )
         return LatticeData(k=k, points=points, n_k=len(points) - 1, l_min=l_min, shrunk=shrunk)
 
-    def k0(self, k_max: int = 64) -> int:
-        """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially."""
+    def k0(self, k_max: int = 64, *, lattice: bool = False):
+        """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially.
+
+        With lattice=True the accepted `LatticeData` is returned instead (its
+        k is k0), so a caller that needs P intersect Z^n/k0 does not
+        enumerate it a second time.
+        """
         if not self.is_delzant():
             raise InvalidPolytope("k0 is defined for Delzant polytopes")
         for k in range(1, k_max + 1):
@@ -425,15 +430,16 @@ class LabelledPolytope:
             except EmptyLattice:
                 continue
             if same_combinatorial_type(self, data.shrunk):
-                return k
+                return data if lattice else k
         raise K0NotFound(f"no k <= {k_max} reproduces the combinatorial type; raise k_max")
 
     def check_kpk_integral(self, k: int, k_max: int = 64) -> dict:
         """Build kP_k and report integrality, the Delzant test and the count match."""
-        threshold = self.k0(k_max)
-        if k < threshold:
-            raise PrematureK(f"k={k} is below k0={threshold}")
-        data = self.lattice_points(k)
+        data = self.k0(k_max, lattice=True)
+        if k < data.k:
+            raise PrematureK(f"k={k} is below k0={data.k}")
+        if k > data.k:
+            data = self.lattice_points(k)
         kpk = LabelledPolytope(
             self.dim,
             [
@@ -455,13 +461,15 @@ class LabelledPolytope:
 
         With no k the integral case uses k=1 and the non-integral case k=k0(P).
         """
-        integral = self.is_integral()
-        threshold = 1 if integral else self.k0(k_max)
+        data = None if self.is_integral() else self.k0(k_max, lattice=True)
+        threshold = 1 if data is None else data.k
         if k is None:
             k = threshold
         elif k < threshold:
             raise PrematureK(f"k={k} is below k0={threshold}")
-        return BlyBound.from_lattice(self.dim, self.lattice_points(k))
+        if data is None or k > data.k:
+            data = self.lattice_points(k)
+        return BlyBound.from_lattice(self.dim, data)
 
     # -- misc -----------------------------------------------------------------
 

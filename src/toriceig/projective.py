@@ -128,17 +128,10 @@ def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X: np.ndarray) -> np
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if u.kind == "guillemin":
         L = facet_values(u.polytope, X)  # (q, d)
-        with np.errstate(divide="ignore"):
-            logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
+        inside = L > 0
         expo = E.exponents.astype(float)  # (N+1, d)
-        out = np.empty((X.shape[0], E.count))
-        for m in range(E.count):
-            mask = expo[m] > 0
-            if not mask.any():
-                out[:, m] = 0.0
-                continue
-            contrib = logL[:, mask] * expo[m, mask]
-            out[:, m] = np.sum(contrib, axis=1)
+        out = np.log(np.where(inside, L, 1.0)) @ expo.T  # a facet with L <= 0 adds 0 here
+        out[(~inside).astype(float) @ expo.T > 0] = -np.inf  # ... unless its exponent is > 0
         return out
     grads = u.gradient(X)  # raises BoundaryPoint near dP
     pts = np.array(E.points, dtype=float)
@@ -364,13 +357,13 @@ class BoundReport:
 def bound_report(P: LabelledPolytope, k_max: int = 64) -> BoundReport:
     """Tabulate the lattice-point bound over k0 .. k0+4 (exact rationals).
 
-    k0 is searched once; an integral P has k0 = 1 (its vertices are lattice
-    points, so P_1 = P), and its k = 1 bound is the first row.
+    k0 is searched once and its accepted lattice data is the first row; an
+    integral P has k0 = 1 (its vertices are lattice points, so P_1 = P).
     """
-    k_first = P.k0(k_max)
-    bounds = tuple(
-        BlyBound.from_lattice(P.dim, P.lattice_points(k)) for k in range(k_first, k_first + 5)
-    )
+    first = P.k0(k_max, lattice=True)
+    k_first = first.k
+    rows = (first, *(P.lattice_points(k) for k in range(k_first + 1, k_first + 5)))
+    bounds = tuple(BlyBound.from_lattice(P.dim, data) for data in rows)
     integral = bounds[0] if P.is_integral() else None
     recommended = min(b.bound for b in bounds)
     return BoundReport(

@@ -6,7 +6,9 @@ triangulation once to integers (by the lcm of its denominators times
 2**depth), red-refines every simplex ``depth`` times with integer midpoints
 and takes each exact volume from an integer determinant, so no `Fraction` is
 made per simplex.  A conical-product Gauss-Jacobi rule of degree 2*order - 1
-is mapped onto all simplices in one batched product.  The rule has strictly
+is mapped onto all simplices in one batched product; its 1D factors come from
+the Golub-Welsch eigenproblem of the Jacobi matrix (Golub and Welsch,
+Math. Comp. 23, 1969), solved by `numpy.linalg.eigh`.  The rule has strictly
 interior nodes and positive weights, and its total weight reproduces the
 exact rational volume of the triangulation.
 """
@@ -20,13 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .polytope import LabelledPolytope, PolytopeError, _det_int
 
 __all__ = ["DimUnsupported", "QuadratureRule", "triangulate", "build_quadrature"]
 
-RULE_DEGREES = {1: 1, 2: 3, 3: 5, 4: 7}
+MAX_ORDER = 15
 
 
 class DimUnsupported(PolytopeError):
@@ -57,7 +58,7 @@ class QuadratureRule:
 
     @property
     def degree(self) -> int:
-        return RULE_DEGREES[self.order]
+        return 2 * self.order - 1
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -139,6 +140,21 @@ _RED = {
 }
 
 
+def _gauss_jacobi(q: int, alpha: int):
+    """q-point Gauss rule on [-1, 1] for the weight (1 - t)^alpha, by
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix, the weights mu_0 times the squared first components of its
+    normalized eigenvectors."""
+    k = np.arange(q, dtype=float)
+    s = 2.0 * k + alpha
+    diag = np.empty(q)
+    diag[0] = -alpha / (alpha + 2.0)
+    diag[1:] = -(alpha**2) / (s[1:] * (s[1:] + 2.0))
+    off = 2.0 * k[1:] * (k[1:] + alpha) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    t, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return t, V[0] ** 2 * (2.0 ** (alpha + 1) / (alpha + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _unit_simplex_rule(n: int, q: int):
     """Conical-product rule on the unit simplex, exact for total degree
@@ -146,7 +162,7 @@ def _unit_simplex_rule(n: int, q: int):
     axes = []
     for i in range(n):
         alpha = n - 1 - i  # weight (1 - xi)^alpha from the collapsed Jacobian
-        t, w = roots_jacobi(q, alpha, 0)
+        t, w = _gauss_jacobi(q, alpha)
         axes.append(((t + 1.0) / 2.0, w / 2.0 ** (alpha + 1)))
     nodes = np.empty((q**n, n))
     weights = np.empty(q**n)
@@ -163,12 +179,13 @@ def _unit_simplex_rule(n: int, q: int):
 
 
 def build_quadrature(P: LabelledPolytope, order: int = 3, depth: int = 2) -> QuadratureRule:
-    """Composite rule on P.  order in 1..4 selects base degree 1/3/5/7;
-    depth >= 0 uniform red refinements of the triangulation."""
+    """Composite rule on P.  order q in 1..MAX_ORDER selects a base rule
+    exact to degree 2q - 1; depth >= 0 uniform red refinements of the
+    triangulation."""
     if P.dim > 3:
         raise DimUnsupported(f"dimension {P.dim} > 3")
-    if order not in RULE_DEGREES:
-        raise ValueError(f"order must be one of {sorted(RULE_DEGREES)}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = P.dim

@@ -13,9 +13,10 @@ coordinate powers at the nodes.  The mass matrix is one GEMM, (w V)^T V for
 the mean-centered trial values V.  With G = R R^T at each node, the stiffness
 matrix is sum_i F_i^T F_i for F = sqrt(w) R^{-1} grad(phi), so it is symmetric
 by construction.  The generalized problem is reduced by a pivoted Cholesky
-factorization of the mass matrix (which reports the dropped basis) and the
-whitened matrix is diagonalized by LAPACK `eigh`; everything is
-deterministic, so identical inputs give bit-identical output.
+factorization of the mass matrix (which reports the dropped basis), the
+triangular solves go through `numpy.linalg.solve` and the whitened matrix is
+diagonalized by `numpy.linalg.eigh` (LAPACK); everything is deterministic, so
+identical inputs give bit-identical output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
 
 from .polytope import LabelledPolytope
 from .potential import (
@@ -268,11 +268,11 @@ def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) ->
     L11, kept = _pivoted_cholesky(M, PIVOT_DROP)
     A_kept = A[np.ix_(kept, kept)]
     M_kept = M[np.ix_(kept, kept)]
-    Y = solve_triangular(L11, A_kept, lower=True)
-    C = solve_triangular(L11, Y.T, lower=True).T
+    Y = np.linalg.solve(L11, A_kept)
+    C = np.linalg.solve(L11, Y.T).T
     C = 0.5 * (C + C.T)
-    eigs, vecs = eigh(C)
-    z = solve_triangular(L11.T, vecs[:, 0], lower=False)
+    eigs, vecs = np.linalg.eigh(C)
+    z = np.linalg.solve(L11.T, vecs[:, 0])
     coeffs = np.zeros(len(exponents))
     coeffs[kept] = z
 

@@ -272,3 +272,21 @@ def balance_exp_per_iteration(logz2, weights, volume, tol=1e-10, max_iter=200, d
         alpha = alpha * (volume / count / averages) ** (damping / 2.0)
         alpha = alpha / np.sum(alpha)
     return None
+
+
+def log_z2_guillemin_loop(L, exponents):
+    """log |Z_m|^2 = sum_i e_mi log L_i for the Guillemin potential, from the
+    facet values L (q, d) and the exponent table (N+1, d), one point m at a
+    time over the facets with e_mi > 0: 0 * log 0 = 0, and a facet with
+    L_i <= 0 and e_mi > 0 gives -inf."""
+    with np.errstate(divide="ignore"):
+        logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
+    expo = np.asarray(exponents, dtype=float)
+    out = np.empty((L.shape[0], expo.shape[0]))
+    for m in range(expo.shape[0]):
+        mask = expo[m] > 0
+        if not mask.any():
+            out[:, m] = 0.0
+            continue
+        out[:, m] = np.sum(logL[:, mask] * expo[m, mask], axis=1)
+    return out

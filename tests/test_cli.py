@@ -1,9 +1,14 @@
 """CLI contract: exit codes, JSON round-trips, CSV schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toriceig
 from toriceig import LabelledPolytope, example_path
 from toriceig.cli import main
 
@@ -291,3 +296,23 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+class TestRuntimeDependencies:
+    def test_cli_run_imports_no_scipy(self):
+        """numpy is the only numerical dependency at run time."""
+        script = (
+            "import sys, toriceig, toriceig.cli\n"
+            f"assert toriceig.cli.main(['lambda1t', {SIMPLEX2!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(toriceig.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["lambda1T"] > 0

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     balance_exp_per_iteration,
     interval_midpoint_integral,
+    log_z2_guillemin_loop,
     simplex2_centroid_integral,
 )
 from toriceig import (
@@ -28,7 +29,7 @@ from toriceig import (
 )
 from toriceig.polytope import PolytopeError
 from toriceig.projective import NoConvergence, _log_z2_nodes, is_standard_simplex
-from toriceig.sampling import interior_points
+from toriceig.sampling import facet_values, interior_points
 
 interval01 = example_polytope("interval01")
 simplex2 = example_polytope("simplex2")
@@ -257,6 +258,49 @@ class TestBalance:
         assert w.residual == pytest.approx(residual, rel=1e-4, abs=1e-13)
 
 
+EMBEDDED = [
+    simplex2,
+    LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 4), ((0, -1), 4)]),
+    LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((0, -1), 2), ((-1, -1), 4)]),
+    LabelledPolytope(
+        3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+            ((-1, 0, 0), 2), ((0, -1, 0), 2), ((0, 0, -1), 2)],
+    ),
+]
+EMBEDDED_IDS = ["simplex2", "square4", "hirzebruch2", "cube2"]
+
+
+class TestLogZ2:
+    """The one-product log |Z|^2 table against the point-by-point loop."""
+
+    @pytest.mark.parametrize("P", EMBEDDED, ids=EMBEDDED_IDS)
+    def test_matches_loop_inside_and_on_the_boundary(self, P):
+        E = build_embedding(P)
+        u = guillemin(E.polytope)
+        inner = build_quadrature(E.polytope, 3, 1).nodes
+        lattice = np.array(E.points, dtype=float)  # vertices, edge and facet points
+        mids = (lattice[:, None, :] + lattice[None, :, :]).reshape(-1, P.dim) / 2.0
+        for X in (inner, lattice, mids):
+            got = _log_z2_nodes(E, u, X)
+            ref = log_z2_guillemin_loop(facet_values(E.polytope, X), E.exponents)
+            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+        assert np.isneginf(_log_z2_nodes(E, u, lattice)).any()
+
+    @pytest.mark.parametrize("P", EMBEDDED, ids=EMBEDDED_IDS)
+    def test_balance_iterations_match_loop_table(self, P):
+        E = build_embedding(P)
+        u = guillemin(E.polytope)
+        Q = build_quadrature(E.polytope, 3, 1)
+        ref = log_z2_guillemin_loop(facet_values(E.polytope, Q.nodes), E.exponents)
+        alpha, _, iterations = balance_exp_per_iteration(
+            ref, Q.weights, float(Q.exact_volume), max_iter=1000
+        )
+        w = balance(E, u, Q, max_iter=1000)
+        assert w.iterations == iterations
+        assert np.max(np.abs(w.alpha - alpha) / alpha) < 1e-13
+
+
 class TestSaturation:
     def test_interval_fubini_study(self, emb1):
         E, u, Q = emb1
@@ -370,7 +414,7 @@ class TestBoundReportCalls:
                 F(697, 10), F(516, 7), F(855, 11), F(1880, 23), F(343, 4)
             ]
         assert counts[0]["k0"] == 1
-        assert counts[0]["lattice_points"] <= 22
+        assert counts[0]["lattice_points"] <= 21
         assert counts[1] == counts[0]
 
     def test_k_max_above_default(self):

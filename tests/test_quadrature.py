@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from oracles import exact_monomial_integral, fraction_quadrature
 from toriceig import LabelledPolytope, build_quadrature, example_polytope
-from toriceig.quadrature import DimUnsupported, triangulate
+from toriceig.quadrature import MAX_ORDER, DimUnsupported, _gauss_jacobi, triangulate
 from toriceig.sampling import facet_values
 
 interval01 = example_polytope("interval01")
@@ -146,6 +147,31 @@ class TestExactness:
         assert abs(approx - float(exact)) > 1e-4
 
 
+class TestGaussJacobi:
+    """The Golub-Welsch rule against scipy's, over every order that
+    `build_quadrature` accepts and the three weights (1 - t)^alpha that a
+    simplex of dimension <= 3 needs."""
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_matches_roots_jacobi(self, alpha):
+        for q in range(1, MAX_ORDER + 1):
+            t, w = _gauss_jacobi(q, alpha)
+            t_ref, w_ref = roots_jacobi(q, alpha, 0)
+            assert np.max(np.abs(t - t_ref)) <= 1e-12
+            assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "P,order", [(simplex2, MAX_ORDER), (simplex3, 8)], ids=["simplex2", "simplex3"]
+    )
+    def test_high_order_top_degree_exact(self, P, order):
+        degree = 2 * order - 1
+        Q = build_quadrature(P, order, 0)
+        for e in ((degree,) + (0,) * (P.dim - 1), (1,) * (P.dim - 1) + (degree - P.dim + 1,)):
+            exact = float(exact_monomial_integral(Q.triangulation, e))
+            approx = float(Q.weights @ np.prod(Q.nodes ** np.array(e, dtype=float), axis=1))
+            assert approx == pytest.approx(exact, rel=1e-12)
+
+
 class TestStructure:
     def test_triangulation_is_canonical(self):
         t1 = triangulate(square)
@@ -169,8 +195,9 @@ class TestStructure:
             build_quadrature(box4, 2, 0)
 
     def test_bad_order(self):
-        with pytest.raises(ValueError):
-            build_quadrature(simplex2, 5, 0)
+        for order in (0, MAX_ORDER + 1):
+            with pytest.raises(ValueError):
+                build_quadrature(simplex2, order, 0)
 
 
 class TestIntegerBuild:

@@ -32,6 +32,10 @@ interval01 = example_polytope("interval01")
 intervalC = example_polytope("intervalC")
 simplex2 = example_polytope("simplex2")
 square = example_polytope("square")
+cube = LabelledPolytope(
+    3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+        ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
+)
 
 x_1d = MultiPoly.coordinate(1, 0)
 
@@ -155,6 +159,20 @@ class TestLambda1:
         result = lambda1_invariant(guillemin(interval01), 6, Q)
         assert result.basis_size <= len(Q)
         assert result.lambda1T > 0
+
+
+class TestMatchedOrder:
+    """A rule of order D + 1 is exact to degree 2D + 1, which covers the
+    degree-2D stiffness and mass integrands of the polynomial Guillemin H, so
+    the Ritz value is the exact first eigenvalue at a single level."""
+
+    @pytest.mark.parametrize("P,exact", [(simplex2, 6.0), (square, 4.0), (cube, 4.0)],
+                             ids=["simplex2", "square", "cube"])
+    @pytest.mark.parametrize("degree", [5, 6, 7, 8])
+    def test_lambda1_exact_at_depth_zero(self, P, exact, degree):
+        Q = build_quadrature(P, degree + 1, 0)
+        result = lambda1_invariant(guillemin(P), degree, Q)
+        assert abs(result.lambda1T - exact) <= 1e-12
 
 
 def reference_eigenvalues(u, degree, Q):
