@@ -415,13 +415,12 @@ class LabelledPolytope:
         )
         return LatticeData(k=k, points=points, n_k=len(points) - 1, l_min=l_min, shrunk=shrunk)
 
-    def k0(self, k_max: int = 64, *, lattice: bool = False):
-        """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially.
+    def k0(self, k_max: int = 64) -> int:
+        """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially."""
+        return self.k0_lattice(k_max).k
 
-        With lattice=True the accepted `LatticeData` is returned instead (its
-        k is k0), so a caller that needs P intersect Z^n/k0 does not
-        enumerate it a second time.
-        """
+    def k0_lattice(self, k_max: int = 64) -> LatticeData:
+        """The `LatticeData` of P intersect Z^n/k0, kept from the k0 search."""
         if not self.is_delzant():
             raise InvalidPolytope("k0 is defined for Delzant polytopes")
         for k in range(1, k_max + 1):
@@ -430,12 +429,12 @@ class LabelledPolytope:
             except EmptyLattice:
                 continue
             if same_combinatorial_type(self, data.shrunk):
-                return data if lattice else k
+                return data
         raise K0NotFound(f"no k <= {k_max} reproduces the combinatorial type; raise k_max")
 
     def check_kpk_integral(self, k: int, k_max: int = 64) -> dict:
         """Build kP_k and report integrality, the Delzant test and the count match."""
-        data = self.k0(k_max, lattice=True)
+        data = self.k0_lattice(k_max)
         if k < data.k:
             raise PrematureK(f"k={k} is below k0={data.k}")
         if k > data.k:
@@ -461,7 +460,7 @@ class LabelledPolytope:
 
         With no k the integral case uses k=1 and the non-integral case k=k0(P).
         """
-        data = None if self.is_integral() else self.k0(k_max, lattice=True)
+        data = None if self.is_integral() else self.k0_lattice(k_max)
         threshold = 1 if data is None else data.k
         if k is None:
             k = threshold

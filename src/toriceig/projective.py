@@ -360,7 +360,7 @@ def bound_report(P: LabelledPolytope, k_max: int = 64) -> BoundReport:
     k0 is searched once and its accepted lattice data is the first row; an
     integral P has k0 = 1 (its vertices are lattice points, so P_1 = P).
     """
-    first = P.k0(k_max, lattice=True)
+    first = P.k0_lattice(k_max)
     k_first = first.k
     rows = (first, *(P.lattice_points(k) for k in range(k_first + 1, k_first + 5)))
     bounds = tuple(BlyBound.from_lattice(P.dim, data) for data in rows)

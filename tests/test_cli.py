@@ -64,13 +64,13 @@ class TestBound:
 
     def test_single_k_searches_k0_once(self, capsys, monkeypatch):
         calls = []
-        original = LabelledPolytope.k0
+        original = LabelledPolytope.k0_lattice
 
         def counted(self, *args, **kwargs):
             calls.append(1)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(LabelledPolytope, "k0", counted)
+        monkeypatch.setattr(LabelledPolytope, "k0_lattice", counted)
         code, out, _ = run_cli(capsys, "bound", THIRD, "--k", "4")
         assert code == 0 and len(calls) == 1
         assert json.loads(out)["single_k"] == {
