@@ -29,7 +29,6 @@ from .projective import NoConvergence, balance, bound_report, build_embedding, s
 from .quadrature import MAX_ORDER, build_quadrature
 from .spectral import (
     MassSingular,
-    QuadratureTooCoarse,
     SpectralError,
     ZeroDenominator,
     lambda1_invariant,
@@ -40,7 +39,6 @@ from .spectral import (
 NUMERICAL_ERRORS = (
     NoConvergence,
     MassSingular,
-    QuadratureTooCoarse,
     ZeroDenominator,
     NotPositiveDefinite,
     geometry.StepUnderflow,

@@ -209,6 +209,8 @@ def balance(
         raise ValueError("potential, quadrature and embedding must share one polytope")
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     count = E.count
     if start is None:
         alpha = np.full(count, 1.0 / count)

@@ -28,6 +28,7 @@ from .polytope import LabelledPolytope, PolytopeError, _det_int
 __all__ = ["DimUnsupported", "QuadratureRule", "triangulate", "build_quadrature"]
 
 MAX_ORDER = 15
+MAX_NODES = 2**22
 
 
 class DimUnsupported(PolytopeError):
@@ -181,7 +182,8 @@ def _unit_simplex_rule(n: int, q: int):
 def build_quadrature(P: LabelledPolytope, order: int = 3, depth: int = 2) -> QuadratureRule:
     """Composite rule on P.  order q in 1..MAX_ORDER selects a base rule
     exact to degree 2q - 1; depth >= 0 uniform red refinements of the
-    triangulation."""
+    triangulation.  A rule of more than MAX_NODES nodes is refused before
+    any refinement."""
     if P.dim > 3:
         raise DimUnsupported(f"dimension {P.dim} > 3")
     if not 1 <= order <= MAX_ORDER:
@@ -190,6 +192,9 @@ def build_quadrature(P: LabelledPolytope, order: int = 3, depth: int = 2) -> Qua
         raise ValueError("depth must be >= 0")
     n = P.dim
     base = triangulate(P)
+    count = len(base) * 2 ** (n * depth) * order**n
+    if count > MAX_NODES:
+        raise ValueError(f"order {order}, depth {depth} gives {count} nodes, over {MAX_NODES}")
     scale = math.lcm(*(c.denominator for s in base for v in s for c in v)) << depth
     simplices = [
         tuple(tuple(c.numerator * (scale // c.denominator) for c in v) for v in s) for s in base

@@ -195,6 +195,18 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("command", ["balance", "saturate"])
+    def test_negative_max_iter(self, capsys, command):
+        code, out, err = run_cli(capsys, command, INTERVAL01, "--max-iter", "-1")
+        assert code == 2 and out == ""
+        assert "max_iter must be >= 0" in err
+
+    def test_quad_depth_over_node_cap(self, capsys):
+        # refused from the predicted node count, before any refinement
+        code, out, err = run_cli(capsys, "lambda1t", SIMPLEX2, "--quad-depth", "40")
+        assert code == 2 and out == ""
+        assert "nodes, over" in err
+
     def test_bad_potential_spec(self, capsys):
         code, _, _ = run_cli(capsys, "lambda1t", INTERVAL01, "--potential", "nonsense")
         assert code == 2

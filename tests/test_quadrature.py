@@ -9,7 +9,13 @@ from scipy.special import roots_jacobi
 
 from oracles import exact_monomial_integral, fraction_quadrature
 from toriceig import LabelledPolytope, build_quadrature, example_polytope
-from toriceig.quadrature import MAX_ORDER, DimUnsupported, _gauss_jacobi, triangulate
+from toriceig.quadrature import (
+    MAX_NODES,
+    MAX_ORDER,
+    DimUnsupported,
+    _gauss_jacobi,
+    triangulate,
+)
 from toriceig.sampling import facet_values
 
 interval01 = example_polytope("interval01")
@@ -198,6 +204,19 @@ class TestStructure:
         for order in (0, MAX_ORDER + 1):
             with pytest.raises(ValueError):
                 build_quadrature(simplex2, order, 0)
+
+    @pytest.mark.parametrize("P,order,depth", [(simplex2, 3, 2), (square, 4, 1), (cube, 2, 1)])
+    def test_node_count_prediction(self, P, order, depth):
+        # the count checked against MAX_NODES before refining is the built one
+        Q = build_quadrature(P, order, depth)
+        assert len(Q) == len(triangulate(P)) * 2 ** (P.dim * depth) * order**P.dim
+
+    def test_node_cap(self):
+        # the 165,888-node cube rule is admitted; refining first would not return
+        assert len(triangulate(cube)) * 2 ** (3 * 2) * 6**3 == 165_888 <= MAX_NODES
+        for P, depth in ((simplex2, 40), (cube, 7)):
+            with pytest.raises(ValueError, match="nodes"):
+                build_quadrature(P, 3, depth)
 
 
 class TestIntegerBuild:

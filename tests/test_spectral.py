@@ -1,6 +1,7 @@
 """Rayleigh-Ritz eigenvalue computations against the model cases, a
 finite-difference Sturm-Liouville oracle and Riemann-grid integrals."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,7 @@ from toriceig import (
     LabelledPolytope,
     MultiPoly,
     build_quadrature,
+    center_polytope,
     dilation,
     example_polytope,
     guillemin,
@@ -26,7 +28,7 @@ from toriceig import (
     sweep_uc,
 )
 from toriceig.potential import NotPositiveDefinite
-from toriceig.spectral import TrialFunction, ZeroDenominator
+from toriceig.spectral import MassSingular, TrialFunction, ZeroDenominator
 
 interval01 = example_polytope("interval01")
 intervalC = example_polytope("intervalC")
@@ -153,12 +155,43 @@ class TestLambda1:
             lambda1_invariant(guillemin(intervalC), 3, Q)
 
     def test_rank_deficient_mass_drops_basis(self):
-        # 2 nodes cannot support 6 monomials; the pivoted factorization must
-        # drop the dependent directions and still return a bound
+        # 2 nodes cannot support 6 monomials: the mean-centered values have
+        # rank 1, so the whitening keeps one mass direction and still returns
+        # a bound
         Q = build_quadrature(interval01, 1, 0)
         result = lambda1_invariant(guillemin(interval01), 6, Q)
-        assert result.basis_size <= len(Q)
+        assert len(Q) == 2 and result.basis_size == 1
         assert result.lambda1T > 0
+
+    def test_zero_mass_raises(self):
+        # every node at one point: the mean-centered values vanish and no
+        # mass direction clears the rank tolerance
+        Q = build_quadrature(interval01, 1, 0)
+        Q = dataclasses.replace(Q, nodes=np.full_like(Q.nodes, 0.5))
+        with pytest.raises(MassSingular):
+            lambda1_invariant(guillemin(interval01), 3, Q)
+
+
+class TestDeepDegree:
+    """At degree 16 the monomial mass matrix on simplex2 has condition about
+    1e13 after the rank cut; every direction above the cut must stay in the
+    Ritz space, since dropping one raises the bound."""
+
+    @pytest.fixture(scope="class")
+    def rule(self):
+        Pc = center_polytope(simplex2)[0]
+        return Pc, build_quadrature(Pc, 15, 1)
+
+    def test_dilation_near_one_keeps_basis(self, rule):
+        Pc, Q = rule
+        result = lambda1_invariant(dilation(Pc, 1.01), 16, Q)
+        assert len(Q) == 2700
+        assert 207.98 < result.lambda1T < 208.0
+        assert result.basis_size >= 120
+
+    def test_guillemin_exact_at_degree_16(self, rule):
+        Pc, Q = rule
+        assert abs(lambda1_invariant(guillemin(Pc), 16, Q).lambda1T - 6.0) <= 1e-12
 
 
 class TestMatchedOrder:
