@@ -5,8 +5,12 @@ by affine inequalities L_i(x) = <x, nu_i> + c_i >= 0 with primitive integer
 inward normals nu_i and rational offsets c_i.  Everything in this module
 (membership, vertices, lattice enumeration, the shrunk polytopes P_k and the
 eigenvalue bound they produce) is exact, so reruns are bit-identical.
-Vertices and offsets are `fractions.Fraction`.  The lattice scan decides
-membership of j/k and the facet minima L_min in integers, from
+Vertices and offsets are `fractions.Fraction`; each vertex solves n facet
+equations by Cramer's rule.  Boundedness, non-redundancy of a facet and the
+combinatorial type are read from the vertex active sets, because the edges
+of a simple n-polytope are the (n-1)-subsets of those sets, each shared by
+exactly two vertices (Ziegler, Lectures on Polytopes, ch. 3).  The lattice
+scan decides membership of j/k and the facet minima L_min in integers, from
 <nu_i, j> >= ceil(-k c_i), and builds `Fraction` values only for its output.
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -79,62 +84,12 @@ class DegenerateN(PolytopeError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
+# exact determinants and Cramer's rule
 
 
-def _rref(rows: Sequence[Sequence], ncols: int):
-    """Gauss-Jordan reduction over Fraction, pivoting on the first `ncols`
-    columns: (reduced rows, pivot columns).  The reduced form is unique."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(mat):
-            break
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-    return mat, pivots
-
-
-def _solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]):
-    """Solve an n x n system with integer rows and rational right-hand side;
-    None if singular."""
-    if _det_int(rows) == 0:
-        return None
-    n = len(rows)
-    mat, _ = _rref([list(row) + [rhs[i]] for i, row in enumerate(rows)], n)
-    return tuple(row[n] for row in mat)
-
-
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
-
-
-def _nullspace_vector(rows: Sequence[Sequence[Fraction]], n: int):
-    """One nonzero rational vector orthogonal to all rows, or None."""
-    mat, pivots = _rref(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    f0 = free[0]
-    vec = [Fraction(0)] * n
-    vec[f0] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        vec[pc] = -mat[r][f0]
-    return tuple(vec)
-
-
-def _det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by expansion (n <= 3 in practice, generic fallback)."""
+def _det(rows: Sequence[Sequence]) -> Fraction | int:
+    """Exact determinant of integer or `Fraction` entries: closed forms for
+    n <= 3, cofactor expansion along the first row beyond."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -146,16 +101,20 @@ def _det_int(rows: Sequence[Sequence[int]]) -> int:
     det = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        det += (-1) ** j * rows[0][j] * _det_int(minor)
+        det += (-1) ** j * rows[0][j] * _det(minor)
     return det
 
 
-def _affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return _rank(diffs)
+def _solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]):
+    """Solve an n x n system with integer rows and rational right-hand side
+    by Cramer's rule, x_j = det(A_j) / det(A); None if singular."""
+    det = _det(rows)
+    if det == 0:
+        return None
+    return tuple(
+        _det([(*row[:j], b, *row[j + 1 :]) for row, b in zip(rows, rhs)]) / det
+        for j in range(len(rows))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +247,6 @@ class LabelledPolytope:
         if self._vertices is not None:
             return self._vertices
         n, d = self.dim, self.num_facets
-        ray = _recession_ray(self.normals, n)
-        if ray is not None:
-            raise UnboundedOrEmpty(f"recession direction {ray} exists; polytope is unbounded")
         found: dict = {}
         for subset in itertools.combinations(range(d), n):
             rows = [self.normals[i] for i in subset]
@@ -303,10 +259,18 @@ class LabelledPolytope:
                 continue
             found[x] = tuple(i for i, v in enumerate(vals) if v == 0)
         if not found:
-            raise UnboundedOrEmpty("no feasible vertex; polytope is empty")
+            raise UnboundedOrEmpty("no feasible vertex; polytope is empty or contains a line")
         for coords, active in found.items():
             if len(active) > n:
                 raise NonSimple(f"vertex {coords} lies on facets {active}")
+        # At a simple vertex every n-1 of its n facets span an edge, and the
+        # edge is bounded iff a second vertex has the same n-1 facets active;
+        # a pointed polyhedron whose edges are all bounded is a polytope.
+        ends = Counter(
+            e for active in found.values() for e in itertools.combinations(active, n - 1)
+        )
+        if any(count != 2 for count in ends.values()):
+            raise UnboundedOrEmpty("an edge has only one vertex; polytope is unbounded")
         coords_sorted = sorted(found)
         bary = tuple(
             sum(c[i] for c in coords_sorted) / len(coords_sorted) for i in range(n)
@@ -317,10 +281,11 @@ class LabelledPolytope:
         return self._vertices
 
     def _validate(self):
-        verts = self.vertices()
+        # A facet active at a simple vertex carries the n - 1 edges of that
+        # vertex that stay on it, so it is redundant iff no vertex has it.
+        carried = {i for v in self.vertices() for i in v.active}
         for i in range(self.num_facets):
-            on_facet = [v.coords for v in verts if i in v.active]
-            if _affine_rank(on_facet) != self.dim - 1:
+            if i not in carried:
                 raise InvalidPolytope(
                     f"facet {i} is redundant: it does not carry a {self.dim - 1}-dimensional face"
                 )
@@ -353,7 +318,7 @@ class LabelledPolytope:
         """True iff the active normals at every vertex have determinant +-1."""
         for v in self.vertices():
             rows = [self.normals[i] for i in v.active]
-            if abs(_det_int(rows)) != 1:
+            if abs(_det(rows)) != 1:
                 return False
         return True
 
@@ -487,41 +452,17 @@ class LabelledPolytope:
         return hash((self.dim, self.normals, self.offsets))
 
 
-def _recession_ray(normals: Sequence[Sequence[int]], n: int):
-    """A nonzero direction v with <nu_i, v> >= 0 for all i, or None if bounded."""
-    frac_rows = [[Fraction(v) for v in nu] for nu in normals]
-    if _rank(frac_rows) < n:
-        return _nullspace_vector(frac_rows, n)  # common line direction
-    if n == 1:
-        for v in ((Fraction(1),), (Fraction(-1),)):
-            if all(nu[0] * v[0] >= 0 for nu in normals):
-                return v
-        return None
-    for subset in itertools.combinations(range(len(normals)), n - 1):
-        sub = [frac_rows[i] for i in subset]
-        vec = _nullspace_vector(sub, n)
-        if vec is None:
-            continue
-        for cand in (vec, tuple(-v for v in vec)):
-            if all(sum(a * b for a, b in zip(nu, cand)) >= 0 for nu in frac_rows):
-                return cand
-    return None
-
-
 def same_combinatorial_type(P: LabelledPolytope, Q: LabelledPolytope) -> bool:
-    """True iff Q is simple, keeps every facet of P and pairs up the vertex
-    active-sets one to one.  Requires identical normal lists (parallel facets
-    give the canonical facet correspondence)."""
+    """True iff Q is a simple polytope whose vertex active sets are those of
+    P.  Every facet of P is active at a vertex, so equal families also keep
+    every facet of Q.  Requires identical normal lists (parallel facets give
+    the canonical facet correspondence)."""
     if P.dim != Q.dim or P.normals != Q.normals:
         raise MismatchedNormals("combinatorial comparison needs identical normal lists")
     try:
         verts_q = Q.vertices()
     except (UnboundedOrEmpty, NonSimple):
         return False
-    for i in range(Q.num_facets):
-        on_facet = [v.coords for v in verts_q if i in v.active]
-        if _affine_rank(on_facet) != Q.dim - 1:
-            return False
     family_p = {frozenset(v.active) for v in P.vertices()}
     family_q = {frozenset(v.active) for v in verts_q}
     return family_p == family_q

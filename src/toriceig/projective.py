@@ -299,14 +299,10 @@ def saturation_check(
     w = np.exp(logw)
     psi = w / np.sum(w, axis=1, keepdims=True)  # (q, N+1)
 
-    # gradient of log |Z_m|^2 at each sample
-    if u.kind == "guillemin":
-        A = P.float_facets()[0]
-        L = facet_values(P, pts)  # (q, d)
-        glog = np.einsum("md,qd,di->qmi", E.exponents.astype(float), 1.0 / L, A)
-    else:
-        G = u.sample(pts).G  # (q, n, n)
-        glog = 2.0 * np.einsum("qij,mj->qmi", G, pts_arr)
+    # gradient of log |Z_m|^2 = 2 m . du/dx at each sample.  For the Guillemin
+    # kind the true gradient differs by sum_i c_i nu_i / L_i, the same for
+    # every m, which cancels in grad Psi_00 because the Psi_mm sum to 1.
+    glog = 2.0 * np.einsum("qij,mj->qmi", u.sample(pts).G, pts_arr)
 
     grad_psi00 = psi[:, 0:1] * (glog[:, 0, :] - np.einsum("qm,qmi->qi", psi, glog))
     directional = np.einsum("qi,mi->qm", grad_psi00, pts_arr[1:])  # skip m = 0

@@ -1,11 +1,12 @@
 """Polytope quadrature for n <= 3.
 
 The polytope is triangulated exactly (rational vertices) by coning its vertex
-barycenter over the triangulated facets.  `build_quadrature` scales that
-triangulation once to integers (by the lcm of its denominators times
-2**depth), red-refines every simplex ``depth`` times with integer midpoints
-and takes each exact volume from an integer determinant, so no `Fraction` is
-made per simplex.  A conical-product Gauss-Jacobi rule of degree 2*order - 1
+barycenter over its facets; a 3D facet is fanned from its smallest vertex
+along the cycle of its edges, read from the vertex active sets.
+`build_quadrature` scales that triangulation once to integers (by the lcm of
+its denominators times 2**depth), red-refines every simplex ``depth`` times
+with integer midpoints and takes each exact volume from an integer
+determinant, so no `Fraction` is made per simplex.  A conical-product Gauss-Jacobi rule of degree 2*order - 1
 is mapped onto all simplices in one batched product; its 1D factors come from
 the Golub-Welsch eigenproblem of the Jacobi matrix (Golub and Welsch,
 Math. Comp. 23, 1969), solved by `numpy.linalg.eigh`.  The rule has strictly
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import LabelledPolytope, PolytopeError, _det_int
+from .polytope import LabelledPolytope, PolytopeError, _det
 
 __all__ = ["DimUnsupported", "QuadratureRule", "triangulate", "build_quadrature"]
 
@@ -69,45 +70,22 @@ def _facet_vertices(P: LabelledPolytope, facet: int) -> list:
     return [v.coords for v in P.vertices() if facet in v.active]
 
 
-def _cyclic_order_2d(points: list, drop_axis: int) -> list:
-    """Order coplanar 3D points cyclically around their centroid, exactly.
-
-    The coordinate `drop_axis` is projected out; comparisons use half-plane
-    classification plus rational cross products.
-    """
-    keep = [i for i in range(3) if i != drop_axis]
-    centroid = tuple(
-        sum(p[i] for p in points) / len(points) for i in range(3)
-    )
-    rel = [
-        ((p[keep[0]] - centroid[keep[0]], p[keep[1]] - centroid[keep[1]]), p)
-        for p in points
-    ]
-
-    def half(v):
-        # 0 for the upper half plane (y > 0, or y = 0 and x > 0), 1 below
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def compare(a, b):
-        va, vb = a[0], b[0]
-        ha, hb = half(va), half(vb)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = va[0] * vb[1] - va[1] * vb[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    rel.sort(key=functools.cmp_to_key(compare))
-    return [p for _, p in rel]
+def _facet_ring(P: LabelledPolytope, facet: int) -> list:
+    """The vertices of a 3D facet in cyclic order from its smallest one: two
+    vertices of the facet span an edge iff they share a second facet."""
+    rest = [v for v in P.vertices() if facet in v.active]
+    ring = [rest.pop(0)]
+    while rest:
+        prev = set(ring[-1].active)
+        ring.append(next(v for v in rest if len(prev & set(v.active)) == 2))
+        rest.remove(ring[-1])
+    return [v.coords for v in ring]
 
 
 def triangulate(P: LabelledPolytope) -> tuple:
     """Exact simplicial decomposition: cone the vertex barycenter over each
-    facet (facets themselves fanned into simplices for n = 3).  Simplices are
-    returned in canonical (sorted) order."""
+    facet (for n = 3, facets fanned from their smallest vertex along their
+    edge cycle).  Simplices are returned in canonical (sorted) order."""
     n = P.dim
     if n > 3:
         raise DimUnsupported(f"dimension {n} > 3")
@@ -117,10 +95,7 @@ def triangulate(P: LabelledPolytope) -> tuple:
     else:
         simplices = []
         for facet in range(P.num_facets):
-            poly = _facet_vertices(P, facet)
-            nu = P.normals[facet]
-            drop = max(range(3), key=lambda i: abs(nu[i]))
-            ring = _cyclic_order_2d(poly, drop)
+            ring = _facet_ring(P, facet)
             for i in range(1, len(ring) - 1):
                 simplices.append((bary, ring[0], ring[i], ring[i + 1]))
     canon = [tuple(sorted(s)) for s in simplices]
@@ -211,7 +186,7 @@ def build_quadrature(P: LabelledPolytope, order: int = 3, depth: int = 2) -> Qua
     # Python int / int is correctly rounded, so every float below equals the
     # float of the exact rational it stands for.
     edges = [[[b - a for a, b in zip(s[0], v)] for v in s[1:]] for s in simplices]
-    dets = [abs(_det_int(e)) for e in edges]
+    dets = [abs(_det(e)) for e in edges]
     fact = math.factorial(n)
     denom = scale**n * fact
     v0 = np.fromiter((c / scale for s in simplices for c in s[0]), float).reshape(-1, n)

@@ -17,8 +17,10 @@ F = sqrt(w) R^{-1} grad(phi).  The generalized problem A c = lambda M c is
 whitened on the eigenvectors of M = U diag(mass) U^T (one LAPACK `eigh`):
 directions with mass <= B * eps * max(mass), numpy's `matrix_rank` tolerance
 for B basis functions, are dropped, and `eigh` of
-U^T A U / sqrt(mass_i mass_j) on the rest gives the Ritz values.  Everything
-is deterministic, so identical inputs give bit-identical output.
+U^T A U / sqrt(mass_i mass_j) on the rest gives the Ritz values.  A sweep
+builds the trial space and the whitening once and solves each potential on
+it.  Everything is deterministic, so identical inputs give bit-identical
+output.
 """
 
 from __future__ import annotations
@@ -201,13 +203,16 @@ def _monomial_exponents(n: int, degree: int) -> list:
     return out
 
 
-def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) -> RitzResult:
-    """Ritz upper bound for the first invariant eigenvalue on the span of
-    mean-centered monomials of total degree <= degree."""
+def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
+    """One `RitzResult` per potential on the span of mean-centered monomials
+    of total degree <= degree.  The power table, the mass matrix with its
+    eigh and the monomial gradients depend only on the rule, so they are
+    built once; each potential adds its stiffness matrix and one eigh."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    _require_matching(u, Q)
-    P = u.polytope
+    for u in potentials:
+        _require_matching(u, Q)
+    P = Q.polytope
     n = P.dim
     lo, hi = P.bounding_box()
     lo_f = np.array([float(v) for v in lo])
@@ -223,7 +228,10 @@ def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) ->
     vals -= (w @ vals) / float(np.sum(w))  # mean-zero against the rule
     M = (vals * w[:, None]).T @ vals
     del vals
-    A = _stiffness(_weighted_factors(u, Q), _monomial_gradients(table, E, halfwidth))
+    # Sample the potentials before the gradient tables exist, so that the
+    # sampling temporaries and the tables are never held at once.
+    factors = [_weighted_factors(u, Q) for u in potentials]
+    grads = _monomial_gradients(table, E, halfwidth)
 
     # Whiten on the eigenvectors of M, keeping the directions above numpy's
     # matrix_rank tolerance; eigh reads one triangle, so neither matrix needs
@@ -234,22 +242,32 @@ def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) ->
         raise MassSingular("mass matrix is numerically zero")
     mass, U = mass[keep], U[:, keep]
     root = np.sqrt(mass)
-    A_kept = U.T @ A @ U
-    eigs, vecs = np.linalg.eigh(A_kept / np.outer(root, root))
+    results = []
+    for S in factors:
+        A_kept = U.T @ _stiffness(S, grads) @ U
+        eigs, vecs = np.linalg.eigh(A_kept / np.outer(root, root))
+        results.append(
+            RitzResult(
+                degree=degree,
+                basis_size=len(mass),
+                eigenvalues=eigs,
+                lambda1T=float(eigs[0]),
+                eigvec=U @ (vecs[:, 0] / root),
+                mass_condition=float(mass[-1] / mass[0]),
+                stiffness_condition=float(np.linalg.cond(A_kept)),
+                exponents=tuple(exponents),
+                center=center,
+                halfwidth=halfwidth,
+                quad_nodes=len(w),
+            )
+        )
+    return results
 
-    return RitzResult(
-        degree=degree,
-        basis_size=len(mass),
-        eigenvalues=eigs,
-        lambda1T=float(eigs[0]),
-        eigvec=U @ (vecs[:, 0] / root),
-        mass_condition=float(mass[-1] / mass[0]),
-        stiffness_condition=float(np.linalg.cond(A_kept)),
-        exponents=tuple(exponents),
-        center=center,
-        halfwidth=halfwidth,
-        quad_nodes=len(w),
-    )
+
+def lambda1_invariant(u: SymplecticPotential, degree: int, Q: QuadratureRule) -> RitzResult:
+    """Ritz upper bound for the first invariant eigenvalue on the span of
+    mean-centered monomials of total degree <= degree."""
+    return _ritz([u], degree, Q)[0]
 
 
 @dataclass(frozen=True)
@@ -278,6 +296,14 @@ class SweepResult:
         }
 
 
+def _sweep(parameter, params, potentials, degree, Q, trend) -> SweepResult:
+    """lambda1T of each potential on one trial space; row i is flagged when
+    trend(lambda1T_i, lambda1T_{i-1}) is false."""
+    rows = tuple((p, r.lambda1T) for p, r in zip(params, _ritz(potentials, degree, Q)))
+    violations = tuple(i for i in range(1, len(rows)) if not trend(rows[i][1], rows[i - 1][1]))
+    return SweepResult(parameter, rows, degree, quad_nodes=len(Q), trend_violations=violations)
+
+
 def sweep_uc(
     P: LabelledPolytope,
     axis: int,
@@ -295,20 +321,8 @@ def sweep_uc(
         raise ValueError("c_list must be nonnegative and ascending")
     if Q is None:
         Q = build_quadrature(P, order, depth)
-    rows = []
-    for c in c_list:
-        u = guillemin(P) if c == 0 else quadratic_perturbed(P, axis, c)
-        rows.append((c, lambda1_invariant(u, degree, Q).lambda1T))
-    violations = tuple(
-        i for i in range(1, len(rows)) if not rows[i][1] < rows[i - 1][1] + 1e-8
-    )
-    return SweepResult(
-        parameter="c",
-        rows=tuple(rows),
-        degree=degree,
-        quad_nodes=len(Q),
-        trend_violations=violations,
-    )
+    potentials = [guillemin(P) if c == 0 else quadratic_perturbed(P, axis, c) for c in c_list]
+    return _sweep("c", c_list, potentials, degree, Q, lambda lam, prev: lam < prev + 1e-8)
 
 
 def sweep_dilation(
@@ -335,17 +349,5 @@ def sweep_dilation(
         Q = build_quadrature(Pc, order, depth)
     elif Q.polytope != Pc:
         raise ValueError("quadrature must be built on the centered polytope")
-    rows = []
-    for s in s_list:
-        u = dilation(Pc, s)
-        rows.append((s, lambda1_invariant(u, degree, Q).lambda1T))
-    violations = tuple(
-        i for i in range(1, len(rows)) if not rows[i][1] > rows[i - 1][1] - 1e-8
-    )
-    return SweepResult(
-        parameter="s",
-        rows=tuple(rows),
-        degree=degree,
-        quad_nodes=len(Q),
-        trend_violations=violations,
-    )
+    potentials = [dilation(Pc, s) for s in s_list]
+    return _sweep("s", s_list, potentials, degree, Q, lambda lam, prev: lam > prev - 1e-8)

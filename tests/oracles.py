@@ -192,6 +192,145 @@ def lattice_perimeter(P) -> int:
     return total
 
 
+def _rref(rows, ncols: int):
+    """Gauss-Jordan reduction over Fraction, pivoting on the first `ncols`
+    columns: (reduced rows, pivot columns).  The reduced form is unique."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [v / pv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def _nullspace_vector(rows, n: int):
+    """One nonzero rational vector orthogonal to all rows, or None."""
+    mat, pivots = _rref(rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return None
+    vec = [Fraction(0)] * n
+    vec[free[0]] = Fraction(1)
+    for r, pc in enumerate(pivots):
+        vec[pc] = -mat[r][free[0]]
+    return tuple(vec)
+
+
+def _recession_ray(normals, n: int):
+    """A nonzero direction v with <nu_i, v> >= 0 for all i, or None if the
+    polyhedron is bounded: a common null vector of the normals, else the
+    null vector of some n - 1 of them, up to sign."""
+    if len(_rref(normals, n)[1]) < n:
+        return _nullspace_vector(normals, n)
+    if n == 1:
+        for v in ((Fraction(1),), (Fraction(-1),)):
+            if all(nu[0] * v[0] >= 0 for nu in normals):
+                return v
+        return None
+    for subset in itertools.combinations(normals, n - 1):
+        vec = _nullspace_vector(subset, n)
+        if vec is None:
+            continue
+        for cand in (vec, tuple(-v for v in vec)):
+            if all(sum(a * b for a, b in zip(nu, cand)) >= 0 for nu in normals):
+                return cand
+    return None
+
+
+def _affine_rank(points) -> int:
+    if len(points) <= 1:
+        return 0
+    diffs = [[p[i] - points[0][i] for i in range(len(p))] for p in points[1:]]
+    return len(_rref(diffs, len(points[0]))[1])
+
+
+def reference_vertices(dim: int, normals, offsets) -> tuple:
+    """((coords, active), ...) of {<x, nu_i> + c_i >= 0}, sorted by coords,
+    raising the library's UnboundedOrEmpty / NonSimple.
+
+    This is a reference for `LabelledPolytope.vertices`: boundedness comes
+    from a recession-ray search and each vertex from Gauss-Jordan reduction,
+    not from determinants or the vertex active sets.
+    """
+    from toriceig.polytope import NonSimple, UnboundedOrEmpty
+
+    offsets = [Fraction(c) for c in offsets]
+    ray = _recession_ray(normals, dim)
+    if ray is not None:
+        raise UnboundedOrEmpty(f"recession direction {ray}")
+    found = {}
+    for subset in itertools.combinations(range(len(normals)), dim):
+        mat, pivots = _rref([[*normals[i], -offsets[i]] for i in subset], dim)
+        if len(pivots) < dim:
+            continue
+        x = tuple(row[dim] for row in mat)
+        vals = [sum(a * b for a, b in zip(nu, x)) + c for nu, c in zip(normals, offsets)]
+        if all(v >= 0 for v in vals):
+            found[x] = tuple(i for i, v in enumerate(vals) if v == 0)
+    if not found:
+        raise UnboundedOrEmpty("no feasible vertex")
+    for coords, active in found.items():
+        if len(active) > dim:
+            raise NonSimple(f"vertex {coords} lies on facets {active}")
+    coords = sorted(found)
+    bary = [sum(c[i] for c in coords) / len(coords) for i in range(dim)]
+    if any(sum(a * b for a, b in zip(nu, bary)) + c <= 0 for nu, c in zip(normals, offsets)):
+        raise UnboundedOrEmpty("empty interior")
+    return tuple((c, found[c]) for c in coords)
+
+
+def _carries_facets(dim: int, num_facets: int, verts) -> bool:
+    """True iff every facet holds vertices of affine rank dim - 1."""
+    return all(
+        _affine_rank([c for c, active in verts if i in active]) == dim - 1
+        for i in range(num_facets)
+    )
+
+
+def reference_polytope(dim: int, facets, validate: bool = True) -> tuple:
+    """The vertices `LabelledPolytope(dim, facets, validate).vertices()`
+    should return, as `reference_vertices` does, after the constructor's
+    facet count and redundancy checks (by affine rank) when validating."""
+    from toriceig.polytope import InvalidPolytope
+
+    normals = [tuple(nu) for nu, _ in facets]
+    if validate and len(normals) < dim + 1:
+        raise InvalidPolytope("too few facets")
+    verts = reference_vertices(dim, normals, [c for _, c in facets])
+    if validate and not _carries_facets(dim, len(normals), verts):
+        raise InvalidPolytope("redundant facet")
+    return verts
+
+
+def reference_same_combinatorial_type(P, Q) -> bool:
+    """`same_combinatorial_type` from `reference_vertices` and an affine-rank
+    test of every facet of Q."""
+    from toriceig.polytope import MismatchedNormals, NonSimple, UnboundedOrEmpty
+
+    if P.dim != Q.dim or P.normals != Q.normals:
+        raise MismatchedNormals("normal lists differ")
+    try:
+        verts_q = reference_vertices(Q.dim, Q.normals, Q.offsets)
+    except (UnboundedOrEmpty, NonSimple):
+        return False
+    if not _carries_facets(Q.dim, Q.num_facets, verts_q):
+        return False
+    family_p = {frozenset(a) for _, a in reference_vertices(P.dim, P.normals, P.offsets)}
+    return family_p == {frozenset(a) for _, a in verts_q}
+
+
 def _midpoint(a, b):
     return tuple((ai + bi) / 2 for ai, bi in zip(a, b))
 

@@ -169,6 +169,19 @@ class TestExitCodes:
         assert code == 2
         assert "facet 0" in err
 
+    @pytest.mark.parametrize("command", ["info", "lambda1t"])
+    def test_redundant_facet_1d(self, capsys, tmp_path, command):
+        # x <= 3 carries no vertex of [0, 1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 1, "facets": [
+            {"normal": [1], "offset": 0},
+            {"normal": [-1], "offset": 1},
+            {"normal": [-1], "offset": 3},
+        ]}))
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert "facet 2 is redundant" in err and "Traceback" not in err
+
     def test_bound_non_delzant(self, capsys, tmp_path):
         orb = tmp_path / "orb.json"
         orb.write_text(

@@ -1,14 +1,21 @@
 """Exact polytope combinatorics: vertices, Delzant/integrality, lattice data,
 combinatorial type, k0 and the rational bound."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_lattice
+from oracles import (
+    _recession_ray,
+    brute_force_lattice,
+    reference_polytope,
+    reference_same_combinatorial_type,
+)
 
 from toriceig import (
     LabelledPolytope,
@@ -25,6 +32,7 @@ from toriceig.polytope import (
     K0NotFound,
     MismatchedNormals,
     NonSimple,
+    PolytopeError,
     PrematureK,
     UnboundedOrEmpty,
 )
@@ -68,6 +76,16 @@ class TestVertices:
         with pytest.raises(UnboundedOrEmpty):
             LabelledPolytope(1, [((1,), 0), ((1,), 1)])  # both point the same way
 
+    def test_unbounded_2d_raises(self):
+        # the quadrant cut by x + y >= 1: the edges on x = 0 and y = 0 end once
+        with pytest.raises(UnboundedOrEmpty, match="unbounded"):
+            LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), -1)])
+
+    def test_strip_raises(self):
+        strip = LabelledPolytope(2, [((1, 0), 0), ((-1, 0), 1)], validate=False)
+        with pytest.raises(UnboundedOrEmpty, match="contains a line"):
+            strip.vertices()
+
     def test_nonsimple_pyramid(self):
         facets = [
             ((0, 0, 1), 0),
@@ -88,6 +106,8 @@ class TestVertices:
         facets.append(((-1, 0), 2))  # x <= 2 never binds on [0,1]^2
         with pytest.raises(InvalidPolytope, match="redundant"):
             LabelledPolytope(2, facets)
+        with pytest.raises(InvalidPolytope, match="facet 2 is redundant"):
+            LabelledPolytope(1, [((1,), 0), ((-1,), 1), ((-1,), 3)])  # x <= 3 on [0, 1]
 
 
 class TestDelzantIntegral:
@@ -258,6 +278,85 @@ class TestIntegerScan:
     @given(P=prisms(), k=st.integers(1, 12))
     def test_prisms(self, P, k):
         self.check(P, k)
+
+
+def _outcome(build):
+    """What `build` returns, or the class of the `PolytopeError` it raises."""
+    try:
+        return build()
+    except PolytopeError as exc:
+        return type(exc)
+
+
+PRIMITIVE = {
+    n: [v for v in itertools.product(range(-2, 3), repeat=n) if math.gcd(*v) == 1]
+    for n in (1, 2, 3)
+}
+
+
+@st.composite
+def facet_sets(draw):
+    """(n, facets) with n in 1..3, n to n + 4 primitive normals in
+    {-2..2}^n and offsets p/q with -2 <= p <= 6 and q in {1, 2, 3}."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(n, n + 4))
+    facet = st.tuples(
+        st.sampled_from(PRIMITIVE[n]),
+        st.builds(F, st.integers(-2, 6), st.sampled_from((1, 2, 3))),
+    )
+    return n, draw(st.lists(facet, min_size=count, max_size=count))
+
+
+@st.composite
+def cut_simplices(draw):
+    """(n, facets): the simplex {x_i >= -a_i, sum x_i <= b} cut by up to three
+    more facets of the same kind, all with positive offsets, in any order."""
+    n = draw(st.integers(1, 3))
+    normals = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    normals += draw(st.lists(st.sampled_from(PRIMITIVE[n]), max_size=3))
+    offsets = st.builds(F, st.integers(1, 4), st.sampled_from((1, 2, 3)))
+    facets = [(nu, draw(offsets)) for nu in normals]
+    return n, draw(st.permutations(facets))
+
+
+class TestReferenceOracle:
+    """Boundedness, redundancy and the combinatorial type read from the vertex
+    active sets, against the Gauss-Jordan reference in `oracles`."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.one_of(facet_sets(), cut_simplices()), validate=st.booleans())
+    def test_vertices_match_reference(self, data, validate):
+        n, facets = data
+        got = _outcome(
+            lambda: tuple(
+                (v.coords, v.active) for v in LabelledPolytope(n, facets, validate).vertices()
+            )
+        )
+        want = _outcome(lambda: reference_polytope(n, facets, validate))
+        if isinstance(got, tuple):
+            assert all(type(c) is F for coords, _ in got for c in coords)
+        if got is NonSimple and want is UnboundedOrEmpty:
+            # unbounded and non-simple: the simplicity check now comes first
+            assert _recession_ray([nu for nu, _ in facets], n) is not None
+        elif got is InvalidPolytope and isinstance(want, tuple):
+            # a 1-D facet that carries no vertex is now redundant
+            assert n == 1 and validate
+            assert any(all(i not in active for _, active in want) for i in range(len(facets)))
+        else:
+            assert got == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=cut_simplices(),
+        shrink=st.lists(st.builds(F, st.integers(0, 4), st.sampled_from((1, 2, 3, 6))),
+                        min_size=7, max_size=7),
+    )
+    def test_combinatorial_type_matches_reference(self, data, shrink):
+        n, facets = data
+        P = _outcome(lambda: LabelledPolytope(n, facets))
+        assume(isinstance(P, LabelledPolytope))
+        Q = LabelledPolytope(n, [(nu, c - t) for (nu, c), t in zip(facets, shrink)], validate=False)
+        assert same_combinatorial_type(P, Q) == reference_same_combinatorial_type(P, Q)
 
 
 class TestCombinatorialType:

@@ -1,13 +1,18 @@
 """Quadrature: exact volumes, rule-degree exactness against rational
 integrals, interior nodes, refinement counts and determinism."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from oracles import exact_monomial_integral, fraction_quadrature
+from oracles import (
+    exact_monomial_integral,
+    exact_monomial_integral_simplex,
+    fraction_quadrature,
+)
 from toriceig import LabelledPolytope, build_quadrature, example_polytope
 from toriceig.quadrature import (
     MAX_NODES,
@@ -37,6 +42,18 @@ simplex3 = LabelledPolytope(
     3,
     [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)],
 )
+# The hexagon |x|, |y|, |x + y| <= 1 times [0, 1], and [0, 2]^3 cut by
+# x + y + z <= 5: hexagon, square and pentagon facets.
+hexprism = LabelledPolytope(
+    3,
+    [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1),
+     ((1, 1, 0), 1), ((-1, -1, 0), 1), ((0, 0, 1), 0), ((0, 0, -1), 1)],
+)
+cutcube = LabelledPolytope(
+    3,
+    [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+     ((-1, 0, 0), 2), ((0, -1, 0), 2), ((0, 0, -1), 2), ((-1, -1, -1), 5)],
+)
 
 VOLUMES = {
     "interval01": Fraction(1),
@@ -47,7 +64,24 @@ VOLUMES = {
     "perturbed-simplex": Fraction(16, 25) / 2,
     "cube": Fraction(1),
     "simplex3": Fraction(1, 6),
+    "hexprism": Fraction(3),
+    "cutcube": Fraction(47, 6),
 }
+
+
+def _box_monomial(lo, hi, e) -> Fraction:
+    return math.prod(Fraction(b ** (p + 1) - a ** (p + 1), p + 1) for a, b, p in zip(lo, hi, e))
+
+
+def cut_monomial_integral(name, e) -> Fraction:
+    """Exact integral of x^e over `hexprism` or `cutcube` without their
+    triangulation: the bounding box minus the corners cut off."""
+    if name == "cutcube":
+        corner = ((2, 2, 2), (1, 2, 2), (2, 1, 2), (2, 2, 1))
+        return _box_monomial((0, 0, 0), (2, 2, 2), e) - exact_monomial_integral_simplex(corner, e)
+    corners = (((1, 1), (0, 1), (1, 0)), ((-1, -1), (0, -1), (-1, 0)))
+    cut = sum(exact_monomial_integral_simplex(c, e[:2]) for c in corners)
+    return _box_monomial((-1, -1, 0), (1, 1, 1), e) - cut * Fraction(1, e[2] + 1)
 
 
 # Rational offsets, and intervals whose scaled integer coordinates exceed
@@ -75,6 +109,8 @@ def polytopes():
         yield name, example_polytope(name)
     yield "cube", cube
     yield "simplex3", simplex3
+    yield "hexprism", hexprism
+    yield "cutcube", cutcube
 
 
 class TestVolume:
@@ -134,6 +170,20 @@ class TestExactness:
             approx = float(Q.weights @ vals)
             scale = max(abs(float(exact)), 1e-30)
             assert abs(approx - float(exact)) / scale < 1e-12
+
+    @pytest.mark.parametrize("name,P", [("hexprism", hexprism), ("cutcube", cutcube)])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_monomials_on_non_simplex_facets(self, name, P, order):
+        # the fans of hexagon and pentagon facets against integrals that do
+        # not use the triangulation
+        Q = build_quadrature(P, order, 0)
+        degree = 2 * order - 1
+        for e in np.ndindex(*(degree + 1,) * 3):
+            if sum(e) > degree:
+                continue
+            exact = float(cut_monomial_integral(name, e))
+            approx = float(Q.weights @ np.prod(Q.nodes ** np.array(e, dtype=float), axis=1))
+            assert abs(approx - exact) <= 1e-12 * max(abs(exact), 1.0)
 
     def test_refined_3d_still_exact(self):
         # exercises the eight-child split as an actual partition, not just

@@ -27,6 +27,7 @@ from toriceig import (
     sweep_dilation,
     sweep_uc,
 )
+from toriceig import spectral
 from toriceig.potential import NotPositiveDefinite
 from toriceig.spectral import MassSingular, TrialFunction, ZeroDenominator
 
@@ -348,3 +349,32 @@ class TestSweeps:
             sweep_dilation(intervalC, [1.01, 1.5], degree=3)
         with pytest.raises(ValueError):
             sweep_dilation(intervalC, [2.0, 1.0], degree=3)
+
+
+class TestSharedTrialSpace:
+    """A sweep solves every potential on one trial space, with the values
+    of one `lambda1_invariant` call per potential."""
+
+    def test_rows_equal_single_solves(self):
+        Q = build_quadrature(square, 3, 1)
+        result = sweep_uc(square, 1, [0.0, 1.0, 10.0], degree=4, Q=Q)
+        for c, lam in result.rows:
+            u = guillemin(square) if c == 0 else quadratic_perturbed(square, 1, c)
+            assert lam == lambda1_invariant(u, 4, Q).lambda1T
+
+        Pc = center_polytope(square)[0]
+        Qc = build_quadrature(Pc, 3, 1)
+        result = sweep_dilation(square, [2.0, 1.5, 1.1], degree=4, Q=Qc)
+        for s, lam in result.rows:
+            assert lam == lambda1_invariant(dilation(Pc, s), 4, Qc).lambda1T
+
+    def test_power_table_built_once_per_sweep(self, monkeypatch):
+        calls = []
+        original = spectral._power_table
+        monkeypatch.setattr(
+            spectral, "_power_table", lambda *args: calls.append(1) or original(*args)
+        )
+        sweep_uc(interval01, 0, [0, 1, 10, 100], degree=4)
+        assert len(calls) == 1
+        sweep_dilation(intervalC, [2, 1.5, 1.1], degree=4)
+        assert len(calls) == 2
