@@ -27,19 +27,11 @@ from .polytope import (
 from .potential import NotPositiveDefinite, PotentialError, potential_from_spec
 from .projective import NoConvergence, balance, bound_report, build_embedding, saturation_check
 from .quadrature import MAX_ORDER, build_quadrature
-from .spectral import (
-    MassSingular,
-    SpectralError,
-    ZeroDenominator,
-    lambda1_invariant,
-    sweep_dilation,
-    sweep_uc,
-)
+from .spectral import SpectralError, lambda1_invariant, sweep_dilation, sweep_uc
 
 NUMERICAL_ERRORS = (
     NoConvergence,
-    MassSingular,
-    ZeroDenominator,
+    SpectralError,
     NotPositiveDefinite,
     geometry.StepUnderflow,
 )
@@ -274,9 +266,6 @@ def main(argv=None) -> int:
     try:
         sys.stdout.write(run(args))
     except NUMERICAL_ERRORS as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
-    except SpectralError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
     except VALIDATION_ERRORS as exc:

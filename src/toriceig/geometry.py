@@ -12,9 +12,10 @@ exactly when  Lap x_i = 2 lam (x_i - xbar_i)  for every coordinate.
 
 All of it comes from one batched path, `hessian_inverse_derivatives`, which
 evaluates H, dH and d2H on the last axis of its points with the batch axes in
-front: in closed form from dG and d2G, or by central differences from one
-`sample` call over the stencils of every point.  A row of a batch gets exactly
-the bits of a one-point call.
+front: in closed form from dG and d2G, which every potential kind has, or on
+request (method="fd") by central differences from one `sample` call over the
+stencils of every point, as a cross-check.  A row of a batch gets exactly the
+bits of a one-point call.
 
 Signs follow the positive-Laplacian convention, pinned by the sphere metric
 on the interval [0, 1] where H = 2x(1-x), Lap x = 4x - 2 and scal = 4.
@@ -80,14 +81,11 @@ class KEReport:
         }
 
 
-def _resolve_method(u: SymplecticPotential, method: str) -> str:
-    if method == "auto":
-        return "closed" if u.closed_derivatives else "fd"
-    if method in ("closed", "fd"):
-        if method == "closed" and not u.closed_derivatives:
-            raise ValueError(f"{u.kind} has no closed-form Hessian derivatives")
-        return method
-    raise ValueError(f"unknown derivative method {method!r}")
+def _resolve_method(method: str) -> str:
+    """Map "auto" to the closed form; "fd" is the finite-difference cross-check."""
+    if method not in ("auto", "closed", "fd"):
+        raise ValueError(f"unknown derivative method {method!r}")
+    return "fd" if method == "fd" else "closed"
 
 
 def hessian_inverse_derivatives(
@@ -103,7 +101,7 @@ def hessian_inverse_derivatives(
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    how = _resolve_method(u, method)
+    how = _resolve_method(method)
 
     if how == "closed":
         H = u.sample(x).H
@@ -210,7 +208,7 @@ def ke_check(
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
-    how = _resolve_method(u, method)
+    how = _resolve_method(method)
     if tol is None:
         tol = 1e-6 if how == "closed" else 1e-4
     if not math.isfinite(tol):

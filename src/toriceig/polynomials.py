@@ -8,6 +8,8 @@ differentiation is exact term manipulation.  Evaluation takes points of shape
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -50,7 +52,7 @@ class MultiPoly:
         return total
 
     def value(self, x):
-        return self._value_t(np.asarray(x, dtype=float).T).T
+        return self.derivatives(x, 0)[()]
 
     def derivative(self, axis: int) -> "MultiPoly":
         if axis in self._derivatives:
@@ -67,18 +69,28 @@ class MultiPoly:
         self._derivatives[axis] = MultiPoly(self.nvars, out)
         return self._derivatives[axis]
 
-    def gradient(self, x) -> np.ndarray:
+    def derivatives(self, x, order: int) -> np.ndarray:
+        """The order-th derivative tensor at points x of shape (..., n), with
+        shape (..., n, ..., n) and `order` trailing axes; order 0 is the value.
+        Each entry is the derivative polynomial along its sorted axes, so the
+        tensor is exactly symmetric and the transpose that puts the batch axes
+        in front leaves its entries in place."""
         coords = np.asarray(x, dtype=float).T
-        return np.array([self.derivative(i)._value_t(coords) for i in range(self.nvars)]).T
+        out = np.empty((self.nvars,) * order + coords.shape[1:])
+        for axes in itertools.combinations_with_replacement(range(self.nvars), order):
+            p = self
+            for axis in axes:
+                p = p.derivative(axis)
+            value = p._value_t(coords)
+            for index in set(itertools.permutations(axes)):
+                out[index] = value
+        return out.T
+
+    def gradient(self, x) -> np.ndarray:
+        return self.derivatives(x, 1)
 
     def hessian(self, x) -> np.ndarray:
-        coords = np.asarray(x, dtype=float).T
-        n = self.nvars
-        H = np.empty((n, n) + coords.shape[1:])
-        for i in range(n):
-            for j in range(i, n):
-                H[i, j] = H[j, i] = self.derivative(i).derivative(j)._value_t(coords)
-        return H.T
+        return self.derivatives(x, 2)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)

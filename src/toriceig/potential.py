@@ -8,7 +8,8 @@ metric.  Every kind here has the Guillemin/Abreu form
 
 for a facet profile psi and a polynomial v, so the value, gradient, G, dG and
 d2G are the facet sums 1/2 sum_k psi^(r)(L_k) nu_k^(r-fold tensor) for
-r = 0..4 plus the derivatives of v.  The kinds differ only in psi and v:
+r = 0..4 plus the exact derivatives of v: every kind has them in closed form.
+The kinds differ only in psi and v:
 
 * ``guillemin``            -- psi(L) = L log L - L, v = 0 (the canonical u0);
 * ``quadratic_perturbed``  -- v = (c/2) x_i^2, which degenerates H along
@@ -36,13 +37,7 @@ import numpy as np
 
 from .polynomials import MultiPoly
 from .polytope import LabelledPolytope
-from .sampling import (
-    facet_proximal_points,
-    facet_tangent_basis,
-    facet_values,
-    interior_points,
-    polytope_scale,
-)
+from .sampling import facet_proximal_points, facet_values, interior_points, polytope_scale
 
 EPS_INTERIOR = 1e-10
 
@@ -87,13 +82,12 @@ class OriginNotInterior(PotentialError):
 
 @dataclass(frozen=True)
 class HessianSample:
-    """Hessian G, inverse H and log det G at the points x (batch axes in
-    front), with the inverse Cholesky factor Rinv: G = R R^T, H = Rinv^T Rinv."""
+    """Hessian G and inverse H at the points x (batch axes in front), with
+    the inverse Cholesky factor Rinv: G = R R^T, H = Rinv^T Rinv."""
 
     x: np.ndarray
     G: np.ndarray
     H: np.ndarray
-    logdetG: np.ndarray
     Rinv: np.ndarray
 
 
@@ -112,7 +106,6 @@ class SymplecticPotential:
     the other kinds change only `profile` and the added polynomial."""
 
     kind = "guillemin"
-    closed_derivatives = True  # dG, d2G available in closed form
     added: MultiPoly | None = None  # the polynomial v
 
     def __init__(self, polytope: LabelledPolytope):
@@ -150,17 +143,9 @@ class SymplecticPotential:
         L = self._interior_L(x)
         total = self.profile(L, order)[..., None, :] @ self._half_nu_powers[order]
         total = total.reshape(L.shape[:-1] + (self._A.shape[1],) * order)
-        # the quadratic v of uc has no third derivatives, and the general v of
-        # guillemin_plus_poly takes dG and d2G by finite differences
-        if self.added is not None and order <= 2:
-            v = self.added
-            total = total + (v.value, v.gradient, v.hessian)[order](x)
+        if self.added is not None:
+            total = total + self.added.derivatives(x, order)
         return total
-
-    def _closed_derivative(self, x, order: int) -> np.ndarray:
-        if not self.closed_derivatives:
-            raise NotImplementedError(f"{self.kind} uses finite differences for dH and d2H")
-        return self._derivative(x, order)
 
     def value(self, x):
         return self._derivative(x, 0)[()]
@@ -172,15 +157,15 @@ class SymplecticPotential:
         return self._derivative(x, 2)
 
     def hessian_derivative(self, x) -> np.ndarray:
-        """dG[..., i, j, m] = d G_ij / d x_m (closed-form kinds only)."""
-        return self._closed_derivative(x, 3)
+        """dG[..., i, j, m] = d G_ij / d x_m."""
+        return self._derivative(x, 3)
 
     def hessian_second_derivative(self, x) -> np.ndarray:
-        """d2G[..., i, j, m, l] = d^2 G_ij / d x_m d x_l (closed-form kinds only)."""
-        return self._closed_derivative(x, 4)
+        """d2G[..., i, j, m, l] = d^2 G_ij / d x_m d x_l."""
+        return self._derivative(x, 4)
 
     def sample(self, x) -> HessianSample:
-        """G, H = G^{-1} and log det G at interior points.
+        """G and H = G^{-1} at interior points.
 
         H is produced by a symmetric (Cholesky) factorization; a nonpositive
         pivot raises NotPositiveDefinite naming the point with the smallest
@@ -201,8 +186,7 @@ class SymplecticPotential:
         Rinv = np.linalg.inv(R)
         H = Rinv.swapaxes(-1, -2) @ Rinv
         H = 0.5 * (H + H.swapaxes(-1, -2))
-        logdet = 2.0 * np.log(R.diagonal(0, -2, -1)).sum(-1)
-        return HessianSample(x=x, G=G, H=H, logdetG=logdet, Rinv=Rinv)
+        return HessianSample(x=x, G=G, H=H, Rinv=Rinv)
 
 
 class QuadraticPerturbedPotential(SymplecticPotential):
@@ -256,15 +240,16 @@ class GuilleminPlusPolyPotential(SymplecticPotential):
     """u0 + v for a polynomial v.  There is no algorithmic membership test for
     the valid-potential class, so positivity of the Hessian is checked by
     sampling at construction (disable with check=False to inspect a bad v via
-    validate()).  Derivatives of H go through finite differences."""
+    validate()).  dG and d2G add the exact derivatives of v, as for every kind."""
 
     kind = "guillemin_plus_poly"
-    closed_derivatives = False
 
     def __init__(self, polytope: LabelledPolytope, poly: MultiPoly, check: bool = True):
         super().__init__(polytope)
         if poly.nvars != polytope.dim:
             raise ValueError("polynomial variable count must match the polytope dimension")
+        if not all(math.isfinite(c) for c in poly.terms.values()):
+            raise ValueError("polynomial coefficients must be finite")
         self.poly = self.added = poly
         if check:
             report = validate(self, samples=40)
@@ -352,7 +337,7 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
 
 
 def eval_grad_hess(u: SymplecticPotential, x) -> HessianSample:
-    """G, H and log det G of u at the interior point x."""
+    """G and H of u at the interior point x."""
     return u.sample(x)
 
 
@@ -360,40 +345,29 @@ def validate(u: SymplecticPotential, samples: int = 40) -> dict:
     """Sample-based validity report for u.
 
     Checks G > 0 at deterministic interior points and at probes approaching
-    each facet (distances 1e-2 .. 1e-6), and that the restriction of G to the
-    facet-tangent directions stays positive definite there.  Failures are
-    collected in the report, never raised.
+    each facet (distances 1e-2 .. 1e-6).  Failures are collected in the
+    report, never raised.
     """
     if samples < 10:
         raise ValueError("samples must be >= 10")
     P = u.polytope
     distances = [polytope_scale(P) * 10.0**-e for e in range(2, 7)]
-    # (point, where, (facet, distance)): a probe's facet-tangent block is checked too
-    checks = [(x, "interior", None) for x in interior_points(P, samples)]
+    checks = [(x, "interior") for x in interior_points(P, samples)]
     checks += [
-        (x, f"near facet {i} (distance {d:.1e})", (i, d))
-        for i, d, x in facet_proximal_points(P, distances)
+        (x, f"near facet {i} (distance {d:.1e})") for i, d, x in facet_proximal_points(P, distances)
     ]
-    X = np.array([x for x, _, _ in checks])
+    X = np.array([x for x, _ in checks])
     inside = np.min(facet_values(P, X), axis=-1) >= EPS_INTERIOR  # probes below are skipped
     G = u.hessian(X[inside])
     G = 0.5 * (G + G.swapaxes(-1, -2))
     lowest = np.linalg.eigvalsh(G)[:, 0]
-    failures = []
-    worst = np.inf
-    for (x, where, probe), Gq, low in zip(itertools.compress(checks, inside), G, lowest):
-        margins = [(where, low)]
-        if probe and P.dim > 1:
-            facet, dist = probe
-            basis = facet_tangent_basis(P, facet)
-            tangent = np.linalg.eigvalsh(basis @ Gq @ basis.T)[0]
-            margins.append((f"tangent to facet {facet} (distance {dist:.1e})", tangent))
-        for tag, margin in margins:
-            worst = min(worst, float(margin))
-            if margin <= 0:
-                failures.append({"point": list(map(float, x)), "where": tag, "margin": float(margin)})
-
-    return {"passed": not failures, "worst_margin": float(worst), "failures": failures}
+    failures = [
+        {"point": list(map(float, x)), "where": where, "margin": float(low)}
+        for (x, where), low in zip(itertools.compress(checks, inside), lowest)
+        if low <= 0
+    ]
+    worst = float(np.min(lowest, initial=np.inf))
+    return {"passed": not failures, "worst_margin": worst, "failures": failures}
 
 
 def hc_diag(u_c: QuadraticPerturbedPotential, x) -> float:

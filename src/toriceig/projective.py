@@ -284,7 +284,7 @@ def saturation_check(
     if u.polytope != E.polytope:
         raise ValueError("potential must live on the embedding's translated polytope")
     if tol is None:
-        tol = 1e-6 if u.closed_derivatives else 1e-4
+        tol = 1e-6
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
     a = _normalized_alpha(alpha, E.count)

@@ -99,21 +99,3 @@ def facet_proximal_points(P: LabelledPolytope, distances) -> list:
             out.append((i, float(dist), x))
     return out
 
-
-def facet_tangent_basis(P: LabelledPolytope, facet_index: int) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to normal i (rows)."""
-    nu = np.array(P.normals[facet_index], dtype=float)
-    n = P.dim
-    if n == 1:
-        return np.zeros((0, 1))
-    basis = []
-    for e in np.eye(n):
-        v = e - (e @ nu) / (nu @ nu) * nu
-        for b in basis:
-            v = v - (v @ b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            basis.append(v / norm)
-        if len(basis) == n - 1:
-            break
-    return np.array(basis)

@@ -118,15 +118,12 @@ class TrialFunction:
         xhat = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
         return _power_table(xhat, int(self._E.max(initial=0)))
 
-    def values(self, x) -> np.ndarray:
+    def value(self, x) -> np.ndarray:
         return _monomials(self._table(x), self._E) @ self.coeffs
 
-    def gradients(self, x) -> np.ndarray:
+    def gradient(self, x) -> np.ndarray:
         grads = _monomial_gradients(self._table(x), self._E, self.halfwidth)
         return np.stack([g @ self.coeffs for g in grads], axis=-1)
-
-    value = values
-    gradient = gradients
 
 
 @dataclass(frozen=True)

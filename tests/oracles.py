@@ -2,7 +2,9 @@
 
 Nothing here reuses the library's numerical paths: eigenvalues come from a
 finite-difference discretization, integrals from Riemann-style grids or exact
-rational formulas, and 1D curvature from symbolic differentiation.
+rational formulas, and 1D curvature from symbolic differentiation.  The
+`reference_*` functions are earlier implementations kept as references for
+later refactors; each says what it shares with the library.
 """
 
 from __future__ import annotations
@@ -429,3 +431,79 @@ def log_z2_guillemin_loop(L, exponents):
             continue
         out[:, m] = np.sum(logL[:, mask] * expo[m, mask], axis=1)
     return out
+
+
+def _facet_tangent_basis(P, facet_index: int) -> np.ndarray:
+    """Orthonormal basis of the hyperplane orthogonal to normal i (rows)."""
+    nu = np.array(P.normals[facet_index], dtype=float)
+    n = P.dim
+    if n == 1:
+        return np.zeros((0, 1))
+    basis = []
+    for e in np.eye(n):
+        v = e - (e @ nu) / (nu @ nu) * nu
+        for b in basis:
+            v = v - (v @ b) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            basis.append(v / norm)
+        if len(basis) == n - 1:
+            break
+    return np.array(basis)
+
+
+def reference_validate(u, samples: int = 40) -> dict:
+    """`validate` with the facet-tangent block check it used to make: at every
+    probe near a facet, the restriction of G to the facet's tangent directions
+    is checked too and reported as "tangent to facet i (distance d)".  It
+    shares the sample points and u.hessian with the library."""
+    from toriceig.potential import EPS_INTERIOR
+    from toriceig.sampling import (
+        facet_proximal_points,
+        facet_values,
+        interior_points,
+        polytope_scale,
+    )
+
+    P = u.polytope
+    distances = [polytope_scale(P) * 10.0**-e for e in range(2, 7)]
+    checks = [(x, "interior", None) for x in interior_points(P, samples)]
+    checks += [
+        (x, f"near facet {i} (distance {d:.1e})", (i, d))
+        for i, d, x in facet_proximal_points(P, distances)
+    ]
+    X = np.array([x for x, _, _ in checks])
+    inside = np.min(facet_values(P, X), axis=-1) >= EPS_INTERIOR
+    G = u.hessian(X[inside])
+    G = 0.5 * (G + G.swapaxes(-1, -2))
+    lowest = np.linalg.eigvalsh(G)[:, 0]
+    failures = []
+    worst = np.inf
+    for (x, where, probe), Gq, low in zip(itertools.compress(checks, inside), G, lowest):
+        margins = [(where, low)]
+        if probe and P.dim > 1:
+            facet, dist = probe
+            basis = _facet_tangent_basis(P, facet)
+            tangent = np.linalg.eigvalsh(basis @ Gq @ basis.T)[0]
+            margins.append((f"tangent to facet {facet} (distance {dist:.1e})", tangent))
+        for tag, margin in margins:
+            worst = min(worst, float(margin))
+            if margin <= 0:
+                failures.append(
+                    {"point": list(map(float, x)), "where": tag, "margin": float(margin)}
+                )
+    return {"passed": not failures, "worst_margin": float(worst), "failures": failures}
+
+
+def reference_poly_gradient_hessian(p, x):
+    """(gradient, hessian) of a MultiPoly at points x of shape (..., n), each
+    entry the value of the derivative polynomial along its sorted axes: the
+    evaluation order `MultiPoly.derivatives` must keep bit for bit."""
+    coords = np.asarray(x, dtype=float).T
+    n = p.nvars
+    grad = np.array([p.derivative(i)._value_t(coords) for i in range(n)]).T
+    H = np.empty((n, n) + coords.shape[1:])
+    for i in range(n):
+        for j in range(i, n):
+            H[i, j] = H[j, i] = p.derivative(i).derivative(j)._value_t(coords)
+    return grad, H.T

@@ -295,6 +295,16 @@ class TestExitCodes:
         assert code == 2
         assert "could not place 40 interior points" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("coeff", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("command", ["lambda1t", "ke-check", "balance"])
+    def test_non_finite_poly_coefficient(self, capsys, tmp_path, command, coeff):
+        # Python's json reads NaN and Infinity; validate's margins would pass them
+        coeffs = tmp_path / "v.json"
+        coeffs.write_text(f'[{{"exponents": [2], "coeff": {coeff}}}]')
+        code, out, err = run_cli(capsys, command, INTERVAL01, "--potential", f"poly:{coeffs}")
+        assert code == 2 and out == ""
+        assert "coefficients must be finite" in err
+
     def test_indefinite_poly_potential(self, capsys, tmp_path):
         coeffs = tmp_path / "v.json"
         coeffs.write_text('[{"exponents": [2], "coeff": -10.0}]')

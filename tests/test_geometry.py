@@ -31,6 +31,7 @@ cube = LabelledPolytope(
 )
 
 x_1d = MultiPoly.coordinate(1, 0)
+POLY_V = MultiPoly(2, {(2, 0): 0.3, (1, 1): 0.2, (0, 3): 0.1})  # v = 0.3x^2 + 0.2xy + 0.1y^3
 
 
 class TestLaplacian:
@@ -92,12 +93,13 @@ class TestScalarCurvature:
                 fd = scalar_curvature(u, x, method="fd").scal
                 assert fd == pytest.approx(closed, rel=1e-4)
 
-    def test_fd_only_kind(self):
-        u = guillemin_plus_poly(square, MultiPoly(2, {(2, 0): 0.01}))
-        sample = scalar_curvature(u, [0.4, 0.6])
-        assert np.isfinite(sample.scal)
-        with pytest.raises(ValueError):
-            scalar_curvature(u, [0.4, 0.6], method="closed")
+    def test_poly_closed_vs_fd(self):
+        # v's third derivatives enter dG exactly; "auto" is the closed form
+        u = guillemin_plus_poly(square, POLY_V)
+        for x in interior_points(square, 10, min_facet=0.05):
+            closed = scalar_curvature(u, x, method="closed").scal
+            assert scalar_curvature(u, x).scal == closed
+            assert scalar_curvature(u, x, method="fd").scal == pytest.approx(closed, rel=1e-4)
 
     def test_boundary_guard(self):
         with pytest.raises(BoundaryPoint):
@@ -206,7 +208,20 @@ class TestBatchedDerivatives:
         "P", [interval01, simplex2, square, cube], ids=["interval", "simplex2", "square", "cube"]
     )
     def test_rows_equal_one_point_calls(self, P, method, second):
-        u = quadratic_perturbed(P, 0, 2.5)
+        self._check_rows(quadratic_perturbed(P, 0, 2.5), method, second)
+
+    @pytest.mark.parametrize("second", [False, True])
+    @pytest.mark.parametrize("method", ["closed", "fd"])
+    @pytest.mark.parametrize(
+        "P", [interval01, simplex2, square, cube], ids=["interval", "simplex2", "square", "cube"]
+    )
+    def test_poly_rows_equal_one_point_calls(self, P, method, second):
+        v = MultiPoly(P.dim, {(3,) + (0,) * (P.dim - 1): 0.02, (1,) * P.dim: 0.01})
+        self._check_rows(guillemin_plus_poly(P, v), method, second)
+
+    @staticmethod
+    def _check_rows(u, method, second):
+        P = u.polytope
         X = interior_points(P, 12, min_facet=0.02).reshape(3, 4, P.dim)
         batch = hessian_inverse_derivatives(u, X, method=method, second=second)
         assert batch[1].shape == (3, 4) + (P.dim,) * 3
@@ -245,8 +260,13 @@ class TestDonaldsonIdentity:
 
     @pytest.mark.parametrize(
         "make",
-        [guillemin, lambda P: quadratic_perturbed(P, 0, 5.0), lambda P: dilation(P, 1.5)],
-        ids=["guillemin", "uc5", "dilation1.5"],
+        [
+            guillemin,
+            lambda P: quadratic_perturbed(P, 0, 5.0),
+            lambda P: dilation(P, 1.5),
+            lambda P: guillemin_plus_poly(P, POLY_V),
+        ],
+        ids=["guillemin", "uc5", "dilation1.5", "poly"],
     )
     @pytest.mark.parametrize("P", [simplex2, square], ids=["simplex2", "square"])
     def test_total_scalar_curvature(self, P, make):
