@@ -19,7 +19,6 @@ from .polynomials import MultiPoly
 from .potential import (
     HessianSample,
     SymplecticPotential,
-    center_polytope,
     dilation,
     dilation_limit_B,
     eval_grad_hess,

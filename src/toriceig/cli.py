@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, potential_flag=True, quad=True):
+    def add_common(p, potential_flag=True, degree=True, quad=True):
         p.add_argument("polytope", help="path to a polytope JSON file")
         if potential_flag:
             p.add_argument(
@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help='potential spec: "guillemin", "uc:i=<axis>,c=<float>", '
                 '"dilation:s=<float>", "poly:<coeff file>"',
             )
-        if quad:
+        if degree:
             p.add_argument("--degree", type=int, default=6, help="trial polynomial degree")
+        if quad:
             p.add_argument(
                 "--quad-order", type=int, default=3,
                 help=f"base rule order q in 1..{MAX_ORDER}, exact to degree 2q - 1",
@@ -76,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("info", help="parse, normalize and describe a polytope")
-    add_common(p, potential_flag=False, quad=False)
+    add_common(p, potential_flag=False, degree=False, quad=False)
 
     p = sub.add_parser("bound", help="lattice-point eigenvalue bounds")
-    add_common(p, potential_flag=False, quad=False)
+    add_common(p, potential_flag=False, degree=False, quad=False)
     p.add_argument("--k", type=int, default=None, help="single refinement to evaluate")
     p.add_argument("--k-max", type=int, default=64, help="search cutoff for k0")
 
@@ -87,26 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("sweep-uc", help="lambda1T along the quadratic perturbation family")
-    add_common(p)
+    add_common(p, potential_flag=False)
     p.add_argument("--c", type=_float_list, required=True, help="ascending list, e.g. 0,1,10")
     p.add_argument("--axis", type=int, default=0, help="perturbed coordinate axis")
 
     p = sub.add_parser("sweep-dilation", help="lambda1T along the dilation family")
-    add_common(p)
+    add_common(p, potential_flag=False)
     p.add_argument("--s", type=_float_list, required=True, help="decreasing list > 1, e.g. 2,1.5,1.1")
 
     p = sub.add_parser("ke-check", help="Kahler-Einstein moment-map eigenfunction test")
-    add_common(p, quad=False)
+    add_common(p, degree=False, quad=False)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--samples", type=int, default=40)
 
     p = sub.add_parser("balance", help="balanced weights for the lattice embedding")
-    add_common(p)
+    add_common(p, degree=False)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=200)
 
     p = sub.add_parser("saturate", help="bounds, balance and saturation in one report")
-    add_common(p)
+    add_common(p, degree=False)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--k-max", type=int, default=64)
@@ -123,8 +124,6 @@ def _emit(report: dict, output: str) -> str:
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}{key}.", value[key])
-        elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]} = {value}")
         else:
             lines.append(f"{prefix[:-1]} = {value}")
 
@@ -175,27 +174,21 @@ def _cmd_bound(args, P: LabelledPolytope) -> dict:
     return out
 
 
-def _make_potential_and_rule(args, P: LabelledPolytope):
-    u = potential_from_spec(P, args.potential)
-    Q = build_quadrature(u.polytope, args.quad_order, args.quad_depth)
-    return u, Q
+def _rule(args, P: LabelledPolytope):
+    return build_quadrature(P, args.quad_order, args.quad_depth)
 
 
 def _cmd_lambda1t(args, P: LabelledPolytope) -> dict:
-    u, Q = _make_potential_and_rule(args, P)
-    result = lambda1_invariant(u, args.degree, Q)
+    u = potential_from_spec(P, args.potential)
+    result = lambda1_invariant(u, args.degree, _rule(args, P))
     return {"config": _config(args), **result.to_dict()}
 
 
 def _cmd_sweep(args, P: LabelledPolytope, kind: str):
     if kind == "uc":
-        result = sweep_uc(
-            P, args.axis, args.c, degree=args.degree, order=args.quad_order, depth=args.quad_depth
-        )
+        result = sweep_uc(P, args.axis, args.c, degree=args.degree, Q=_rule(args, P))
     else:
-        result = sweep_dilation(
-            P, args.s, degree=args.degree, order=args.quad_order, depth=args.quad_depth
-        )
+        result = sweep_dilation(P, args.s, degree=args.degree, Q=_rule(args, P))
     if args.output == "csv":
         return result.to_csv()
     return {"config": _config(args), **result.to_dict()}
@@ -210,15 +203,14 @@ def _cmd_ke_check(args, P: LabelledPolytope) -> dict:
 def _cmd_balance(args, P: LabelledPolytope) -> dict:
     E = build_embedding(P)
     u = potential_from_spec(E.polytope, args.potential)
-    Q = build_quadrature(E.polytope, args.quad_order, args.quad_depth)
-    weights = balance(E, u, Q, tol=args.tol, max_iter=args.max_iter)
+    weights = balance(E, u, _rule(args, E.polytope), tol=args.tol, max_iter=args.max_iter)
     return {"config": _config(args), "balance": weights.to_dict(), "n_lattice": E.count}
 
 
 def _cmd_saturate(args, P: LabelledPolytope) -> dict:
     E = build_embedding(P)
     u = potential_from_spec(E.polytope, args.potential)
-    Q = build_quadrature(E.polytope, args.quad_order, args.quad_depth)
+    Q = _rule(args, E.polytope)
     weights = balance(E, u, Q, max_iter=args.max_iter)
     saturation = saturation_check(E, u, weights, Q, tol=args.tol)
     bounds = bound_report(P, k_max=args.k_max)

@@ -92,8 +92,5 @@ class MultiPoly:
     def hessian(self, x) -> np.ndarray:
         return self.derivatives(x, 2)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __repr__(self):
         return f"MultiPoly(nvars={self.nvars}, terms={len(self.terms)})"

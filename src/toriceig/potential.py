@@ -14,9 +14,9 @@ The kinds differ only in psi and v:
 * ``guillemin``            -- psi(L) = L log L - L, v = 0 (the canonical u0);
 * ``quadratic_perturbed``  -- v = (c/2) x_i^2, which degenerates H along
                               axis i as c grows;
-* ``dilation``             -- psi(L) - psi(L + (s-1) c)/s, i.e. u0 - u0^s/s for
-                              the dilated polytope sP, which blows H up as s
-                              drops to 1;
+* ``dilation``             -- psi(L) - psi(L + (s-1) L(p))/s, i.e. u0 - u0^s/s
+                              for P dilated by s about its vertex barycenter
+                              p, which blows H up as s drops to 1;
 * ``guillemin_plus_poly``  -- any polynomial v, validity checked by sampling.
 
 Points are arrays of shape (..., n): every method evaluates on the last axis
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "PotentialError",
     "BoundaryPoint",
     "NotPositiveDefinite",
-    "OriginNotInterior",
     "HessianSample",
     "SymplecticPotential",
     "QuadraticPerturbedPotential",
@@ -74,10 +72,6 @@ class BoundaryPoint(PotentialError):
 
 class NotPositiveDefinite(PotentialError):
     """The Hessian failed to be positive definite at an evaluation point."""
-
-
-class OriginNotInterior(PotentialError):
-    """The dilation limit needs 0 in the interior of P (all c_k > 0)."""
 
 
 @dataclass(frozen=True)
@@ -209,14 +203,17 @@ class QuadraticPerturbedPotential(SymplecticPotential):
         self.added = MultiPoly(polytope.dim, {square: 0.5 * self.c})
 
 
-class DilationPotential(SymplecticPotential):
-    """u0 - u0^s / s where u0^s is the Guillemin potential of the dilated
-    polytope sP (s > 1): the profile psi(L) - psi(L + (s-1) c)/s, since the
-    facet values of sP are L^s = <x, nu> + s c = L + (s-1) c.
+def _barycenter_values(P: LabelledPolytope) -> np.ndarray:
+    """L_k(p) at the vertex barycenter p of P, exact before rounding; all
+    positive, and equal to the offsets c_k when p = 0."""
+    return np.array([float(v) for v in P.defining_values(P.vertex_barycenter())])
 
-    Needs 0 in the interior of P; if it is not, the polytope is translated by
-    its vertex barycenter and the shift recorded in ``shift``.  All evaluation
-    is in the translated coordinates (``self.polytope`` is the centered copy).
+
+class DilationPotential(SymplecticPotential):
+    """u0 - u0^s / s where u0^s is the Guillemin potential of P dilated by
+    s > 1 about its vertex barycenter p: the profile psi(L) - psi(L + (s-1)
+    L(p))/s, since the facet values of p + s(P - p) are L + (s-1) L(p).  The
+    potential lives on P itself, in the input's coordinates.
     """
 
     kind = "dilation"
@@ -226,14 +223,13 @@ class DilationPotential(SymplecticPotential):
             raise ValueError("dilation parameter s must be > 1")
         if not math.isfinite(s):
             raise ValueError(f"dilation parameter s must be finite, got {s}")
-        centered, shift = center_polytope(polytope)
-        super().__init__(centered)
+        super().__init__(polytope)
         self.s = float(s)
-        self.shift = shift
+        self._Lp = _barycenter_values(polytope)
 
     def profile(self, L: np.ndarray, order: int) -> np.ndarray:
         psi = _LOG_PROFILE[order]
-        return psi(L) - psi(L + (self.s - 1.0) * self._c) / self.s
+        return psi(L) - psi(L + (self.s - 1.0) * self._Lp) / self.s
 
 
 class GuilleminPlusPolyPotential(SymplecticPotential):
@@ -278,16 +274,6 @@ def guillemin_plus_poly(
     P: LabelledPolytope, poly: MultiPoly, check: bool = True
 ) -> GuilleminPlusPolyPotential:
     return GuilleminPlusPolyPotential(P, poly, check=check)
-
-
-def center_polytope(P: LabelledPolytope):
-    """(centered polytope, shift) with 0 interior; shift=0 when P already is."""
-    zero = (Fraction(0),) * P.dim
-    vals = P.defining_values(zero)
-    if all(v > 0 for v in vals):
-        return P, tuple(Fraction(0) for _ in range(P.dim))
-    shift = P.vertex_barycenter()
-    return P.translated(shift), shift
 
 
 def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
@@ -386,14 +372,11 @@ def hc_diag(u_c: QuadraticPerturbedPotential, x) -> float:
 
 
 def dilation_limit_B(P: LabelledPolytope, x) -> np.ndarray:
-    """The s->1 limit of G^s/(s-1): B_x = 1/2 sum (L_k + c_k)/L_k^2 nu_k nu_k^T.
-
-    Requires 0 interior to P (all offsets positive)."""
-    if any(c <= 0 for c in P.offsets):
-        raise OriginNotInterior("all offsets must be positive (translate P first)")
-    A, c = P.float_facets()
+    """The s->1 limit of G^s/(s-1) for `dilation(P, s)`:
+    B_x = 1/2 sum (L_k + L_k(p))/L_k^2 nu_k nu_k^T, p the vertex barycenter."""
+    A, _ = P.float_facets()
     L = facet_values(P, x)
     if np.min(L) < EPS_INTERIOR:
         raise BoundaryPoint(f"point {x} is not interior")
-    coeff = (L + c) / L**2
+    coeff = (L + _barycenter_values(P)) / L**2
     return 0.5 * np.einsum("k,ki,kj->ij", coeff, A, A)

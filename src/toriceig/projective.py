@@ -12,7 +12,7 @@ The diagonal moment-map components
     Psi_mm = alpha_m^2 |Z_m|^2 / sum_j alpha_j^2 |Z_j|^2
 
 sum to one pointwise.  `balance` finds positive weights alpha making every
-Psi_mm average to vol/(N+1) by a damped multiplicative fixed point, and
+Psi_mm average to vol/(N+1) by a multiplicative fixed point, and
 `saturation_check` tests the identities that characterize equality in the
 lattice-point eigenvalue bound (they force the standard simplex and the
 canonical metric).
@@ -54,8 +54,8 @@ class ProjectiveError(Exception):
 
 
 class NoConvergence(ProjectiveError):
-    """The balance iteration did not reach the tolerance; the existence proof
-    is non-constructive, so this signals the need for smaller damping."""
+    """The balance iteration did not reach the tolerance within max_iter
+    steps, or a step left the floating-point range."""
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,13 @@ def balance(
     Q: QuadratureRule,
     tol: float = 1e-10,
     max_iter: int = 200,
-    damping: float = 0.5,
     start=None,
 ) -> BalanceWeights:
-    """Damped multiplicative fixed point for the balanced weights:
-    alpha_m^2 <- alpha_m^2 * (target / integral Psi_mm)^damping, renormalized
-    to sum(alpha) = 1, until every average matches 1/(N+1)."""
+    """Multiplicative fixed point for the balanced weights:
+    alpha_m^2 <- alpha_m^2 * target / integral Psi_mm, renormalized to
+    sum(alpha) = 1, until every average matches 1/(N+1).  A step that
+    overflows, divides by zero or makes an invalid value raises
+    NoConvergence at once."""
     if u.polytope != E.polytope or Q.polytope != E.polytope:
         raise ValueError("potential, quadrature and embedding must share one polytope")
     if not math.isfinite(tol):
@@ -223,17 +224,21 @@ def balance(
     # its largest entry; Z does not depend on alpha, so it is built once.
     logz2 = _log_z2_nodes(E, u, Q.nodes)
     Z = np.exp(logz2 - np.max(logz2, axis=1, keepdims=True))
-    for iteration in range(max_iter + 1):
-        a2 = alpha**2
-        averages = ((Q.weights / (Z @ a2)) @ Z) * a2
-        residual = float(np.max(np.abs(averages / vol - 1.0 / count)))
-        if residual < tol:
-            return BalanceWeights(alpha=alpha, residual=residual, iterations=iteration)
-        alpha = alpha * (target / averages) ** (damping / 2.0)
-        alpha = alpha / np.sum(alpha)
-    raise NoConvergence(
-        f"balance residual {residual:.3e} after {max_iter} iterations; reduce damping"
-    )
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for iteration in range(max_iter + 1):
+                a2 = alpha**2
+                averages = ((Q.weights / (Z @ a2)) @ Z) * a2
+                residual = float(np.max(np.abs(averages / vol - 1.0 / count)))
+                if residual < tol:
+                    return BalanceWeights(alpha=alpha, residual=residual, iterations=iteration)
+                alpha = alpha * np.sqrt(target / averages)
+                alpha = alpha / np.sum(alpha)
+    except FloatingPointError as exc:
+        raise NoConvergence(
+            f"balance step {iteration} left the floating-point range: {exc}"
+        ) from exc
+    raise NoConvergence(f"balance residual {residual:.3e} after {max_iter} iterations")
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polytope import LabelledPolytope
-from .potential import (
-    SymplecticPotential,
-    center_polytope,
-    dilation,
-    guillemin,
-    quadratic_perturbed,
-)
+from .potential import SymplecticPotential, dilation, guillemin, quadratic_perturbed
 from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
@@ -160,10 +154,7 @@ class RitzResult:
 
 def _require_matching(u: SymplecticPotential, Q: QuadratureRule):
     if Q.polytope != u.polytope:
-        raise ValueError(
-            "quadrature was built for a different polytope than the potential "
-            "(dilation potentials live on the auto-centered copy)"
-        )
+        raise ValueError("quadrature was built for a different polytope than the potential")
 
 
 def _weighted_factors(u: SymplecticPotential, Q: QuadratureRule) -> np.ndarray:
@@ -307,17 +298,15 @@ def sweep_uc(
     c_list,
     degree: int = 6,
     Q: QuadratureRule | None = None,
-    order: int = 3,
-    depth: int = 2,
 ) -> SweepResult:
-    """lambda1T along the quadratic perturbation family; the values decrease
-    toward 0 as c grows.  Rows violating the decreasing trend are flagged,
-    not rejected."""
+    """lambda1T along the quadratic perturbation family on the rule Q
+    (`build_quadrature(P)` when None); the values decrease toward 0 as c
+    grows.  Rows violating the decreasing trend are flagged, not rejected."""
     c_list = [float(c) for c in c_list]
     if any(c < 0 for c in c_list) or sorted(c_list) != c_list:
         raise ValueError("c_list must be nonnegative and ascending")
     if Q is None:
-        Q = build_quadrature(P, order, depth)
+        Q = build_quadrature(P)
     potentials = [guillemin(P) if c == 0 else quadratic_perturbed(P, axis, c) for c in c_list]
     return _sweep("c", c_list, potentials, degree, Q, lambda lam, prev: lam < prev + 1e-8)
 
@@ -327,24 +316,20 @@ def sweep_dilation(
     s_list,
     degree: int = 6,
     Q: QuadratureRule | None = None,
-    order: int = 3,
-    depth: int = 2,
 ) -> SweepResult:
-    """lambda1T along the dilation family for s decreasing toward 1.
+    """lambda1T along the dilation family for s decreasing toward 1, on the
+    rule Q (`build_quadrature(P)` when None).
 
-    The polytope is auto-centered.  Values stay above the Guillemin lambda1T
-    and grow as s drops to 1; the growth need not be monotone, so violations
-    are flagged rather than raised.
+    P is dilated in place about its vertex barycenter.  Values stay above
+    the Guillemin lambda1T and grow as s drops to 1; the growth need not be
+    monotone, so violations are flagged rather than raised.
     """
     s_list = [float(s) for s in s_list]
     if any(s <= 1 for s in s_list):
         raise ValueError("dilation parameters must satisfy s > 1")
     if sorted(s_list, reverse=True) != s_list:
         raise ValueError("s_list must be strictly decreasing toward 1")
-    Pc, _shift = center_polytope(P)
     if Q is None:
-        Q = build_quadrature(Pc, order, depth)
-    elif Q.polytope != Pc:
-        raise ValueError("quadrature must be built on the centered polytope")
-    potentials = [dilation(Pc, s) for s in s_list]
+        Q = build_quadrature(P)
+    potentials = [dilation(P, s) for s in s_list]
     return _sweep("s", s_list, potentials, degree, Q, lambda lam, prev: lam > prev - 1e-8)

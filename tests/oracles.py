@@ -393,8 +393,8 @@ def fraction_quadrature(P, order: int, depth: int):
     return np.vstack(all_nodes), np.concatenate(all_weights), tuple(simplices), exact_volume
 
 
-def balance_exp_per_iteration(logz2, weights, volume, tol=1e-10, max_iter=200, damping=0.5):
-    """(alpha, residual, iterations) of the damped balance fixed point,
+def balance_exp_per_iteration(logz2, weights, volume, tol=1e-10, max_iter=200):
+    """(alpha, residual, iterations) of the balance fixed point,
     exponentiating log(alpha_m^2 |Z_m|^2) afresh at every node and iteration.
 
     This is a reference for `balance`, which scales |Z|^2 once before the
@@ -410,7 +410,7 @@ def balance_exp_per_iteration(logz2, weights, volume, tol=1e-10, max_iter=200, d
         residual = float(np.max(np.abs(averages / volume - 1.0 / count)))
         if residual < tol:
             return alpha, residual, iteration
-        alpha = alpha * (volume / count / averages) ** (damping / 2.0)
+        alpha = alpha * np.sqrt(volume / count / averages)
         alpha = alpha / np.sum(alpha)
     return None
 

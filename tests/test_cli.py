@@ -153,6 +153,34 @@ class TestKeBalanceSaturate:
         assert report["saturation"]["classification"] == "fubini-study"
         assert report["bounds"]["recommended"] == 6
 
+    @pytest.mark.parametrize("kind", ["guillemin", "uc:i=0,c=2.5", "dilation:s=1.5", "poly"])
+    @pytest.mark.parametrize("command", ["lambda1t", "ke-check", "balance", "saturate"])
+    def test_every_potential_kind(self, capsys, tmp_path, command, kind):
+        if kind == "poly":
+            coeffs = tmp_path / "v.json"
+            coeffs.write_text(
+                '[{"exponents": [2, 0], "coeff": 0.3}, {"exponents": [1, 1], "coeff": 0.1}]'
+            )
+            kind = f"poly:{coeffs}"
+        code, out, err = run_cli(capsys, command, SIMPLEX2, "--potential", kind)
+        assert code == 0, err
+        assert json.loads(out)["config"]["potential"] == kind
+
+    @pytest.mark.parametrize("name", ["interval01", "intervalC", "simplex2", "square"])
+    @pytest.mark.parametrize("command", ["balance", "saturate"])
+    def test_dilation_on_embedding(self, capsys, command, name):
+        # the potential lives on the embedding's own translated polytope
+        polytope = str(example_path(name))
+        code, _, err = run_cli(capsys, command, polytope, "--potential", "dilation:s=1.5")
+        assert code == 0, err
+
+    def test_balance_converges_undamped(self, capsys):
+        # the full multiplicative step converges where a half step needed
+        # more than the default 200 iterations
+        code, out, _ = run_cli(capsys, "balance", INTERVALC, "--potential", "uc:i=0,c=2.5")
+        assert code == 0
+        assert json.loads(out)["balance"]["iterations"] < 200
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -207,6 +235,21 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    def test_balance_non_finite_step(self, capsys, tmp_path, recwarn):
+        # x, y >= 0, y <= 3, x + 2y <= 9: the weights underflow part way, and
+        # the run stops at that step without a warning or a NaN
+        trap = tmp_path / "trap.json"
+        normals, offsets = [[1, 0], [0, 1], [0, -1], [-1, -2]], [0, 0, 3, 9]
+        trap.write_text(json.dumps(
+            {"dim": 2, "facets": [{"normal": n, "offset": c} for n, c in zip(normals, offsets)]}
+        ))
+        code, out, err = run_cli(
+            capsys, "balance", str(trap), "--potential", "uc:i=0,c=10", "--max-iter", "5000"
+        )
+        assert code == 3 and out == ""
+        assert "balance step 338 " in err and "nan" not in err.lower()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command", ["balance", "saturate"])
     def test_negative_max_iter(self, capsys, command):

@@ -1,6 +1,9 @@
 """Symplectic potentials: closed-form Hessians against finite differences and
 hand values, the minor identity, degeneration and dilation comparisons."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from oracles import reference_validate
 from toriceig import (
     LabelledPolytope,
     MultiPoly,
+    build_quadrature,
     dilation,
     dilation_limit_B,
     eval_grad_hess,
@@ -17,15 +21,13 @@ from toriceig import (
     guillemin,
     guillemin_plus_poly,
     hc_diag,
+    ke_check,
+    lambda1_invariant,
     potential_from_spec,
     quadratic_perturbed,
     validate,
 )
-from toriceig.potential import (
-    BoundaryPoint,
-    NotPositiveDefinite,
-    OriginNotInterior,
-)
+from toriceig.potential import BoundaryPoint, NotPositiveDefinite
 from toriceig.sampling import interior_points
 
 interval01 = example_polytope("interval01")
@@ -36,6 +38,9 @@ cube = LabelledPolytope(
     3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
         ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
 )
+
+EXAMPLES = ("interval01", "intervalC", "interval-third", "simplex2", "square", "perturbed-simplex")
+interval_m1_2 = LabelledPolytope(1, [((1,), 1), ((-1,), 2)])
 
 VALIDATE_POLYTOPES = [interval01, simplex2, square, example_polytope("perturbed-simplex"), cube]
 
@@ -299,15 +304,16 @@ class TestDilation:
         )
 
     def test_limit_convergence(self):
-        # || G^s/(s-1) - B || decreases through s = 1.1, 1.01, 1.001
-        x = np.array([0.2])
-        B = dilation_limit_B(intervalC, x)
-        errs = []
-        for s in (1.1, 1.01, 1.001):
-            G = dilation(intervalC, s).hessian(x)
-            errs.append(np.max(np.abs(G / (s - 1) - B)))
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < 1e-2
+        # || G^s/(s-1) - B || decreases through s = 1.1, 1.01, 1.001, also
+        # where the origin is not interior (interval01, x = the image of 0.2)
+        for P, x in ((intervalC, np.array([0.2])), (interval01, np.array([0.6]))):
+            B = dilation_limit_B(P, x)
+            errs = []
+            for s in (1.1, 1.01, 1.001):
+                G = dilation(P, s).hessian(x)
+                errs.append(np.max(np.abs(G / (s - 1) - B)))
+            assert errs[0] > errs[1] > errs[2]
+            assert errs[2] < 1e-2
 
     def test_interval_closed_form(self):
         # G^s/(s-1) = (s+1)/s^2 at the center of [-1, 1]
@@ -315,19 +321,40 @@ class TestDilation:
             G = dilation(intervalC, s).hessian([0.0])[0, 0]
             assert G / (s - 1) == pytest.approx((s + 1) / s**2, rel=1e-12)
 
-    def test_origin_not_interior(self):
-        with pytest.raises(OriginNotInterior):
-            dilation_limit_B(interval01, [0.5])
-
-    def test_auto_centering(self):
-        u = dilation(interval01, 2.0)  # [0,1] recentered to [-1/2, 1/2]
-        assert u.shift == (pytest.approx(0.5),)
-        lo, hi = u.polytope.bounding_box()
-        assert (float(lo[0]), float(hi[0])) == (-0.5, 0.5)
+    def test_dilates_in_place(self):
+        # [0,1] is dilated about 1/2 in its own coordinates: G at x equals G
+        # of the dilation of [-1/2, 1/2] at x - 1/2
+        u = dilation(interval01, 2.0)
+        assert u.polytope == interval01
+        v = dilation(interval01.translated((0.5,)), 2.0)
+        x = np.array([[0.125], [0.5], [0.875]])
+        assert np.array_equal(u.hessian(x), v.hessian(x - 0.5))
 
     def test_s_must_exceed_one(self):
         with pytest.raises(ValueError):
             dilation(intervalC, 1.0)
+
+    @pytest.mark.parametrize(
+        "P",
+        [example_polytope(name) for name in EXAMPLES] + [interval_m1_2],
+        ids=list(EXAMPLES) + ["interval[-1,2]"],
+    )
+    def test_translation_invariance(self, P):
+        # dilation about the vertex barycenter does not see where the origin
+        # sits: lambda1T and the KE fit of P - t equal those of P, and xbar
+        # moves by -t
+        u = dilation(P, 1.5)
+        lam = lambda1_invariant(u, 6, build_quadrature(P)).lambda1T
+        ke = ke_check(u)
+        for t in itertools.product((Fraction(1, 2), Fraction(-3)), repeat=P.dim):
+            Pt = P.translated(t)
+            ut = dilation(Pt, 1.5)
+            assert lambda1_invariant(ut, 6, build_quadrature(Pt)).lambda1T == pytest.approx(
+                lam, rel=1e-12
+            )
+            ke_t = ke_check(ut)
+            assert ke_t.lambda_hat == pytest.approx(ke.lambda_hat, rel=1e-12)
+            assert np.allclose(ke_t.xbar, ke.xbar - np.array(t, dtype=float), rtol=0, atol=1e-12)
 
 
 class TestSpecStrings:

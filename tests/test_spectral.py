@@ -16,7 +16,6 @@ from toriceig import (
     LabelledPolytope,
     MultiPoly,
     build_quadrature,
-    center_polytope,
     dilation,
     example_polytope,
     guillemin,
@@ -180,7 +179,7 @@ class TestDeepDegree:
 
     @pytest.fixture(scope="class")
     def rule(self):
-        Pc = center_polytope(simplex2)[0]
+        Pc = simplex2.translated(simplex2.vertex_barycenter())
         return Pc, build_quadrature(Pc, 15, 1)
 
     def test_dilation_near_one_keeps_basis(self, rule):
@@ -332,7 +331,7 @@ class TestSweeps:
 
     def test_square_dilation_increasing(self):
         sq_centered = square.translated((0.5, 0.5))
-        result = sweep_dilation(sq_centered, [2, 1.2, 1.05], degree=5, depth=2)
+        result = sweep_dilation(sq_centered, [2, 1.2, 1.05], degree=5)
         lams = [lam for _, lam in result.rows]
         assert lams[0] < lams[1] < lams[2]
 
@@ -362,11 +361,9 @@ class TestSharedTrialSpace:
             u = guillemin(square) if c == 0 else quadratic_perturbed(square, 1, c)
             assert lam == lambda1_invariant(u, 4, Q).lambda1T
 
-        Pc = center_polytope(square)[0]
-        Qc = build_quadrature(Pc, 3, 1)
-        result = sweep_dilation(square, [2.0, 1.5, 1.1], degree=4, Q=Qc)
+        result = sweep_dilation(square, [2.0, 1.5, 1.1], degree=4, Q=Q)
         for s, lam in result.rows:
-            assert lam == lambda1_invariant(dilation(Pc, s), 4, Qc).lambda1T
+            assert lam == lambda1_invariant(dilation(square, s), 4, Q).lambda1T
 
     def test_power_table_built_once_per_sweep(self, monkeypatch):
         calls = []
