@@ -21,10 +21,8 @@ from .potential import (
     SymplecticPotential,
     dilation,
     dilation_limit_B,
-    eval_grad_hess,
     guillemin,
     guillemin_plus_poly,
-    hc_diag,
     potential_from_spec,
     quadratic_perturbed,
     validate,

@@ -55,9 +55,7 @@ __all__ = [
     "dilation",
     "guillemin_plus_poly",
     "potential_from_spec",
-    "eval_grad_hess",
     "validate",
-    "hc_diag",
     "dilation_limit_B",
 ]
 
@@ -76,13 +74,11 @@ class NotPositiveDefinite(PotentialError):
 
 @dataclass(frozen=True)
 class HessianSample:
-    """Hessian G and inverse H at the points x (batch axes in front), with
-    the inverse Cholesky factor Rinv: G = R R^T, H = Rinv^T Rinv."""
+    """Hessian G and inverse H at the points x (batch axes in front)."""
 
     x: np.ndarray
     G: np.ndarray
     H: np.ndarray
-    Rinv: np.ndarray
 
 
 # psi^(r) for the Guillemin profile psi(L) = L log L - L, r = 0..4
@@ -177,10 +173,20 @@ class SymplecticPotential:
                 f"Hessian not positive definite at {x[worst]} "
                 f"(smallest eigenvalue {low[worst]:.3e})"
             ) from exc
-        Rinv = np.linalg.inv(R)
-        H = Rinv.swapaxes(-1, -2) @ Rinv
-        H = 0.5 * (H + H.swapaxes(-1, -2))
-        return HessianSample(x=x, G=G, H=H, Rinv=Rinv)
+        # R^{-1} by forward substitution and H = R^{-T} R^{-1}, one entry
+        # array over all points at a time; H comes out exactly symmetric.
+        n = G.shape[-1]
+        R = np.moveaxis(R, (-2, -1), (0, 1))
+        Rinv = np.zeros_like(R)
+        for i in range(n):
+            Rinv[i, i] = 1.0
+            for k in range(i):
+                Rinv[i, : k + 1] -= R[i, k] * Rinv[k, : k + 1]
+            Rinv[i, : i + 1] /= R[i, i]
+        H = np.empty_like(Rinv)
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            H[a, b] = H[b, a] = sum(Rinv[k, a] * Rinv[k, b] for k in range(b, n))
+        return HessianSample(x=x, G=G, H=np.moveaxis(H, (0, 1), (-2, -1)))
 
 
 class QuadraticPerturbedPotential(SymplecticPotential):
@@ -322,11 +328,6 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
 # -- operations ----------------------------------------------------------------
 
 
-def eval_grad_hess(u: SymplecticPotential, x) -> HessianSample:
-    """G and H of u at the interior point x."""
-    return u.sample(x)
-
-
 def validate(u: SymplecticPotential, samples: int = 40) -> dict:
     """Sample-based validity report for u.
 
@@ -354,21 +355,6 @@ def validate(u: SymplecticPotential, samples: int = 40) -> dict:
     ]
     worst = float(np.min(lowest, initial=np.inf))
     return {"passed": not failures, "worst_margin": worst, "failures": failures}
-
-
-def hc_diag(u_c: QuadraticPerturbedPotential, x) -> float:
-    """H[i][i] of a quadratic perturbation through the minor formula
-    det M_ii / (det G0 + c det M_ii), where M_ii deletes row and column i of
-    the unperturbed Hessian G0.  Deliberately independent of the inversion in
-    eval_grad_hess, as a cross-check."""
-    if not isinstance(u_c, QuadraticPerturbedPotential):
-        raise TypeError("hc_diag expects a quadratic_perturbed potential")
-    G0 = guillemin(u_c.polytope).hessian(x)
-    i = u_c.axis
-    minor = np.delete(np.delete(G0, i, axis=0), i, axis=1)
-    det_minor = float(np.linalg.det(minor)) if minor.size else 1.0
-    det_G0 = float(np.linalg.det(G0))
-    return det_minor / (det_G0 + u_c.c * det_minor)
 
 
 def dilation_limit_B(P: LabelledPolytope, x) -> np.ndarray:

@@ -8,13 +8,18 @@ minimum of the Rayleigh quotient
 over functions on the polytope.  The trial space is the span of monomials of
 total degree <= D, affinely normalized to the bounding box and mean-centered
 against the quadrature.  Every computed value is an upper bound for the true
-eigenvalue up to quadrature error; it is exact when the rule order is at
-least D + 1 and H is polynomial, as for the Guillemin potential.  Trial
-values and gradients come from one table of coordinate powers at the nodes.
-The mass matrix is one GEMM, (w V)^T V for the mean-centered trial values V.
-With G = R R^T at each node, the stiffness matrix is sum_i F_i^T F_i for
-F = sqrt(w) R^{-1} grad(phi).  The generalized problem A c = lambda M c is
-whitened on the eigenvectors of M = U diag(mass) U^T (one LAPACK `eigh`):
+eigenvalue up to quadrature error.  A rule of order at least D + 1 makes it
+exact when H is a polynomial of degree <= 2, as the Guillemin H is on
+products of simplices; elsewhere, e.g. the Guillemin H of a Hirzebruch
+polygon, H is rational and the quadrature error can put the value below the
+eigenvalue.  All monomials of degree <= D sit in one table V at the nodes,
+one row per exponent e, each the product x_j * x^(e - e_j) of an earlier
+row.  The mass matrix is one GEMM, (V w) V^T for the mean-centered rows.
+The gradient of a basis monomial is a scaled row of degree <= D - 1, so the
+stiffness matrix is sum_{j<=k} C_j^T K_jk C_k plus the transposes for j < k,
+with K_jk = V_low diag(w H_jk) V_low^T over those rows and C_j the scaled
+selection of the lowered exponents.  The generalized problem A c = lambda M c
+is whitened on the eigenvectors of M = U diag(mass) U^T (one LAPACK `eigh`):
 directions with mass <= B * eps * max(mass), numpy's `matrix_rank` tolerance
 for B basis functions, are dropped, and `eigh` of
 U^T A U / sqrt(mass_i mass_j) on the rest gives the Ritz values.  A sweep
@@ -61,39 +66,40 @@ class MassSingular(SpectralError):
     B * eps * max(mass), so the trial space is empty."""
 
 
-def _power_table(xhat: np.ndarray, degree: int) -> np.ndarray:
-    """xhat_i^p for p = 0..degree, shape (..., n, degree + 1)."""
-    return xhat[..., None] ** np.arange(degree + 1)
-
-
-def _monomials(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """xhat^e for every row e of the (B, n) exponent array, shape (..., B)."""
-    out = table[..., 0, :].take(exponents[:, 0], axis=-1)
-    for i in range(1, exponents.shape[1]):
-        out = out * table[..., i, :].take(exponents[:, i], axis=-1)
+def _monomial_exponents(n: int, degree: int) -> list:
+    """Every exponent of total degree <= degree in (sum(e), e) order; the
+    zero exponent comes first."""
+    out = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
+    out.sort(key=lambda e: (sum(e), e))
     return out
 
 
-def _monomial_gradients(table, exponents, halfwidth) -> list:
-    """d/dx_j of every monomial, one (..., B) array per coordinate j."""
-    grads = []
-    for j in range(exponents.shape[1]):
-        lowered = exponents.copy()
-        lowered[:, j] = np.maximum(lowered[:, j] - 1, 0)
-        grads.append(_monomials(table, lowered) * (exponents[:, j] / halfwidth[j]))
-    return grads
+def _monomial_table(X: np.ndarray, exponents: list) -> np.ndarray:
+    """Row i is X^e for e = exponents[i], shape (len(exponents), ...) for X of
+    shape (n, ...).  The exponents are those of `_monomial_exponents`, so row
+    e is one multiply of an earlier row, X_j * X^(e - e_j) with j the last
+    nonzero axis of e."""
+    index = {e: i for i, e in enumerate(exponents)}
+    V = np.empty((len(exponents),) + X.shape[1:])
+    V[0] = 1.0
+    for i, e in enumerate(exponents[1:], 1):
+        j = max(k for k, p in enumerate(e) if p)
+        np.multiply(X[j], V[index[e[:j] + (e[j] - 1,) + e[j + 1 :]]], out=V[i, ...])
+    return V
 
 
-def _stiffness(S: np.ndarray, grads: list) -> np.ndarray:
-    """sum_i F_i^T F_i with F_i = sum_j S[:, i, j] grads[j]: the stiffness
-    matrix when S = sqrt(w) R^{-1} for G = R R^T at each node."""
-    A = 0.0
-    for i in range(len(grads)):
-        F = S[:, i, 0, None] * grads[0]
-        for j in range(1, len(grads)):
-            F += S[:, i, j, None] * grads[j]
-        A = A + F.T @ F
-    return A
+def _lowered(exponents, rows_of, halfwidth) -> list:
+    """d/dx_j xhat^e = (e_j / halfwidth_j) xhat^(e - e_j): for each axis j, the
+    table rows of e - e_j and the factors e_j / halfwidth_j for the exponents
+    e, with row 0 and factor 0 where e_j = 0."""
+    E = np.array(exponents, dtype=int).reshape(len(exponents), -1)
+    out = []
+    for j in range(E.shape[1]):
+        lowered = E.copy()
+        lowered[:, j] -= 1
+        rows = [rows_of.get(tuple(e), 0) for e in lowered]
+        out.append((np.array(rows, dtype=int), E[:, j] / halfwidth[j]))
+    return out
 
 
 class TrialFunction:
@@ -106,18 +112,25 @@ class TrialFunction:
         self.exponents = tuple(tuple(e) for e in exponents)
         self.center = np.asarray(center, dtype=float)
         self.halfwidth = np.asarray(halfwidth, dtype=float)
-        self._E = np.array(self.exponents, dtype=int).reshape(len(self.exponents), -1)
+        degree = max((sum(e) for e in self.exponents), default=0)
+        self._table_exponents = _monomial_exponents(len(self.center), degree)
+        rows_of = {e: i for i, e in enumerate(self._table_exponents)}
+        self._rows = [rows_of[e] for e in self.exponents]
+        self._lowered = _lowered(self.exponents, rows_of, self.halfwidth)
 
     def _table(self, x) -> np.ndarray:
         xhat = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
-        return _power_table(xhat, int(self._E.max(initial=0)))
+        return _monomial_table(np.moveaxis(xhat, -1, 0), self._table_exponents)
 
     def value(self, x) -> np.ndarray:
-        return _monomials(self._table(x), self._E) @ self.coeffs
+        return np.tensordot(self.coeffs, self._table(x)[self._rows], axes=1)
 
     def gradient(self, x) -> np.ndarray:
-        grads = _monomial_gradients(self._table(x), self._E, self.halfwidth)
-        return np.stack([g @ self.coeffs for g in grads], axis=-1)
+        V = self._table(x)
+        return np.stack(
+            [np.tensordot(self.coeffs * scale, V[rows], axes=1) for rows, scale in self._lowered],
+            axis=-1,
+        )
 
 
 @dataclass(frozen=True)
@@ -157,11 +170,6 @@ def _require_matching(u: SymplecticPotential, Q: QuadratureRule):
         raise ValueError("quadrature was built for a different polytope than the potential")
 
 
-def _weighted_factors(u: SymplecticPotential, Q: QuadratureRule) -> np.ndarray:
-    """sqrt(w_q) R_q^{-1} with Hess u = R R^T at every node, shape (m, n, n)."""
-    return np.sqrt(Q.weights)[:, None, None] * u.sample(Q.nodes).Rinv
-
-
 def rayleigh_quotient(u: SymplecticPotential, f, Q: QuadratureRule) -> float:
     """integral H(df, df) / integral (f - fbar)^2 by quadrature; an upper
     bound for lambda1T up to quadrature error.  f evaluates value(x) and
@@ -170,8 +178,7 @@ def rayleigh_quotient(u: SymplecticPotential, f, Q: QuadratureRule) -> float:
     w = Q.weights
     vals = np.asarray(f.value(Q.nodes), dtype=float)
     grads = np.asarray(f.gradient(Q.nodes), dtype=float)
-    columns = [grads[:, j, None] for j in range(grads.shape[1])]
-    numerator = float(_stiffness(_weighted_factors(u, Q), columns)[0, 0])
+    numerator = float(np.einsum("qj,qjk,qk->", grads * w[:, None], u.sample(Q.nodes).H, grads))
     fbar = float(w @ vals) / float(np.sum(w))
     centered = vals - fbar
     denominator = float(w @ centered**2)
@@ -181,21 +188,11 @@ def rayleigh_quotient(u: SymplecticPotential, f, Q: QuadratureRule) -> float:
     return numerator / denominator
 
 
-def _monomial_exponents(n: int, degree: int) -> list:
-    out = [
-        e
-        for e in itertools.product(range(degree + 1), repeat=n)
-        if 1 <= sum(e) <= degree
-    ]
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
 def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     """One `RitzResult` per potential on the span of mean-centered monomials
-    of total degree <= degree.  The power table, the mass matrix with its
-    eigh and the monomial gradients depend only on the rule, so they are
-    built once; each potential adds its stiffness matrix and one eigh."""
+    of total degree <= degree.  The monomial table and the mass matrix with
+    its eigh depend only on the rule, so they are built once; each potential
+    adds its stiffness matrix and one eigh."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     for u in potentials:
@@ -208,18 +205,17 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     center = (lo_f + hi_f) / 2.0
     halfwidth = np.maximum((hi_f - lo_f) / 2.0, 1e-12)
 
-    exponents = _monomial_exponents(n, degree)
-    E = np.array(exponents)
+    exponents = _monomial_exponents(n, degree)  # the constant first
     w = Q.weights
-    table = _power_table((Q.nodes - center) / halfwidth, degree)
-    vals = _monomials(table, E)  # (m, B)
-    vals -= (w @ vals) / float(np.sum(w))  # mean-zero against the rule
-    M = (vals * w[:, None]).T @ vals
+    V = _monomial_table(((Q.nodes - center) / halfwidth).T, exponents)  # (B + 1, m)
+    vals = V[1:] - (V[1:] @ w)[:, None] / float(np.sum(w))  # mean-zero against the rule
+    M = (vals * w) @ vals.T
     del vals
-    # Sample the potentials before the gradient tables exist, so that the
-    # sampling temporaries and the tables are never held at once.
-    factors = [_weighted_factors(u, Q) for u in potentials]
-    grads = _monomial_gradients(table, E, halfwidth)
+    # The basis gradients are scaled rows of degree <= degree - 1, which come
+    # first in V; the stiffness matrix is assembled from them as the module
+    # docstring says.
+    V_low = V[: sum(1 for e in exponents if sum(e) < degree)]
+    lowered = _lowered(exponents[1:], {e: i for i, e in enumerate(exponents)}, halfwidth)
 
     # Whiten on the eigenvectors of M, keeping the directions above numpy's
     # matrix_rank tolerance; eigh reads one triangle, so neither matrix needs
@@ -230,10 +226,19 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
         raise MassSingular("mass matrix is numerically zero")
     mass, U = mass[keep], U[:, keep]
     root = np.sqrt(mass)
+    weighted = np.empty_like(V_low)  # the one (B0, m) temporary
     results = []
-    for S in factors:
-        A_kept = U.T @ _stiffness(S, grads) @ U
+    for u in potentials:
+        H = u.sample(Q.nodes).H
+        A = 0.0
+        for j, k in itertools.combinations_with_replacement(range(n), 2):
+            (rows_j, scale_j), (rows_k, scale_k) = lowered[j], lowered[k]
+            K = np.multiply(V_low, w * H[:, j, k], out=weighted) @ V_low.T
+            block = scale_j[:, None] * K[np.ix_(rows_j, rows_k)] * scale_k
+            A = A + (block if j == k else block + block.T)
+        A_kept = U.T @ A @ U
         eigs, vecs = np.linalg.eigh(A_kept / np.outer(root, root))
+        spread = np.abs(np.linalg.eigvalsh(A_kept))
         results.append(
             RitzResult(
                 degree=degree,
@@ -242,8 +247,8 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
                 lambda1T=float(eigs[0]),
                 eigvec=U @ (vecs[:, 0] / root),
                 mass_condition=float(mass[-1] / mass[0]),
-                stiffness_condition=float(np.linalg.cond(A_kept)),
-                exponents=tuple(exponents),
+                stiffness_condition=float(spread.max() / spread.min()),
+                exponents=tuple(exponents[1:]),
                 center=center,
                 halfwidth=halfwidth,
                 quad_nodes=len(w),

@@ -507,3 +507,85 @@ def reference_poly_gradient_hessian(p, x):
         for j in range(i, n):
             H[i, j] = H[j, i] = p.derivative(i).derivative(j)._value_t(coords)
     return grad, H.T
+
+
+def hc_diag(u_c, x) -> float:
+    """H[i][i] of a quadratic perturbation u0 + (c/2) x_i^2 through the minor
+    formula det M_ii / (det G0 + c det M_ii), where M_ii deletes row and
+    column i of the Guillemin Hessian G0 = 1/2 sum_k nu_k nu_k^T / L_k.
+    Independent of the Cholesky inversion in `sample`."""
+    A = np.array(u_c.polytope.normals, dtype=float)
+    c = np.array([float(v) for v in u_c.polytope.offsets])
+    L = A @ np.asarray(x, dtype=float) + c
+    G0 = 0.5 * np.einsum("k,ki,kj->ij", 1.0 / L, A, A)
+    i = u_c.axis
+    minor = np.delete(np.delete(G0, i, axis=0), i, axis=1)
+    det_minor = float(np.linalg.det(minor)) if minor.size else 1.0
+    det_G0 = float(np.linalg.det(G0))
+    return det_minor / (det_G0 + u_c.c * det_minor)
+
+
+def mp_guillemin_ritz_eigenvalues(P, nodes, weights, degree, center, halfwidth, digits=40):
+    """Ritz eigenvalues of the Guillemin metric on the mean-centred monomials
+    of total degree 1..degree in xhat = (x - center)/halfwidth, assembled and
+    solved in `digits`-digit mpmath arithmetic on the given nodes and weights
+    (converted exactly).  G = 1/2 sum_k nu_k nu_k^T / L_k is built from the
+    exact facets and inverted per node; the generalized problem is reduced by
+    a Cholesky factor of the mass matrix and solved by `mpmath.eigsy`."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        normals = [[mp.mpf(v) for v in nu] for nu in P.normals]
+        offsets = [mp.mpf(c.numerator) / c.denominator for c in map(Fraction, P.offsets)]
+        ctr = [mp.mpf(float(v)) for v in center]
+        half = [mp.mpf(float(v)) for v in halfwidth]
+        w = [mp.mpf(float(v)) for v in weights]
+        n = P.dim
+        exps = [
+            e for e in itertools.product(range(degree + 1), repeat=n) if 1 <= sum(e) <= degree
+        ]
+
+        def monomial(xh, e):
+            return mp.fprod(xh[i] ** e[i] for i in range(n))
+
+        vals, grads, Hs = [], [], []
+        for x in nodes:
+            x = [mp.mpf(float(v)) for v in x]
+            L = [mp.fdot(nu, x) + c for nu, c in zip(normals, offsets)]
+            G = mp.matrix(n, n)
+            for nu, Lk in zip(normals, L):
+                for i in range(n):
+                    for j in range(n):
+                        G[i, j] += nu[i] * nu[j] / (2 * Lk)
+            Hs.append(G**-1)
+            xh = [(x[i] - ctr[i]) / half[i] for i in range(n)]
+            vals.append([monomial(xh, e) for e in exps])
+            grads.append(
+                [
+                    [
+                        e[j] / half[j] * monomial(xh, tuple(p - (i == j) for i, p in enumerate(e)))
+                        if e[j]
+                        else mp.mpf(0)
+                        for j in range(n)
+                    ]
+                    for e in exps
+                ]
+            )
+        total = mp.fsum(w)
+        B = len(exps)
+        means = [mp.fdot(w, [v[a] for v in vals]) / total for a in range(B)]
+        centred = [[v[a] - means[a] for a in range(B)] for v in vals]
+        Hg = [
+            [[mp.fdot([H[i, j] for j in range(n)], g[b]) for i in range(n)] for b in range(B)]
+            for H, g in zip(Hs, grads)
+        ]
+        M, A = mp.matrix(B, B), mp.matrix(B, B)
+        for a in range(B):
+            for b in range(a, B):
+                M[a, b] = M[b, a] = mp.fsum(wq * v[a] * v[b] for wq, v in zip(w, centred))
+                A[a, b] = A[b, a] = mp.fsum(
+                    wq * mp.fdot(g[a], h[b]) for wq, g, h in zip(w, grads, Hg)
+                )
+        Linv = mp.cholesky(M) ** -1
+        eigs = mp.eigsy(Linv * A * Linv.T, eigvals_only=True)
+        return np.array(sorted(float(v) for v in eigs))

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from oracles import (
+    hc_diag,
     interval_midpoint_integral,
     simplex2_centroid_integral,
     sturm_liouville_lambda1,
@@ -24,7 +25,6 @@ from toriceig import (
     example_path,
     example_polytope,
     guillemin,
-    hc_diag,
     ke_check,
     lambda1_invariant,
     psi_diag,

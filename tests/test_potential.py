@@ -9,18 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_validate
+from oracles import hc_diag, reference_validate
 from toriceig import (
     LabelledPolytope,
     MultiPoly,
     build_quadrature,
     dilation,
     dilation_limit_B,
-    eval_grad_hess,
     example_polytope,
     guillemin,
     guillemin_plus_poly,
-    hc_diag,
     ke_check,
     lambda1_invariant,
     potential_from_spec,
@@ -57,23 +55,23 @@ KINDS = {
 class TestEvalGradHess:
     @pytest.mark.parametrize("x", [0.1, 0.37, 0.5, 0.9])
     def test_guillemin_interval(self, x):
-        s = eval_grad_hess(guillemin(interval01), [x])
+        s = guillemin(interval01).sample([x])
         assert s.G[0, 0] == pytest.approx(1.0 / (2 * x * (1 - x)), rel=1e-12)
         assert s.H[0, 0] == pytest.approx(2 * x * (1 - x), rel=1e-12)
 
     def test_guillemin_simplex_center(self):
-        s = eval_grad_hess(guillemin(simplex2), [1 / 3, 1 / 3])
+        s = guillemin(simplex2).sample([1 / 3, 1 / 3])
         assert np.allclose(s.G, 1.5 * np.array([[2.0, 1.0], [1.0, 2.0]]), atol=1e-12)
         assert np.allclose(np.linalg.eigvalsh(s.G), [1.5, 4.5], atol=1e-12)
 
     @pytest.mark.parametrize("s_par,expected", [(2.0, 4.0 / 3.0), (3.0, 9.0 / 8.0)])
     def test_dilation_center(self, s_par, expected):
-        samp = eval_grad_hess(dilation(intervalC, s_par), [0.0])
+        samp = dilation(intervalC, s_par).sample([0.0])
         assert samp.H[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_guard(self):
         with pytest.raises(BoundaryPoint):
-            eval_grad_hess(guillemin(interval01), [1e-12])
+            guillemin(interval01).sample([1e-12])
 
     def test_gh_inverse_and_symmetry(self):
         for u in (
@@ -82,7 +80,7 @@ class TestEvalGradHess:
             dilation(square.translated(square.vertex_barycenter()), 1.5),
         ):
             for x in interior_points(u.polytope, 10):
-                s = eval_grad_hess(u, x)
+                s = u.sample(x)
                 assert np.max(np.abs(s.G - s.G.T)) < 1e-12
                 assert np.max(np.abs(s.H - s.H.T)) < 1e-12
                 assert np.max(np.abs(s.G @ s.H - np.eye(u.polytope.dim))) < 1e-10
@@ -214,7 +212,7 @@ class TestValidate:
     def test_sampling_bad_hessian_raises(self):
         u = guillemin_plus_poly(interval01, MultiPoly(1, {(2,): -10.0}), check=False)
         with pytest.raises(NotPositiveDefinite):
-            eval_grad_hess(u, [0.5])  # Hessian is 2 - 20 < 0 there
+            u.sample([0.5])  # Hessian is 2 - 20 < 0 there
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
@@ -231,7 +229,7 @@ class TestMinorFormula:
         base = guillemin(simplex2)
         for x in interior_points(simplex2, 6):
             assert hc_diag(u0, x) == pytest.approx(
-                eval_grad_hess(base, x).H[0, 0], rel=1e-12
+                base.sample(x).H[0, 0], rel=1e-12
             )
 
     def test_square_center(self):
@@ -245,7 +243,7 @@ class TestMinorFormula:
         for P, axis in ((simplex2, 0), (square, 1)):
             u = quadratic_perturbed(P, axis, c)
             for x in interior_points(P, 10):
-                direct = eval_grad_hess(u, x).H[axis, axis]
+                direct = u.sample(x).H[axis, axis]
                 assert hc_diag(u, x) == pytest.approx(direct, rel=1e-10)
 
     def test_determinant_identity_50_points(self):

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     box_midpoint_integral,
     interval_midpoint_integral,
+    mp_guillemin_ritz_eigenvalues,
     sturm_liouville_lambda1,
 )
 from toriceig import (
@@ -117,14 +118,36 @@ class TestLambda1:
         result = lambda1_invariant(guillemin(simplex2), degree, Q)
         assert result.lambda1T == pytest.approx(6.0, abs=5e-3)
 
-    def test_result_invariants(self):
-        Q = build_quadrature(simplex2, 3, 2)
-        u = guillemin(simplex2)
-        result = lambda1_invariant(u, 5, Q)
+    @pytest.mark.parametrize(
+        "u,degree,order,depth",
+        [
+            (guillemin(simplex2), 5, 3, 2),
+            (guillemin(cube), 6, 3, 1),
+            (dilation(square, 1.5), 5, 3, 2),
+        ],
+        ids=["simplex2", "cube", "square-dilation"],
+    )
+    def test_result_invariants(self, u, degree, order, depth):
+        # the Rayleigh quotient of the eigenfunction, from H at the nodes,
+        # checks every K_jk block of the assembled stiffness matrix
+        Q = build_quadrature(u.polytope, order, depth)
+        result = lambda1_invariant(u, degree, Q)
         assert result.lambda1T > 0
         assert np.all(np.diff(result.eigenvalues) >= -1e-9)
         quotient = rayleigh_quotient(u, result.eigenfunction(), Q)
         assert quotient == pytest.approx(result.lambda1T, rel=1e-8)
+
+    def test_eigenfunction_at_one_point(self):
+        # a point of shape (n,) gives the row of a batch, up to the order of
+        # the coefficient sums
+        Q = build_quadrature(square, 3, 1)
+        f = lambda1_invariant(guillemin(square), 4, Q).eigenfunction()
+        X = Q.nodes[:5]
+        values, grads = f.value(X), f.gradient(X)
+        for q, x in enumerate(X):
+            assert f.value(x).shape == () and f.gradient(x).shape == (2,)
+            np.testing.assert_allclose(f.value(x), values[q], rtol=1e-13)
+            np.testing.assert_allclose(f.gradient(x), grads[q], rtol=1e-13)
 
     @pytest.mark.parametrize(
         "make_u,P",
@@ -236,24 +259,23 @@ def reference_eigenvalues(u, degree, Q):
 
 class TestBatchedCore:
     @pytest.mark.parametrize(
-        "P,depth",
-        [
-            (simplex2, 2),
-            (
-                LabelledPolytope(
-                    3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
-                        ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
-                ),
-                1,
-            ),
-        ],
+        "P,depth,digits",
+        [(simplex2, 2, 40), (cube, 1, None)],
         ids=["simplex2", "cube"],
     )
-    def test_eigenvalues_match_node_by_node_reference(self, P, depth):
+    def test_eigenvalues_match_node_by_node_reference(self, P, depth, digits):
+        # simplex2 against 40-digit arithmetic, because the float64
+        # reference is itself 6.1e-12 off there; on the cube the code agrees
+        # with the float64 reference to 1.7e-13
         Q = build_quadrature(P, 3, depth)
         u = guillemin(P)
         result = lambda1_invariant(u, 4, Q)
-        ref = reference_eigenvalues(u, 4, Q)
+        if digits is None:
+            ref = reference_eigenvalues(u, 4, Q)
+        else:
+            ref = mp_guillemin_ritz_eigenvalues(
+                P, Q.nodes, Q.weights, 4, result.center, result.halfwidth, digits
+            )
         assert result.basis_size == len(ref)
         assert np.max(np.abs(result.eigenvalues - ref) / np.abs(ref)) < 1e-12
 
@@ -365,11 +387,11 @@ class TestSharedTrialSpace:
         for s, lam in result.rows:
             assert lam == lambda1_invariant(dilation(square, s), 4, Q).lambda1T
 
-    def test_power_table_built_once_per_sweep(self, monkeypatch):
+    def test_monomial_table_built_once_per_sweep(self, monkeypatch):
         calls = []
-        original = spectral._power_table
+        original = spectral._monomial_table
         monkeypatch.setattr(
-            spectral, "_power_table", lambda *args: calls.append(1) or original(*args)
+            spectral, "_monomial_table", lambda *args: calls.append(1) or original(*args)
         )
         sweep_uc(interval01, 0, [0, 1, 10, 100], degree=4)
         assert len(calls) == 1
