@@ -5,13 +5,16 @@ by affine inequalities L_i(x) = <x, nu_i> + c_i >= 0 with primitive integer
 inward normals nu_i and rational offsets c_i.  Everything in this module
 (membership, vertices, lattice enumeration, the shrunk polytopes P_k and the
 eigenvalue bound they produce) is exact, so reruns are bit-identical.
-Vertices and offsets are `fractions.Fraction`; each vertex solves n facet
-equations by Cramer's rule.  Boundedness, non-redundancy of a facet and the
-combinatorial type are read from the vertex active sets, because the edges
-of a simple n-polytope are the (n-1)-subsets of those sets, each shared by
-exactly two vertices (Ziegler, Lectures on Polytopes, ch. 3).  The lattice
-scan decides membership of j/k and the facet minima L_min in integers, from
-<nu_i, j> >= ceil(-k c_i), and builds `Fraction` values only for its output.
+The arithmetic is in integers, and `fractions.Fraction` values are made
+only for what is reported: vertex coordinates, offsets and L_min.  Each
+n-subset of facets is solved by Cramer's rule over the offsets scaled to
+integers, which gives the vertex active sets exactly.  Boundedness,
+non-redundancy of a facet and the combinatorial type are read from those
+sets, because the edges of a simple n-polytope are the (n-1)-subsets of
+them, each shared by exactly two vertices (Ziegler, Lectures on Polytopes,
+ch. 3).  The lattice scan is one numpy pass over the bounding box of k P: it
+decides membership of j/k from <nu_i, j> >= ceil(-k c_i) and returns the
+numerators j as an integer array.
 """
 
 from __future__ import annotations
@@ -84,12 +87,12 @@ class DegenerateN(PolytopeError):
 
 
 # ---------------------------------------------------------------------------
-# exact determinants and Cramer's rule
+# exact determinants
 
 
-def _det(rows: Sequence[Sequence]) -> Fraction | int:
-    """Exact determinant of integer or `Fraction` entries: closed forms for
-    n <= 3, cofactor expansion along the first row beyond."""
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix: closed forms for n <= 3,
+    cofactor expansion along the first row beyond."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -103,18 +106,6 @@ def _det(rows: Sequence[Sequence]) -> Fraction | int:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         det += (-1) ** j * rows[0][j] * _det(minor)
     return det
-
-
-def _solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]):
-    """Solve an n x n system with integer rows and rational right-hand side
-    by Cramer's rule, x_j = det(A_j) / det(A); None if singular."""
-    det = _det(rows)
-    if det == 0:
-        return None
-    return tuple(
-        _det([(*row[:j], b, *row[j + 1 :]) for row, b in zip(rows, rhs)]) / det
-        for j in range(len(rows))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +122,15 @@ class Vertex:
 @dataclass(frozen=True)
 class LatticeData:
     """P intersected with Z^n/k: the points, the count N_k, the facet minima
-    L_min(i, k) and the shrunk polytope P_k = {L_i >= L_min(i, k)}."""
+    L_min(i, k) and the shrunk polytope P_k = {L_i >= L_min(i, k)}.
+
+    `points` is a read-only (N_k + 1, n) integer array of numerators, in
+    lexicographic order: row j is the point j/k.  Its dtype is int64, or
+    object (Python ints) when some numerator leaves the int64 range.
+    """
 
     k: int
-    points: tuple
+    points: np.ndarray
     n_k: int
     l_min: tuple
     shrunk: "LabelledPolytope"
@@ -206,6 +202,7 @@ class LabelledPolytope:
         self.normals = tuple(normals)
         self.offsets = tuple(offsets)
         self._vertices: Optional[tuple] = None
+        self._box: Optional[tuple] = None
         self._float_facets: Optional[tuple] = None
         if validate:
             if len(normals) < dim + 1:
@@ -244,41 +241,64 @@ class LabelledPolytope:
         Raises UnboundedOrEmpty / NonSimple when the halfspace data does not
         describe a compact simple polytope with interior.
         """
-        if self._vertices is not None:
-            return self._vertices
-        n, d = self.dim, self.num_facets
+        if self._vertices is None:
+            verts = (
+                Vertex(tuple(Fraction(x, den) for x in num), active)
+                for active, (num, den) in self._vertex_table().items()
+            )
+            self._vertices = tuple(sorted(verts, key=lambda v: v.coords))
+        return self._vertices
+
+    def _vertex_table(self) -> dict:
+        """{active set: (numerators, denominator)} of the vertices, checked
+        for simplicity, boundedness and interior; the vertex is
+        numerators / denominator.
+
+        With b = D c for D the lcm of the offset denominators, Cramer's rule
+        on an n-subset of facets gives x = num / (D det) with num and det
+        Python ints, and D det L_i(x) = <nu_i, num> + det b_i, whose sign and
+        zeros are exact.  An active set determines its vertex, so it is the
+        key, in the order of the first n-subset that reaches the vertex.
+        """
+        n = self.dim
+        D = math.lcm(*(c.denominator for c in self.offsets))
+        b = [c.numerator * (D // c.denominator) for c in self.offsets]
         found: dict = {}
-        for subset in itertools.combinations(range(d), n):
+        for subset in itertools.combinations(range(self.num_facets), n):
             rows = [self.normals[i] for i in subset]
-            rhs = [-self.offsets[i] for i in subset]
-            x = _solve_square(rows, rhs)
-            if x is None:
+            det = _det(rows)
+            if det == 0:
                 continue
-            vals = self.defining_values(x)
+            rhs = [-b[i] for i in subset]
+            num = [
+                _det([(*row[:j], r, *row[j + 1 :]) for row, r in zip(rows, rhs)])
+                for j in range(n)
+            ]
+            if det < 0:
+                det, num = -det, [-x for x in num]
+            vals = [
+                sum(v * x for v, x in zip(nu, num)) + det * bi for nu, bi in zip(self.normals, b)
+            ]
             if any(v < 0 for v in vals):
                 continue
-            found[x] = tuple(i for i, v in enumerate(vals) if v == 0)
+            found.setdefault(tuple(i for i, v in enumerate(vals) if v == 0), (num, D * det))
         if not found:
             raise UnboundedOrEmpty("no feasible vertex; polytope is empty or contains a line")
-        for coords, active in found.items():
+        for active, (num, den) in found.items():
             if len(active) > n:
+                coords = tuple(Fraction(x, den) for x in num)
                 raise NonSimple(f"vertex {coords} lies on facets {active}")
         # At a simple vertex every n-1 of its n facets span an edge, and the
         # edge is bounded iff a second vertex has the same n-1 facets active;
         # a pointed polyhedron whose edges are all bounded is a polytope.
-        ends = Counter(
-            e for active in found.values() for e in itertools.combinations(active, n - 1)
-        )
+        ends = Counter(e for active in found for e in itertools.combinations(active, n - 1))
         if any(count != 2 for count in ends.values()):
             raise UnboundedOrEmpty("an edge has only one vertex; polytope is unbounded")
-        coords_sorted = sorted(found)
-        bary = tuple(
-            sum(c[i] for c in coords_sorted) / len(coords_sorted) for i in range(n)
-        )
-        if any(v <= 0 for v in self.defining_values(bary)):
+        # Every L_i >= 0 at the vertices, so L_i vanishes at their barycenter
+        # iff facet i is active at every vertex.
+        if set.intersection(*map(set, found)):
             raise UnboundedOrEmpty("empty interior: vertex barycenter lies on a facet")
-        self._vertices = tuple(Vertex(c, found[c]) for c in coords_sorted)
-        return self._vertices
+        return found
 
     def _validate(self):
         # A facet active at a simple vertex carries the n - 1 edges of that
@@ -291,11 +311,11 @@ class LabelledPolytope:
                 )
 
     def bounding_box(self) -> tuple:
-        """Exact per-axis (min, max) over the vertices."""
-        verts = self.vertices()
-        lo = tuple(min(v.coords[i] for v in verts) for i in range(self.dim))
-        hi = tuple(max(v.coords[i] for v in verts) for i in range(self.dim))
-        return lo, hi
+        """Exact per-axis (min, max) over the vertices, built on first use."""
+        if self._box is None:
+            axes = list(zip(*(v.coords for v in self.vertices())))
+            self._box = (tuple(map(min, axes)), tuple(map(max, axes)))
+        return self._box
 
     def vertex_barycenter(self) -> tuple:
         verts = self.vertices()
@@ -332,53 +352,59 @@ class LabelledPolytope:
         """Enumerate P  intersect  Z^n/k and derive L_min and the shrunk P_k."""
         if k < 1:
             raise ValueError("k must be a positive integer")
+        n = self.dim
         lo, hi = self.bounding_box()
-        ranges = [
-            range(math.ceil(k * lo[i]), math.floor(k * hi[i]) + 1)
-            for i in range(self.dim)
+        j0 = [-(-k * v.numerator // v.denominator) for v in lo]
+        size = [k * h.numerator // h.denominator - j + 1 for h, j in zip(hi, j0)]
+        # j/k lies in P iff <nu_i, j> >= ceil(-k c_i).  With j = j0 + i and i
+        # in the box [0, size), that is <nu_i, i> >= t_i.  Over each prefix of
+        # the first n-1 coordinates, in lexicographic order, facet i bounds
+        # the last coordinate from below (a > 0), from above (a < 0) or not
+        # at all.  Clamping t_i to the range of <nu_i, i> over the box keeps
+        # the scan in int64.
+        shift = [sum(v * j for v, j in zip(nu, j0)) for nu in self.normals]
+        prefix = np.indices(size[:-1]).reshape(n - 1, math.prod(size[:-1]))
+        sums = np.array([nu[:-1] for nu in self.normals], dtype=np.int64) @ prefix
+        first = np.zeros(prefix.shape[1], dtype=np.int64)
+        last = np.full(prefix.shape[1], size[-1] - 1)
+        for nu, c, s, row in zip(self.normals, self.offsets, shift, sums):
+            low = sum(v * (m - 1) for v, m in zip(nu, size) if v < 0)
+            high = sum(v * (m - 1) for v, m in zip(nu, size) if v > 0)
+            t = min(max(-(k * c.numerator // c.denominator) - s, low), high + 1)
+            a = nu[-1]
+            if a > 0:
+                np.maximum(first, -((row - t) // a), out=first)
+            elif a < 0:
+                np.minimum(last, (t - row) // a, out=last)
+            else:
+                last[row < t] = -1
+        keep = first <= last
+        if not keep.any():
+            raise EmptyLattice(f"P contains no point of Z^{n}/{k}")
+        prefix, sums, first, last = prefix[:, keep], sums[:, keep], first[keep], last[keep]
+        # L_min: <nu_i, i> is least at the end of each row that facet i bounds.
+        low_sums = [
+            int((row + nu[-1] * (first if nu[-1] > 0 else last)).min()) + s
+            for nu, row, s in zip(self.normals, sums, shift)
         ]
-        # j/k lies in P iff <nu_i, j> >= t_i = ceil(-k c_i).  Over each prefix
-        # of the first n-1 coordinates every facet bounds the last coordinate
-        # j_n from below (nu_in > 0), from above (nu_in < 0) or not at all.
-        facets = [
-            (nu[:-1], nu[-1], math.ceil(-k * c))
-            for nu, c in zip(self.normals, self.offsets)
-        ]
-        last = ranges[-1]
-        last_fracs = [Fraction(j, k) for j in last]
-        prefix_fracs = [{j: Fraction(j, k) for j in r} for r in ranges[:-1]]
-        points = []
-        low_sums = [math.inf] * len(facets)  # min <nu_i, j> over the points
-        for js in itertools.product(*ranges[:-1]):
-            sums = [sum(v * j for v, j in zip(head, js)) for head, _, _ in facets]
-            j_lo, j_hi = last.start, last.stop - 1
-            for s, (_, a, t) in zip(sums, facets):
-                if a > 0:
-                    j_lo = max(j_lo, -((s - t) // a))
-                elif a < 0:
-                    j_hi = min(j_hi, (t - s) // a)
-                elif s < t:  # the prefix itself lies outside facet i
-                    j_hi = j_lo - 1
-            if j_lo > j_hi:
-                continue
-            low_sums = [
-                min(m, s + a * (j_lo if a > 0 else j_hi))
-                for m, s, (_, a, _) in zip(low_sums, sums, facets)
-            ]
-            head = tuple(fr[j] for fr, j in zip(prefix_fracs, js))
-            points.extend(
-                head + (f,) for f in last_fracs[j_lo - last.start : j_hi - last.start + 1]
-            )
-        if not points:
-            raise EmptyLattice(f"P contains no point of Z^{self.dim}/{k}")
-        points = tuple(points)
-        l_min = tuple(Fraction(m, k) + c for m, c in zip(low_sums, self.offsets))
+        count = last - first + 1
+        rows = np.repeat(np.vstack((prefix, first)).T, count, axis=0)
+        rows[:, -1] += np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        if all(-(2**63) <= j and j + m <= 2**63 for j, m in zip(j0, size)):
+            points = rows + np.array(j0, dtype=np.int64)
+        else:  # a point leaves int64: the numerators become Python ints
+            points = rows.astype(object) + np.array(j0, dtype=object)
+        points.flags.writeable = False
         shrunk = LabelledPolytope(
-            self.dim,
-            [(nu, c - m) for nu, c, m in zip(self.normals, self.offsets, l_min)],
-            validate=False,
+            n, [(nu, Fraction(-m, k)) for nu, m in zip(self.normals, low_sums)], validate=False
         )
-        return LatticeData(k=k, points=points, n_k=len(points) - 1, l_min=l_min, shrunk=shrunk)
+        return LatticeData(
+            k=k,
+            points=points,
+            n_k=len(points) - 1,
+            l_min=tuple(Fraction(m, k) + c for m, c in zip(low_sums, self.offsets)),
+            shrunk=shrunk,
+        )
 
     def k0(self, k_max: int = 64) -> int:
         """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially."""
@@ -411,7 +437,7 @@ class LabelledPolytope:
                 for nu, c, m in zip(self.normals, self.offsets, data.l_min)
             ],
         )
-        count = len(kpk.lattice_points(1).points)
+        count = kpk.lattice_points(1).n_k + 1
         return {
             "k": k,
             "is_integral": kpk.is_integral(),
@@ -460,12 +486,10 @@ def same_combinatorial_type(P: LabelledPolytope, Q: LabelledPolytope) -> bool:
     if P.dim != Q.dim or P.normals != Q.normals:
         raise MismatchedNormals("combinatorial comparison needs identical normal lists")
     try:
-        verts_q = Q.vertices()
+        family_q = Q._vertex_table().keys()
     except (UnboundedOrEmpty, NonSimple):
         return False
-    family_p = {frozenset(v.active) for v in P.vertices()}
-    family_q = {frozenset(v.active) for v in verts_q}
-    return family_p == family_q
+    return family_q == {v.active for v in P.vertices()}
 
 
 # ---------------------------------------------------------------------------

@@ -91,20 +91,16 @@ def build_embedding(P: LabelledPolytope) -> EmbeddingData:
     lattice = P.lattice_points(1)
     if lattice.n_k + 1 < 2:
         raise PolytopeError("need at least two lattice points")
-    m0 = lattice.points[0]
+    m0 = tuple(lattice.points[0].tolist())
     translated = P.translated(m0)
-    points = tuple(
-        tuple(int(c - s) for c, s in zip(p, m0)) for p in lattice.points
-    )
-    exponents = np.array(
-        [[int(v) for v in translated.defining_values(p)] for p in points],
-        dtype=np.int64,
-    )
+    pts = (lattice.points - lattice.points[0]).astype(np.int64)
+    offsets = np.array([int(c) for c in translated.offsets], dtype=np.int64)
+    exponents = pts @ np.array(translated.normals, dtype=np.int64).T + offsets
     return EmbeddingData(
         polytope=translated,
         original=P,
-        m0=tuple(int(v) for v in m0),
-        points=points,
+        m0=m0,
+        points=tuple(map(tuple, pts.tolist())),
         exponents=exponents,
     )
 

@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,16 @@ F = Fraction
 
 def interval(lo, hi):
     return LabelledPolytope(1, [((1,), -F(lo)), ((-1,), F(hi))])
+
+
+def fractions(data):
+    """The points of `data` as `Fraction` tuples, after checking that they
+    are a read-only (N_k + 1, n) array of integer numerators."""
+    points = data.points
+    assert not points.flags.writeable
+    assert points.shape == (data.n_k + 1, data.shrunk.dim)
+    assert np.issubdtype(points.dtype, np.integer) or all(type(j) is int for j in points.flat)
+    return tuple(tuple(F(j, data.k) for j in row) for row in points.tolist())
 
 
 @pytest.fixture
@@ -141,7 +152,7 @@ class TestDelzantIntegral:
 class TestLattice:
     def test_simplex_k1(self, simplex2):
         data = simplex2.lattice_points(1)
-        assert data.points == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
+        assert fractions(data) == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
         assert data.n_k == 2
         assert data.l_min == (0, 0, 0)
         assert same_combinatorial_type(simplex2, data.shrunk)
@@ -149,7 +160,7 @@ class TestLattice:
     def test_three_halves_k1(self):
         P = interval(0, F(3, 2))
         data = P.lattice_points(1)
-        assert [p[0] for p in data.points] == [0, 1]
+        assert fractions(data) == ((0,), (1,))
         assert data.n_k == 1
         assert data.l_min == (0, F(1, 2))
         assert data.shrunk.offsets == (0, 1)  # P_1 = [0, 1]
@@ -157,7 +168,7 @@ class TestLattice:
     def test_third_k3(self):
         P = interval(0, F(1, 3))
         data = P.lattice_points(3)
-        assert [p[0] for p in data.points] == [0, F(1, 3)]
+        assert fractions(data) == ((0,), (F(1, 3),))
         assert data.n_k == 1
         assert data.l_min == (0, 0)
 
@@ -170,7 +181,7 @@ class TestLattice:
         assert kp % k == 0
         coarse = simplex2.lattice_points(k)
         fine = simplex2.lattice_points(kp)
-        assert set(coarse.points) <= set(fine.points)
+        assert set(fractions(coarse)) <= set(fractions(fine))
         assert all(f <= c for c, f in zip(coarse.l_min, fine.l_min))
 
     def test_shrunk_contained_and_exact(self):
@@ -185,7 +196,7 @@ class TestLattice:
     def test_rerun_bit_identical(self, simplex2):
         a = simplex2.lattice_points(3)
         b = simplex2.lattice_points(3)
-        assert a.points == b.points and a.l_min == b.l_min
+        assert fractions(a) == fractions(b) and a.l_min == b.l_min
 
 
 # Normals of the 2-D families whose GL(2, Z) images the scan is checked on, and
@@ -257,8 +268,7 @@ class TestIntegerScan:
                 P.lattice_points(k)
             return
         data = P.lattice_points(k)
-        assert data.points == ref_points
-        assert all(type(x) is F for p in data.points for x in p)
+        assert fractions(data) == ref_points
         assert data.n_k == len(ref_points) - 1
         assert data.l_min == ref_l_min
         assert all(type(m) is F for m in data.l_min)
@@ -279,6 +289,17 @@ class TestIntegerScan:
     def test_prisms(self, P, k):
         self.check(P, k)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_beyond_int64(self, sign):
+        # k j leaves int64 at 10**18: the numerators come back as Python ints
+        lo = (sign * 10**18 + F(1, 3), -sign * 10**18 - F(1, 2))
+        P = LabelledPolytope(
+            2,
+            [((1, 0), -lo[0]), ((0, 1), -lo[1]), ((-1, 0), lo[0] + 2), ((0, -1), lo[1] + F(3, 2))],
+        )
+        self.check(P, 12)
+        assert P.lattice_points(12).points.dtype == object
+
 
 def _outcome(build):
     """What `build` returns, or the class of the `PolytopeError` it raises."""
@@ -286,6 +307,71 @@ def _outcome(build):
         return build()
     except PolytopeError as exc:
         return type(exc)
+
+
+def _image(P, S, t):
+    """S P + t for S in GL(n, Z) and t in Z^n: the normals become S^-T nu and
+    the offsets c - <S^-T nu, t>, in the same facet order."""
+    W = np.rint(np.linalg.inv(S)).astype(int).T
+    facets = []
+    for nu, c in zip(P.normals, P.offsets):
+        mu = tuple(int(v) for v in W @ np.array(nu))
+        facets.append((mu, c - sum(m * s for m, s in zip(mu, t))))
+    return LabelledPolytope(P.dim, facets)
+
+
+@st.composite
+def lattice_maps(draw, dim):
+    """(S, t): S a product of `UNIMODULAR_STEPS` in 2-D and a signed
+    permutation otherwise, and t in Z^dim."""
+    if dim == 2:
+        S = np.eye(2, dtype=int)
+        for step in draw(st.lists(st.sampled_from(UNIMODULAR_STEPS), max_size=3)):
+            S = np.array(step) @ S
+    else:
+        S = np.zeros((dim, dim), dtype=int)
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+        S[range(dim), draw(st.permutations(range(dim)))] = signs
+    t = [draw(st.integers(-3, 3) | shifts) for _ in range(dim)]
+    return S.tolist(), t
+
+
+class TestLatticeInvariance:
+    """x -> Sx + t with S in GL(n, Z) and t in Z^n maps Z^n/k onto itself and
+    keeps L_i, so it keeps N_k, L_min, k0 and the bound, and maps the
+    numerators by j -> Sj + kt."""
+
+    @staticmethod
+    def check(P, k, S, t):
+        Q = _image(P, S, t)
+        got = _outcome(lambda: Q.lattice_points(k))
+        want = _outcome(lambda: P.lattice_points(k))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert (got.n_k, got.l_min) == (want.n_k, want.l_min)
+            mapped = sorted(
+                tuple(sum(a * b for a, b in zip(row, j)) + k * s for row, s in zip(S, t))
+                for j in want.points.tolist()
+            )
+            assert mapped == sorted(map(tuple, got.points.tolist()))
+        assert _outcome(Q.k0) == _outcome(P.k0)
+        assert _outcome(lambda: Q.bly_bound().bound) == _outcome(lambda: P.bly_bound().bound)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), P=boxes(), k=st.integers(1, 12))
+    def test_boxes(self, data, P, k):
+        self.check(P, k, *data.draw(lattice_maps(P.dim)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), P=unimodular_polygons(), k=st.integers(1, 12))
+    def test_unimodular_polygons(self, data, P, k):
+        self.check(P, k, *data.draw(lattice_maps(2)))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), P=prisms(), k=st.integers(1, 12))
+    def test_prisms(self, data, P, k):
+        self.check(P, k, *data.draw(lattice_maps(3)))
 
 
 PRIMITIVE = {
@@ -442,13 +528,11 @@ class TestHigherDimensions:
         b = box4.bly_bound()
         assert (b.n_k, b.bound) == (15, Fraction(2 * 4 * 16, 15))
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
+    def test_thread_count_does_not_change_output(self):
         P = example_polytope("simplex2")
-        monkeypatch.setenv("TORIC_THREADS", "1")
         one = P.lattice_points(5)
-        monkeypatch.setenv("TORIC_THREADS", "3")
         three = P.lattice_points(5)
-        assert one.points == three.points and one.l_min == three.l_min
+        assert np.array_equal(one.points, three.points) and one.l_min == three.l_min
 
 
 class TestLminTrend:

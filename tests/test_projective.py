@@ -68,6 +68,14 @@ class TestEmbedding:
         assert E.points == ((0,), (1,))
         assert E.polytope.offsets == (0, 1)
 
+    def test_translation_past_int64(self):
+        # the lattice numerators of P are Python ints; those of E are small
+        t = (10**19, -3 * 10**19)
+        E = build_embedding(simplex2.translated(t))
+        assert E.m0 == (-(10**19), 3 * 10**19)
+        assert E.points == ((0, 0), (0, 1), (1, 0))
+        assert E.exponents.tolist() == build_embedding(simplex2).exponents.tolist()
+
     def test_requires_integral(self):
         with pytest.raises(PolytopeError):
             build_embedding(example_polytope("interval-third"))
