@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: info, bound, lambda1t, sweep-uc, sweep-dilation, ke-check,
-balance, saturate.  Reports are JSON by default (sweeps can emit CSV); every
-report echoes the fully resolved configuration, and nothing is randomized, so
+Each subcommand is declared once, in `COMMANDS`, with its handler, help text
+and flags.  Reports are JSON by default (sweeps can emit CSV); every report
+echoes the parsed arguments as its "config", and nothing is randomized, so
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 validation failure (bad polytope, bad flags),
@@ -45,76 +45,6 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toriceig",
-        description="First-eigenvalue numerics for toric Kahler metrics from polytope data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, potential_flag=True, degree=True, quad=True):
-        p.add_argument("polytope", help="path to a polytope JSON file")
-        if potential_flag:
-            p.add_argument(
-                "--potential",
-                default="guillemin",
-                help='potential spec: "guillemin", "uc:i=<axis>,c=<float>", '
-                '"dilation:s=<float>", "poly:<coeff file>"',
-            )
-        if degree:
-            p.add_argument("--degree", type=int, default=6, help="trial polynomial degree")
-        if quad:
-            p.add_argument(
-                "--quad-order", type=int, default=3,
-                help=f"base rule order q in 1..{MAX_ORDER}, exact to degree 2q - 1",
-            )
-            p.add_argument("--quad-depth", type=int, default=2, help="uniform subdivisions")
-        p.add_argument(
-            "--output",
-            choices=("text", "json", "csv"),
-            default="json",
-            help="report format (csv only for sweeps)",
-        )
-
-    p = sub.add_parser("info", help="parse, normalize and describe a polytope")
-    add_common(p, potential_flag=False, degree=False, quad=False)
-
-    p = sub.add_parser("bound", help="lattice-point eigenvalue bounds")
-    add_common(p, potential_flag=False, degree=False, quad=False)
-    p.add_argument("--k", type=int, default=None, help="single refinement to evaluate")
-    p.add_argument("--k-max", type=int, default=64, help="search cutoff for k0")
-
-    p = sub.add_parser("lambda1t", help="Ritz upper bound for the first invariant eigenvalue")
-    add_common(p)
-
-    p = sub.add_parser("sweep-uc", help="lambda1T along the quadratic perturbation family")
-    add_common(p, potential_flag=False)
-    p.add_argument("--c", type=_float_list, required=True, help="ascending list, e.g. 0,1,10")
-    p.add_argument("--axis", type=int, default=0, help="perturbed coordinate axis")
-
-    p = sub.add_parser("sweep-dilation", help="lambda1T along the dilation family")
-    add_common(p, potential_flag=False)
-    p.add_argument("--s", type=_float_list, required=True, help="decreasing list > 1, e.g. 2,1.5,1.1")
-
-    p = sub.add_parser("ke-check", help="Kahler-Einstein moment-map eigenfunction test")
-    add_common(p, degree=False, quad=False)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--samples", type=int, default=40)
-
-    p = sub.add_parser("balance", help="balanced weights for the lattice embedding")
-    add_common(p, degree=False)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
-
-    p = sub.add_parser("saturate", help="bounds, balance and saturation in one report")
-    add_common(p, degree=False)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--k-max", type=int, default=64)
-
-    return parser
-
-
 def _emit(report: dict, output: str) -> str:
     if output == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -131,24 +61,12 @@ def _emit(report: dict, output: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config(args, extra=None) -> dict:
-    cfg = {"command": args.command, "polytope": args.polytope, "output": args.output}
-    for name in ("potential", "degree", "quad_order", "quad_depth", "k", "k_max", "tol",
-                 "max_iter", "samples", "axis"):
-        if hasattr(args, name):
-            cfg[name] = getattr(args, name)
-    if getattr(args, "c", None) is not None:
-        cfg["c"] = args.c
-    if getattr(args, "s", None) is not None:
-        cfg["s"] = args.s
-    if extra:
-        cfg.update(extra)
-    return cfg
+def _rule(args, P: LabelledPolytope):
+    return build_quadrature(P, args.quad_order, args.quad_depth)
 
 
 def _cmd_info(args, P: LabelledPolytope) -> dict:
     return {
-        "config": _config(args),
         "polytope": polytope_to_dict(P),
         "dim": P.dim,
         "num_facets": P.num_facets,
@@ -162,11 +80,7 @@ def _cmd_bound(args, P: LabelledPolytope) -> dict:
     if not P.is_delzant():
         raise PolytopeError("bounds require a Delzant polytope")
     report = bound_report(P, k_max=args.k_max)
-    out = {
-        "config": _config(args),
-        "is_integral": P.is_integral(),
-        **report.to_dict(),
-    }
+    out = {"is_integral": P.is_integral(), **report.to_dict()}
     if args.k is not None:
         if args.k < report.k0:
             raise PrematureK(f"k={args.k} is below k0={report.k0}")
@@ -174,37 +88,31 @@ def _cmd_bound(args, P: LabelledPolytope) -> dict:
     return out
 
 
-def _rule(args, P: LabelledPolytope):
-    return build_quadrature(P, args.quad_order, args.quad_depth)
-
-
 def _cmd_lambda1t(args, P: LabelledPolytope) -> dict:
     u = potential_from_spec(P, args.potential)
-    result = lambda1_invariant(u, args.degree, _rule(args, P))
-    return {"config": _config(args), **result.to_dict()}
+    return lambda1_invariant(u, args.degree, _rule(args, P)).to_dict()
 
 
-def _cmd_sweep(args, P: LabelledPolytope, kind: str):
-    if kind == "uc":
-        result = sweep_uc(P, args.axis, args.c, degree=args.degree, Q=_rule(args, P))
-    else:
-        result = sweep_dilation(P, args.s, degree=args.degree, Q=_rule(args, P))
-    if args.output == "csv":
-        return result.to_csv()
-    return {"config": _config(args), **result.to_dict()}
+def _cmd_sweep_uc(args, P: LabelledPolytope):
+    result = sweep_uc(P, args.axis, args.c, degree=args.degree, Q=_rule(args, P))
+    return result.to_csv() if args.output == "csv" else result.to_dict()
+
+
+def _cmd_sweep_dilation(args, P: LabelledPolytope):
+    result = sweep_dilation(P, args.s, degree=args.degree, Q=_rule(args, P))
+    return result.to_csv() if args.output == "csv" else result.to_dict()
 
 
 def _cmd_ke_check(args, P: LabelledPolytope) -> dict:
     u = potential_from_spec(P, args.potential)
-    report = geometry.ke_check(u, samples=args.samples, tol=args.tol)
-    return {"config": _config(args), **report.to_dict()}
+    return geometry.ke_check(u, samples=args.samples, tol=args.tol).to_dict()
 
 
 def _cmd_balance(args, P: LabelledPolytope) -> dict:
     E = build_embedding(P)
     u = potential_from_spec(E.polytope, args.potential)
     weights = balance(E, u, _rule(args, E.polytope), tol=args.tol, max_iter=args.max_iter)
-    return {"config": _config(args), "balance": weights.to_dict(), "n_lattice": E.count}
+    return {"balance": weights.to_dict(), "n_lattice": E.count}
 
 
 def _cmd_saturate(args, P: LabelledPolytope) -> dict:
@@ -212,46 +120,92 @@ def _cmd_saturate(args, P: LabelledPolytope) -> dict:
     u = potential_from_spec(E.polytope, args.potential)
     Q = _rule(args, E.polytope)
     weights = balance(E, u, Q, max_iter=args.max_iter)
-    saturation = saturation_check(E, u, weights, Q, tol=args.tol)
-    bounds = bound_report(P, k_max=args.k_max)
     return {
-        "config": _config(args),
-        "bounds": bounds.to_dict(),
         "balance": weights.to_dict(),
-        "saturation": saturation.to_dict(),
+        "saturation": saturation_check(E, u, weights, Q, tol=args.tol).to_dict(),
+        "bounds": bound_report(P, k_max=args.k_max).to_dict(),
     }
 
 
+# Flags shared between subcommands, as (name, add_argument keywords).
+POTENTIAL = ("--potential", dict(
+    default="guillemin",
+    help='potential spec: "guillemin", "uc:i=<axis>,c=<float>", '
+    '"dilation:s=<float>", "poly:<coeff file>"',
+))
+DEGREE = ("--degree", dict(type=int, default=6, help="trial polynomial degree"))
+QUAD = (
+    ("--quad-order", dict(
+        type=int, default=3, help=f"base rule order q in 1..{MAX_ORDER}, exact to degree 2q - 1"
+    )),
+    ("--quad-depth", dict(type=int, default=2, help="uniform subdivisions")),
+)
+OUTPUT = ("--output", dict(
+    choices=("text", "json", "csv"), default="json", help="report format (csv only for sweeps)"
+))
+K_MAX = ("--k-max", dict(type=int, default=64))
+MAX_ITER = ("--max-iter", dict(type=int, default=200))
+
+# name: (handler, help, flags after the polytope argument, in --help order).
+# Every report echoes vars(args), so a flag declared here is in its config.
+COMMANDS = {
+    "info": (_cmd_info, "parse, normalize and describe a polytope", [OUTPUT]),
+    "bound": (_cmd_bound, "lattice-point eigenvalue bounds", [
+        OUTPUT,
+        ("--k", dict(type=int, default=None, help="single refinement to evaluate")),
+        ("--k-max", dict(K_MAX[1], help="search cutoff for k0")),
+    ]),
+    "lambda1t": (_cmd_lambda1t, "Ritz upper bound for the first invariant eigenvalue", [
+        POTENTIAL, DEGREE, *QUAD, OUTPUT,
+    ]),
+    "sweep-uc": (_cmd_sweep_uc, "lambda1T along the quadratic perturbation family", [
+        DEGREE, *QUAD, OUTPUT,
+        ("--c", dict(type=_float_list, required=True, help="ascending list, e.g. 0,1,10")),
+        ("--axis", dict(type=int, default=0, help="perturbed coordinate axis")),
+    ]),
+    "sweep-dilation": (_cmd_sweep_dilation, "lambda1T along the dilation family", [
+        DEGREE, *QUAD, OUTPUT,
+        ("--s", dict(type=_float_list, required=True, help="decreasing list > 1, e.g. 2,1.5,1.1")),
+    ]),
+    "ke-check": (_cmd_ke_check, "Kahler-Einstein moment-map eigenfunction test", [
+        POTENTIAL, OUTPUT, ("--tol", dict(type=float, default=None)),
+        ("--samples", dict(type=int, default=40)),
+    ]),
+    "balance": (_cmd_balance, "balanced weights for the lattice embedding", [
+        POTENTIAL, *QUAD, OUTPUT, ("--tol", dict(type=float, default=1e-10)), MAX_ITER,
+    ]),
+    "saturate": (_cmd_saturate, "bounds, balance and saturation in one report", [
+        POTENTIAL, *QUAD, OUTPUT, ("--tol", dict(type=float, default=None)), MAX_ITER, K_MAX,
+    ]),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="toriceig",
+        description="First-eigenvalue numerics for toric Kahler metrics from polytope data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("polytope", help="path to a polytope JSON file")
+        for name, kwargs in flags:
+            p.add_argument(name, **kwargs)
+    return parser
+
+
 def run(args) -> str:
-    P = load_polytope(args.polytope)
-    if args.command == "info":
-        report = _cmd_info(args, P)
-    elif args.command == "bound":
-        report = _cmd_bound(args, P)
-    elif args.command == "lambda1t":
-        report = _cmd_lambda1t(args, P)
-    elif args.command == "sweep-uc":
-        report = _cmd_sweep(args, P, "uc")
-    elif args.command == "sweep-dilation":
-        report = _cmd_sweep(args, P, "dilation")
-    elif args.command == "ke-check":
-        report = _cmd_ke_check(args, P)
-    elif args.command == "balance":
-        report = _cmd_balance(args, P)
-    elif args.command == "saturate":
-        report = _cmd_saturate(args, P)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command}")
+    report = COMMANDS[args.command][0](args, load_polytope(args.polytope))
     if isinstance(report, str):
         return report
-    return _emit(report, args.output)
+    return _emit({"config": vars(args), **report}, args.output)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.output == "csv" and args.command not in ("sweep-uc", "sweep-dilation"):
+        if args.output == "csv" and not args.command.startswith("sweep-"):
             parser.exit(2, "error: --output csv is only available for sweep commands\n")
     except SystemExit as exc:
         return int(exc.code or 0)

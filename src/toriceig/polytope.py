@@ -59,7 +59,7 @@ class InvalidPolytope(PolytopeError):
 
 
 class UnboundedOrEmpty(PolytopeError):
-    """The feasible set is empty, unbounded, or has empty interior."""
+    """The feasible set is empty or unbounded (an empty interior is NonSimple)."""
 
 
 class NonSimple(PolytopeError):
@@ -294,10 +294,10 @@ class LabelledPolytope:
         ends = Counter(e for active in found for e in itertools.combinations(active, n - 1))
         if any(count != 2 for count in ends.values()):
             raise UnboundedOrEmpty("an edge has only one vertex; polytope is unbounded")
-        # Every L_i >= 0 at the vertices, so L_i vanishes at their barycenter
-        # iff facet i is active at every vertex.
-        if set.intersection(*map(set, found)):
-            raise UnboundedOrEmpty("empty interior: vertex barycenter lies on a facet")
+        # No check for an empty interior is needed: the facets that vanish on
+        # such a polyhedron have positively dependent normals, spanning fewer
+        # dimensions than their number, so each vertex lies on at least n + 1
+        # facets and NonSimple is raised above.
         return found
 
     def _validate(self):
@@ -518,10 +518,12 @@ def _fraction_to_json(value: Fraction):
 def polytope_from_dict(data: dict) -> LabelledPolytope:
     """Parse {"dim": n, "facets": [{"normal": [...], "offset": ...}, ...]}."""
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         raw_facets = data["facets"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidPolytope("polytope JSON needs 'dim' and 'facets'") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise InvalidPolytope("'dim' must be an integer")
     if not isinstance(raw_facets, list):
         raise InvalidPolytope("'facets' must be a list")
     facets = []

@@ -282,6 +282,16 @@ def guillemin_plus_poly(
     return GuilleminPlusPolyPotential(P, poly, check=check)
 
 
+def _spec_params(spec: str, keys: set, usage: str) -> dict:
+    """The "key=value" pairs after the colon of `spec`; each of `keys` must
+    appear exactly once, and nothing else."""
+    pairs = [part.partition("=") for part in spec.partition(":")[2].split(",")]
+    params = {key.strip(): value for key, _, value in pairs}
+    if any(not sep for _, sep, _ in pairs) or len(params) != len(pairs) or set(params) != keys:
+        raise ValueError(f"bad potential spec {spec!r}: need {usage}")
+    return params
+
+
 def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
     """Parse a CLI potential description.
 
@@ -293,21 +303,10 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
     if spec == "guillemin":
         return guillemin(P)
     if spec.startswith("uc:"):
-        axis, c = None, None
-        for part in spec[3:].split(","):
-            key, _, value = part.partition("=")
-            if key.strip() == "i":
-                axis = int(value)
-            elif key.strip() == "c":
-                c = float(value)
-        if axis is None or c is None:
-            raise ValueError(f"bad potential spec {spec!r}: need uc:i=<axis>,c=<float>")
-        return quadratic_perturbed(P, axis, c)
+        params = _spec_params(spec, {"i", "c"}, "uc:i=<axis>,c=<float>")
+        return quadratic_perturbed(P, int(params["i"]), float(params["c"]))
     if spec.startswith("dilation:"):
-        key, _, value = spec[len("dilation:") :].partition("=")
-        if key.strip() != "s":
-            raise ValueError(f"bad potential spec {spec!r}: need dilation:s=<float>")
-        return dilation(P, float(value))
+        return dilation(P, float(_spec_params(spec, {"s"}, "dilation:s=<float>")["s"]))
     if spec.startswith("poly:"):
         import json
 

@@ -64,7 +64,6 @@ class EmbeddingData:
     lexicographically smallest lattice point m0 sits at the origin."""
 
     polytope: LabelledPolytope  # translated copy
-    original: LabelledPolytope
     m0: tuple  # distinguished point in the original coordinates
     points: tuple  # translated lattice points, sorted, points[0] = 0
     exponents: np.ndarray  # exponents[m, i] = L_i(points[m]), nonnegative ints
@@ -98,7 +97,6 @@ def build_embedding(P: LabelledPolytope) -> EmbeddingData:
     exponents = pts @ np.array(translated.normals, dtype=np.int64).T + offsets
     return EmbeddingData(
         polytope=translated,
-        original=P,
         m0=m0,
         points=tuple(map(tuple, pts.tolist())),
         exponents=exponents,

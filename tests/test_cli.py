@@ -17,6 +17,7 @@ INTERVALC = str(example_path("intervalC"))
 SIMPLEX2 = str(example_path("simplex2"))
 THIRD = str(example_path("interval-third"))
 SQUARE = str(example_path("square"))
+UNIT_INTERVAL = [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": 1}]
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +183,34 @@ class TestKeBalanceSaturate:
         assert json.loads(out)["balance"]["iterations"] < 200
 
 
+QUAD_DEFAULTS = {"quad_order": 3, "quad_depth": 2}
+
+
+class TestConfigEcho:
+    # every flag a subcommand declares, with its default value
+    FLAGS = {
+        "info": {},
+        "bound": {"k": None, "k_max": 64},
+        "lambda1t": {"potential": "guillemin", "degree": 6, **QUAD_DEFAULTS},
+        "sweep-uc": {"degree": 6, **QUAD_DEFAULTS, "c": [0.0, 1.0], "axis": 0},
+        "sweep-dilation": {"degree": 6, **QUAD_DEFAULTS, "s": [2.0]},
+        "ke-check": {"potential": "guillemin", "tol": None, "samples": 40},
+        "balance": {"potential": "guillemin", **QUAD_DEFAULTS, "tol": 1e-10, "max_iter": 200},
+        "saturate": {
+            "potential": "guillemin", **QUAD_DEFAULTS, "tol": None, "max_iter": 200, "k_max": 64
+        },
+    }
+    REQUIRED = {"sweep-uc": ("--c", "0,1"), "sweep-dilation": ("--s", "2")}
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_defaults(self, capsys, command):
+        code, out, err = run_cli(capsys, command, INTERVAL01, *self.REQUIRED.get(command, ()))
+        assert code == 0, err
+        assert json.loads(out)["config"] == {
+            "command": command, "polytope": INTERVAL01, "output": "json", **self.FLAGS[command]
+        }
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "info", "/nonexistent/poly.json")
@@ -266,6 +295,11 @@ class TestExitCodes:
     def test_bad_potential_spec(self, capsys):
         code, _, _ = run_cli(capsys, "lambda1t", INTERVAL01, "--potential", "nonsense")
         assert code == 2
+        # unknown, repeated and stray keys are refused, not ignored
+        for spec in ("uc:i=0,c=2.5,s=3", "uc:i=0,c=2.5,i=1", "uc:c=2.5,i=0,junk"):
+            code, out, err = run_cli(capsys, "lambda1t", SIMPLEX2, "--potential", spec)
+            assert code == 2 and out == ""
+            assert "bad potential spec" in err
 
     @pytest.mark.parametrize(
         "command,polytope,poly",
@@ -275,6 +309,9 @@ class TestExitCodes:
             ("info", {"dim": 1, "facets": [{"normal": 1, "offset": 0}]}, None),
             ("lambda1t", {"dim": 1, "facets": [{"normal": 1, "offset": 0}]}, None),
             ("lambda1t", None, [1, 2]),
+            ("info", {"dim": True, "facets": UNIT_INTERVAL}, None),
+            ("info", {"dim": 1.9, "facets": UNIT_INTERVAL}, None),
+            ("info", {"dim": "1", "facets": UNIT_INTERVAL}, None),
         ],
     )
     def test_malformed_json_shapes(self, capsys, tmp_path, command, polytope, poly):

@@ -97,6 +97,15 @@ class TestVertices:
         with pytest.raises(UnboundedOrEmpty, match="contains a line"):
             strip.vertices()
 
+    @pytest.mark.parametrize("dim,facets", [
+        (1, [((1,), 0), ((-1,), 0)]),  # the point x = 0
+        (2, [((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 0)]),  # a segment in the plane
+    ])
+    def test_empty_interior_is_nonsimple(self, dim, facets):
+        # the facets that vanish on the set put each vertex on n + 1 facets
+        with pytest.raises(NonSimple):
+            LabelledPolytope(dim, facets)
+
     def test_nonsimple_pyramid(self):
         facets = [
             ((0, 0, 1), 0),

@@ -362,10 +362,13 @@ class TestSpecStrings:
     def test_parse_uc(self):
         u = potential_from_spec(simplex2, "uc:i=1,c=2.5")
         assert (u.kind, u.axis, u.c) == ("quadratic_perturbed", 1, 2.5)
+        u = potential_from_spec(simplex2, "uc: c=2.5, i=1")
+        assert (u.axis, u.c) == (1, 2.5)
 
     def test_parse_dilation(self):
         u = potential_from_spec(intervalC, "dilation:s=1.5")
         assert (u.kind, u.s) == ("dilation", 1.5)
+        assert potential_from_spec(intervalC, "dilation: s=1.5").s == 1.5
 
     def test_parse_poly_file(self, tmp_path):
         path = tmp_path / "v.json"
@@ -374,5 +377,7 @@ class TestSpecStrings:
         assert u.kind == "guillemin_plus_poly"
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            potential_from_spec(interval01, "uc:c=2")
+        for spec in ("uc:c=2", "uc:i=0,c=2.5,s=3", "uc:i=0,c=2.5,i=1", "uc:c=2.5,i=0,junk",
+                     "dilation:s=1.5,t=2", "dilation:s=1.5,s=2", "dilation:"):
+            with pytest.raises(ValueError, match="bad potential spec"):
+                potential_from_spec(interval01, spec)
