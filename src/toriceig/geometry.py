@@ -81,29 +81,23 @@ class KEReport:
         }
 
 
-def _resolve_method(method: str) -> str:
-    """Map "auto" to the closed form; "fd" is the finite-difference cross-check."""
-    if method not in ("auto", "closed", "fd"):
-        raise ValueError(f"unknown derivative method {method!r}")
-    return "fd" if method == "fd" else "closed"
-
-
 def hessian_inverse_derivatives(
     u: SymplecticPotential, x, method: str = "auto", second: bool = True
 ):
     """(H, dH, d2H) of u at points x of shape (..., n), batch axes in front:
     dH[..., i, j, k] = d H_ij / d x_k and d2H[..., i, j, k, l].
 
-    Closed path: dH = -H (dG) H and the corresponding product rule for d2H.
-    FD path: central differences of H with step 1e-4 * min_i L_i(x), from one
+    method="auto", the closed form: dH = -H (dG) H and the corresponding
+    product rule for d2H.  method="fd": central differences of H with step 1e-4 * min_i L_i(x), from one
     `sample` call over the whole stencil of every point.
     With second=False, d2H is returned as None.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    how = _resolve_method(method)
+    if method not in ("auto", "fd"):
+        raise ValueError(f"unknown derivative method {method!r}")
 
-    if how == "closed":
+    if method == "auto":
         H = u.sample(x).H
         dG = u.hessian_derivative(x)  # (..., n, n, m)
         dH = -np.einsum("...ia,...abm,...bj->...ijm", H, dG, H)
@@ -208,17 +202,18 @@ def ke_check(
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
-    how = _resolve_method(method)
     if tol is None:
-        tol = 1e-6 if how == "closed" else 1e-4
+        tol = 1e-6 if method == "auto" else 1e-4
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     P = u.polytope
     n = P.dim
     pts = interior_points(P, samples, min_facet=polytope_scale(P) * 5e-3)
     # f = x_i has gradient e_i and zero Hessian, so Lap x_i = -sum_j dH_ji/dx_j:
     # one derivative evaluation gives all n coordinates.
-    _, dH, _ = hessian_inverse_derivatives(u, pts, method=how, second=False)
+    _, dH, _ = hessian_inverse_derivatives(u, pts, method=method, second=False)
     lap = -np.einsum("...iji->...j", dH)
 
     # least squares for Lap x_i ~ a * x_i + b_i with one slope a = 2 lam

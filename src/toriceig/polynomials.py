@@ -28,18 +28,6 @@ class MultiPoly:
                 raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
         self._derivatives: dict = {}
 
-    @classmethod
-    def coordinate(cls, nvars: int, axis: int, shift: float = 0.0) -> "MultiPoly":
-        """The polynomial x_axis - shift."""
-        terms = {tuple(1 if j == axis else 0 for j in range(nvars)): 1.0}
-        if shift:
-            terms[(0,) * nvars] = -float(shift)
-        return cls(nvars, terms)
-
-    @classmethod
-    def constant(cls, nvars: int, value: float) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: float(value)})
-
     def _value_t(self, coords):
         """Value at points given coordinate-first, as the transpose of (..., n)."""
         total = np.zeros(coords.shape[1:])

@@ -222,9 +222,6 @@ class LabelledPolytope:
             for nu, c in zip(self.normals, self.offsets)
         )
 
-    def contains(self, x: Sequence) -> bool:
-        return all(v >= 0 for v in self.defining_values(x))
-
     def float_facets(self) -> tuple:
         """(normals, offsets) as read-only float arrays of shape (d, n) and
         (d,), built on first use."""

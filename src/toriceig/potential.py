@@ -74,9 +74,8 @@ class NotPositiveDefinite(PotentialError):
 
 @dataclass(frozen=True)
 class HessianSample:
-    """Hessian G and inverse H at the points x (batch axes in front)."""
+    """Hessian G and inverse H at points of shape (..., n), batch axes in front."""
 
-    x: np.ndarray
     G: np.ndarray
     H: np.ndarray
 
@@ -186,7 +185,7 @@ class SymplecticPotential:
         H = np.empty_like(Rinv)
         for a, b in itertools.combinations_with_replacement(range(n), 2):
             H[a, b] = H[b, a] = sum(Rinv[k, a] * Rinv[k, b] for k in range(b, n))
-        return HessianSample(x=x, G=G, H=np.moveaxis(H, (0, 1), (-2, -1)))
+        return HessianSample(G=G, H=np.moveaxis(H, (0, 1), (-2, -1)))
 
 
 class QuadraticPerturbedPotential(SymplecticPotential):
@@ -297,7 +296,8 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
 
     Accepted forms: "guillemin", "uc:i=<axis>,c=<float>", "dilation:s=<float>",
     "poly:<coefficient JSON file>".  The polynomial file holds a list of
-    {"exponents": [...], "coeff": <float>} entries.
+    {"exponents": [...], "coeff": <number>} entries: distinct exponents of
+    one integer >= 0 per dimension, and numeric (not boolean) coefficients.
     """
     spec = spec.strip()
     if spec == "guillemin":
@@ -314,13 +314,26 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
         with open(path, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
         try:
-            terms = {tuple(e["exponents"]): float(e["coeff"]) for e in entries}
-        except (TypeError, KeyError) as exc:
+            terms = {tuple(e["exponents"]): e["coeff"] for e in entries}
+            poly = MultiPoly(P.dim, {expo: float(c) for expo, c in terms.items()})
+        except (TypeError, KeyError, OverflowError) as exc:
             raise ValueError(
                 f"bad polynomial file {path!r}: need a list of "
                 '{"exponents": [...], "coeff": <float>} entries'
             ) from exc
-        return guillemin_plus_poly(P, MultiPoly(P.dim, terms))
+        # MultiPoly rounds exponents with int() and drops zero terms; the
+        # file itself must already be exact
+        if len(terms) != len(entries) or not all(
+            len(expo) == P.dim
+            and all(type(k) is int and k >= 0 for k in expo)
+            and type(c) in (int, float)
+            for expo, c in terms.items()
+        ):
+            raise ValueError(
+                f"bad polynomial file {path!r}: need distinct exponents of {P.dim} "
+                "integers >= 0 each and numeric coefficients"
+            )
+        return guillemin_plus_poly(P, poly)
     raise ValueError(f"unknown potential spec {spec!r}")
 
 

@@ -113,32 +113,33 @@ def _point_index(E: EmbeddingData, m) -> int:
         raise ValueError(f"{key} is not a lattice point of the embedding") from exc
 
 
-def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X: np.ndarray) -> np.ndarray:
-    """log |Z_m|^2 at the rows of X, shape (len(X), N+1).
+def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X) -> np.ndarray:
+    """log |Z_m|^2 at points X of shape (..., n), shape (..., N+1).
 
     Guillemin kind: sum_i L_i(m) log L_i(x) (continuous up to the boundary,
-    with 0 * log 0 = 0).  Other kinds: 2 m . du/dx, interior only.
+    with 0 * log 0 = 0).  Other kinds: 2 m . du/dx, interior only.  Each
+    point is a row-vector product of its own, so a row of a batch gets
+    exactly the bits of a one-point call.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
     if u.kind == "guillemin":
-        L = facet_values(u.polytope, X)  # (q, d)
+        L = facet_values(u.polytope, X)  # (..., d)
         inside = L > 0
         expo = E.exponents.astype(float)  # (N+1, d)
-        out = np.log(np.where(inside, L, 1.0)) @ expo.T  # a facet with L <= 0 adds 0 here
+        # a facet with L <= 0 adds 0 here ...
+        out = (np.log(np.where(inside, L, 1.0))[..., None, :] @ expo.T)[..., 0, :]
         out[(~inside).astype(float) @ expo.T > 0] = -np.inf  # ... unless its exponent is > 0
         return out
     grads = u.gradient(X)  # raises BoundaryPoint near dP
     pts = np.array(E.points, dtype=float)
-    return 2.0 * grads @ pts.T
+    return 2.0 * (grads[..., None, :] @ pts.T)[..., 0, :]
 
 
 def z_squared(E: EmbeddingData, u: SymplecticPotential, m, x) -> float:
     """|Z_m|^2 at x (translated coordinates); m is an index or a lattice point."""
     if u.polytope != E.polytope:
         raise ValueError("potential must live on the embedding's translated polytope")
-    idx = _point_index(E, m)
-    log_z2 = _log_z2_nodes(E, u, np.asarray(x, dtype=float)[None, :])[0, idx]
-    return float(np.exp(log_z2))
+    return float(np.exp(_log_z2_nodes(E, u, x)[_point_index(E, m)]))
 
 
 def _normalized_alpha(alpha, count: int) -> np.ndarray:
@@ -153,19 +154,22 @@ def _normalized_alpha(alpha, count: int) -> np.ndarray:
 
 
 def psi_diag(E: EmbeddingData, u: SymplecticPotential, alpha, x) -> np.ndarray:
-    """All diagonal components Psi_mm(x); they sum to 1."""
+    """All diagonal components Psi_mm at points x of shape (..., n), as an
+    array of shape (..., N+1) that sums to 1 on its last axis.  The
+    log-weights are shifted by their largest entry per point before the
+    exponential; a row of a batch gets exactly the bits of a one-point call."""
     if u.polytope != E.polytope:
         raise ValueError("potential must live on the embedding's translated polytope")
     a = _normalized_alpha(alpha, E.count)
-    logw = _log_z2_nodes(E, u, np.asarray(x, dtype=float)[None, :])[0] + 2.0 * np.log(a)
-    logw -= np.max(logw)
+    logw = _log_z2_nodes(E, u, x) + 2.0 * np.log(a)
+    logw -= np.max(logw, axis=-1, keepdims=True)
     w = np.exp(logw)
-    return w / np.sum(w)
+    return w / np.sum(w, axis=-1, keepdims=True)
 
 
-def psi_mm(E: EmbeddingData, u: SymplecticPotential, alpha, m, x) -> float:
-    """One diagonal component Psi_mm(x) in [0, 1]."""
-    return float(psi_diag(E, u, alpha, x)[_point_index(E, m)])
+def psi_mm(E: EmbeddingData, u: SymplecticPotential, alpha, m, x):
+    """One diagonal component Psi_mm in [0, 1] at points x of shape (..., n)."""
+    return psi_diag(E, u, alpha, x)[..., _point_index(E, m)]
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,6 @@ def balance(
     Q: QuadratureRule,
     tol: float = 1e-10,
     max_iter: int = 200,
-    start=None,
 ) -> BalanceWeights:
     """Multiplicative fixed point for the balanced weights:
     alpha_m^2 <- alpha_m^2 * target / integral Psi_mm, renormalized to
@@ -204,14 +207,12 @@ def balance(
         raise ValueError("potential, quadrature and embedding must share one polytope")
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     count = E.count
-    if start is None:
-        alpha = np.full(count, 1.0 / count)
-    else:
-        alpha = _normalized_alpha(start, count)
-        alpha = alpha / np.sum(alpha)
+    alpha = np.full(count, 1.0 / count)
     vol = float(Q.exact_volume)
     target = vol / count
     # Psi_mm = Z_m a_m^2 / sum_j Z_j a_j^2 with Z = |Z|^2 scaled per node by
@@ -271,32 +272,36 @@ def is_standard_simplex(P: LabelledPolytope) -> bool:
     return P.lattice_points(1).n_k == P.dim
 
 
+_SATURATION_POINTS = 60
+
+
 def saturation_check(
     E: EmbeddingData,
     u: SymplecticPotential,
     alpha,
     Q: QuadratureRule,
     tol: float | None = None,
-    samples: int = 60,
 ) -> SaturationReport:
-    """Numerical test of the saturation identities under balanced weights."""
-    if u.polytope != E.polytope:
-        raise ValueError("potential must live on the embedding's translated polytope")
+    """Numerical test of the saturation identities under balanced weights.
+
+    The identities are evaluated at 60 fixed interior points of the
+    embedding's polytope (Halton points 2% of its scale inside every facet),
+    not on the nodes of Q, which must only live on that polytope, as in
+    `balance`.
+    """
+    if u.polytope != E.polytope or Q.polytope != E.polytope:
+        raise ValueError("potential, quadrature and embedding must share one polytope")
     if tol is None:
         tol = 1e-6
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
-    a = _normalized_alpha(alpha, E.count)
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     P = E.polytope
     n, N = E.n, E.N
-    pts = interior_points(P, samples, min_facet=polytope_scale(P) * 2e-2)
+    pts = interior_points(P, _SATURATION_POINTS, min_facet=polytope_scale(P) * 2e-2)
     pts_arr = np.array(E.points, dtype=float)
-
-    logz2 = _log_z2_nodes(E, u, pts)
-    logw = logz2 + 2.0 * np.log(a)
-    logw -= np.max(logw, axis=1, keepdims=True)
-    w = np.exp(logw)
-    psi = w / np.sum(w, axis=1, keepdims=True)  # (q, N+1)
+    psi = psi_diag(E, u, alpha, pts)  # (q, N+1)
 
     # gradient of log |Z_m|^2 = 2 m . du/dx at each sample.  For the Guillemin
     # kind the true gradient differs by sum_i c_i nu_i / L_i, the same for

@@ -6,12 +6,14 @@ along the cycle of its edges, read from the vertex active sets.
 `build_quadrature` scales that triangulation once to integers (by the lcm of
 its denominators times 2**depth), red-refines every simplex ``depth`` times
 with integer midpoints and takes each exact volume from an integer
-determinant, so no `Fraction` is made per simplex.  A conical-product Gauss-Jacobi rule of degree 2*order - 1
-is mapped onto all simplices in one batched product; its 1D factors come from
-the Golub-Welsch eigenproblem of the Jacobi matrix (Golub and Welsch,
-Math. Comp. 23, 1969), solved by `numpy.linalg.eigh`.  The rule has strictly
-interior nodes and positive weights, and its total weight reproduces the
-exact rational volume of the triangulation.
+determinant, so no `Fraction` is made per simplex.  A conical-product
+Gauss-Jacobi rule of degree 2*order - 1 is mapped onto all simplices in one
+batched product; its 1D factors come from the Golub-Welsch eigenproblem of
+the Jacobi matrix (Golub and Welsch, Math. Comp. 23, 1969), solved by
+`numpy.linalg.eigh`.  The rule has strictly interior nodes and positive
+weights, and its total weight reproduces the exact rational volume of the
+triangulation.  The refined simplices are not kept: the rule is its nodes,
+weights and exact volume.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,29 +40,15 @@ class DimUnsupported(PolytopeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite rule: nodes (m, n), positive weights (m,) and the exact
-    rational triangulation it was built on, kept as integer vertices over the
-    common denominator `_scale`."""
+    """Composite rule on `polytope`: nodes (m, n), positive weights (m,) and
+    the exact rational volume that the weights sum to.  Exact integrals over
+    the same region are taken on `triangulate(polytope)`: refinement does not
+    change the union of the simplices."""
 
     polytope: LabelledPolytope
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    depth: int
     exact_volume: Fraction
-    _simplices: tuple = field(repr=False)
-    _scale: int = field(repr=False)
-
-    @functools.cached_property
-    def triangulation(self) -> tuple:
-        """The simplices as tuples of `Fraction` vertices, in canonical order."""
-        return tuple(
-            tuple(tuple(Fraction(c, self._scale) for c in v) for v in s) for s in self._simplices
-        )
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.order - 1
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -201,9 +189,5 @@ def build_quadrature(P: LabelledPolytope, order: int = 3, depth: int = 2) -> Qua
         polytope=P,
         nodes=nodes.reshape(-1, n),
         weights=(vol_scale[:, None] * base_w).reshape(-1),
-        order=order,
-        depth=depth,
         exact_volume=Fraction(sum(dets), denom),
-        _simplices=tuple(simplices),
-        _scale=scale,
     )

@@ -42,7 +42,7 @@ def sturm_liouville_lambda1(H_fn, a: float, b: float, nodes: int = 2000) -> floa
 def interval_midpoint_integral(fn, a: float, b: float, cells: int = 4000) -> float:
     x = np.linspace(a, b, cells + 1)
     mid = 0.5 * (x[:-1] + x[1:])
-    vals = np.array([fn(np.array([m])) for m in mid], dtype=float)
+    vals = np.asarray(fn(mid[:, None]), dtype=float)  # fn takes points of shape (cells, 1)
     return float(np.sum(vals) * (b - a) / cells)
 
 
@@ -164,7 +164,7 @@ def brute_force_lattice(P, k: int):
     bounding box with exact `Fraction` membership; raises EmptyLattice.
 
     This is a reference for the integer lattice scan: it shares only the
-    bounding box and `contains` with the library.
+    bounding box and `defining_values` with the library.
     """
     from toriceig.polytope import EmptyLattice
 
@@ -173,7 +173,7 @@ def brute_force_lattice(P, k: int):
     points = []
     for js in itertools.product(*ranges):
         cand = tuple(Fraction(j, k) for j in js)
-        if P.contains(cand):
+        if min(P.defining_values(cand)) >= 0:
             points.append(cand)
     if not points:
         raise EmptyLattice(f"P contains no point of Z^{P.dim}/{k}")
@@ -364,7 +364,7 @@ def _red_refine(simplex: tuple) -> list:
 
 
 def fraction_quadrature(P, order: int, depth: int):
-    """(nodes, weights, triangulation, exact_volume) of the composite rule,
+    """(nodes, weights, exact_volume) of the composite rule,
     built with `Fraction` arithmetic on every simplex and one small map per
     simplex.
 
@@ -390,7 +390,7 @@ def fraction_quadrature(P, order: int, depth: int):
         J = np.array([[float(s[i + 1][j] - s[0][j]) for i in range(n)] for j in range(n)])
         all_nodes.append(v0 + lam @ J.T)
         all_weights.append(base_w * (float(vol) * math.factorial(n)))
-    return np.vstack(all_nodes), np.concatenate(all_weights), tuple(simplices), exact_volume
+    return np.vstack(all_nodes), np.concatenate(all_weights), exact_volume
 
 
 def balance_exp_per_iteration(logz2, weights, volume, tol=1e-10, max_iter=200):

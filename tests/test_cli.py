@@ -26,6 +26,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env(**extra):
+    """os.environ with this checkout's src/ first on PYTHONPATH, plus extra."""
+    src = str(Path(toriceig.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 class TestInfo:
     def test_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "info", SIMPLEX2)
@@ -355,6 +362,42 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "tol must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("balance", SIMPLEX2, "--tol", "-1"),
+            ("ke-check", SIMPLEX2, "--tol", "0"),
+            ("saturate", SIMPLEX2, "--tol", "-1"),
+        ],
+    )
+    def test_non_positive_tol(self, capsys, argv):
+        # balance ran all its iterations into exit 3, ke-check called the KE
+        # simplex not KE and saturate called Fubini-Study "none"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "tol must be > 0" in err
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"exponents": [1.5, 0], "coeff": 0.1}],
+            [{"exponents": [True, 0], "coeff": 0.1}],
+            [{"exponents": [1, 0], "coeff": True}],
+            [{"exponents": [1, 0], "coeff": 0.1}, {"exponents": [1, 0], "coeff": 0.2}],
+        ],
+        ids=["fractional-exponent", "bool-exponent", "bool-coefficient", "repeated-exponents"],
+    )
+    def test_inexact_poly_file(self, capsys, tmp_path, entries):
+        # each was read as some other polynomial (x^1, coefficient 1.0, the
+        # last repeat) and ran with exit 0
+        coeffs = tmp_path / "v.json"
+        coeffs.write_text(json.dumps(entries))
+        code, out, err = run_cli(
+            capsys, "lambda1t", SIMPLEX2, "--degree", "3", "--potential", f"poly:{coeffs}"
+        )
+        assert code == 2 and out == ""
+        assert "bad polynomial file" in err and "Traceback" not in err
+
     def test_thin_polytope_ke_check(self, capsys, tmp_path):
         # no Halton point of the box keeps a margin from the facets 1e-9 apart
         thin = tmp_path / "thin.json"
@@ -413,6 +456,31 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lambda1t", SIMPLEX2),
+            ("lambda1t", SQUARE),
+            ("lambda1t", str(example_path("perturbed-simplex"))),
+            ("saturate", SIMPLEX2),
+        ],
+        ids=["lambda1t-simplex2", "lambda1t-square", "lambda1t-perturbed-simplex", "saturate"],
+    )
+    def test_default_output_independent_of_thread_count(self, argv):
+        """The default outputs have the same bits on one and on two BLAS
+        threads.  (At degree 8 some eigenvalues do not; see ROADMAP.)"""
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "toriceig.cli", *argv], capture_output=True, text=True,
+                env=subprocess_env(OPENBLAS_NUM_THREADS=threads), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
 class TestRuntimeDependencies:
     def test_cli_run_imports_no_scipy(self):
         """numpy is the only numerical dependency at run time."""
@@ -422,12 +490,9 @@ class TestRuntimeDependencies:
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
         )
-        src = str(Path(toriceig.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["lambda1T"] > 0

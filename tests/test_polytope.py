@@ -197,7 +197,7 @@ class TestLattice:
         P = interval(0, F(3, 2))
         data = P.lattice_points(1)
         for v in data.shrunk.vertices():
-            assert P.contains(v.coords)
+            assert min(P.defining_values(v.coords)) >= 0
         assert data.shrunk.offsets == tuple(
             c - m for c, m in zip(P.offsets, data.l_min)
         )

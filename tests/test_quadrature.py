@@ -126,7 +126,7 @@ class TestVolume:
         # exercises the eight-child tetrahedron split
         Q = build_quadrature(cube, 1, 2)
         assert Q.exact_volume == 1
-        assert len(Q.triangulation) == 12 * 64
+        assert len(Q) == 12 * 64  # one node per refined tetrahedron
 
 
 class TestNodes:
@@ -138,7 +138,7 @@ class TestNodes:
     def test_square_depth1_counts(self):
         Q = build_quadrature(square, 2, 1)
         # 4 fan triangles x 4 children x order^2 nodes
-        assert len(Q.triangulation) == 16
+        assert len(triangulate(square)) == 4
         assert len(Q) == 16 * 4
 
     @pytest.mark.parametrize("P", [simplex2, square, cube, simplex3])
@@ -165,7 +165,7 @@ class TestExactness:
             if sum(e) <= degree
         ]
         for e in exps:
-            exact = exact_monomial_integral(Q.triangulation, tuple(e))
+            exact = exact_monomial_integral(triangulate(P), tuple(e))
             vals = np.prod(Q.nodes ** np.array(e, dtype=float), axis=1)
             approx = float(Q.weights @ vals)
             scale = max(abs(float(exact)), 1e-30)
@@ -190,7 +190,7 @@ class TestExactness:
         # a volume identity
         Q = build_quadrature(simplex3, 2, 1)
         for e in ((2, 0, 0), (1, 1, 0), (0, 1, 2)):
-            exact = exact_monomial_integral(Q.triangulation, e)
+            exact = exact_monomial_integral(triangulate(simplex3), e)
             vals = np.prod(Q.nodes ** np.array(e, dtype=float), axis=1)
             assert float(Q.weights @ vals) == pytest.approx(float(exact), rel=1e-12)
 
@@ -198,7 +198,7 @@ class TestExactness:
         # order 1 (midpoint-like) must fail on quadratics: guards against
         # accidentally testing the trivial zero polynomial
         Q = build_quadrature(interval01, 1, 0)
-        exact = exact_monomial_integral(Q.triangulation, (2,))
+        exact = exact_monomial_integral(triangulate(interval01), (2,))
         approx = float(Q.weights @ (Q.nodes[:, 0] ** 2))
         assert abs(approx - float(exact)) > 1e-4
 
@@ -223,7 +223,7 @@ class TestGaussJacobi:
         degree = 2 * order - 1
         Q = build_quadrature(P, order, 0)
         for e in ((degree,) + (0,) * (P.dim - 1), (1,) * (P.dim - 1) + (degree - P.dim + 1,)):
-            exact = float(exact_monomial_integral(Q.triangulation, e))
+            exact = float(exact_monomial_integral(triangulate(P), e))
             approx = float(Q.weights @ np.prod(Q.nodes ** np.array(e, dtype=float), axis=1))
             assert approx == pytest.approx(exact, rel=1e-12)
 
@@ -274,14 +274,7 @@ class TestIntegerBuild:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_bitwise_equal_to_fraction_build(self, name, P, depth):
         Q = build_quadrature(P, 3, depth)
-        nodes, weights, triangulation, volume = fraction_quadrature(P, 3, depth)
+        nodes, weights, volume = fraction_quadrature(P, 3, depth)
         assert Q.nodes.shape == nodes.shape and Q.nodes.tobytes() == nodes.tobytes()
         assert Q.weights.shape == weights.shape and Q.weights.tobytes() == weights.tobytes()
         assert Q.exact_volume == volume
-        assert Q.triangulation == triangulation
-        assert all(type(c) is Fraction for s in Q.triangulation for v in s for c in v)
-
-    def test_triangulation_built_on_first_access(self):
-        Q = build_quadrature(square, 2, 1)
-        assert "triangulation" not in vars(Q)
-        assert Q.triangulation is Q.triangulation

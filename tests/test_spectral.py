@@ -21,6 +21,7 @@ from toriceig import (
     example_polytope,
     guillemin,
     guillemin_plus_poly,
+    ke_check,
     lambda1_invariant,
     quadratic_perturbed,
     rayleigh_quotient,
@@ -40,7 +41,7 @@ cube = LabelledPolytope(
         ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
 )
 
-x_1d = MultiPoly.coordinate(1, 0)
+x_1d = MultiPoly(1, {(1,): 1.0})
 
 
 def uc_H(c):
@@ -77,15 +78,15 @@ class TestRayleighQuotient:
         u = guillemin(intervalC)
         Q = build_quadrature(intervalC, 3, 3)
         lib = rayleigh_quotient(u, x_1d, Q)
-        num = interval_midpoint_integral(lambda p: 1.0 - p[0] ** 2, -1, 1, 20000)
-        den = interval_midpoint_integral(lambda p: p[0] ** 2, -1, 1, 20000)
+        num = interval_midpoint_integral(lambda p: 1.0 - p[:, 0] ** 2, -1, 1, 20000)
+        den = interval_midpoint_integral(lambda p: p[:, 0] ** 2, -1, 1, 20000)
         assert lib == pytest.approx(num / den, rel=1e-6)
 
     def test_grid_oracle_square(self):
         sq_centered = example_polytope("square").translated((0.5, 0.5))
         u = guillemin(sq_centered)
         Q = build_quadrature(sq_centered, 3, 3)
-        f = MultiPoly.coordinate(2, 0)
+        f = MultiPoly(2, {(1, 0): 1.0})
         lib = rayleigh_quotient(u, f, Q)
 
         def H00(pts):
@@ -102,7 +103,7 @@ class TestRayleighQuotient:
     def test_constant_rejected(self):
         Q = build_quadrature(interval01, 2, 1)
         with pytest.raises(ZeroDenominator):
-            rayleigh_quotient(guillemin(interval01), MultiPoly.constant(1, 2.0), Q)
+            rayleigh_quotient(guillemin(interval01), MultiPoly(1, {(0,): 2.0}), Q)
 
 
 class TestLambda1:
@@ -301,6 +302,35 @@ class TestOracleEquivalence:
         ritz = lambda1_invariant(u, 6, Q).lambda1T
         oracle = sturm_liouville_lambda1(dilation_H_intervalC(s), -1.0, 1.0, 2000)
         assert ritz == pytest.approx(oracle, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["interval01", "intervalC", "simplex2", "square", "interval-third", "perturbed-simplex"],
+    )
+    def test_ke_slope(self, name):
+        # a Kahler-Einstein metric has Lap x_i = 2 lam (x_i - xbar_i), so the
+        # coordinates are first eigenfunctions and lambda1T = 2 lam; the rule
+        # q = D + 1 at depth 1 integrates guillemin's Ritz problem exactly
+        P = example_polytope(name)
+        u = guillemin(P)
+        report = ke_check(u)
+        assert report.is_ke
+        for degree in (4, 6):
+            ritz = lambda1_invariant(u, degree, build_quadrature(P, degree + 1, 1)).lambda1T
+            assert ritz == pytest.approx(2 * report.lambda_hat, abs=1e-12)
+
+    def test_product_rule(self):
+        # uc along axis 0 of the square is the product of uc on [0, 1] and
+        # guillemin on [0, 1], so lambda1T is the smaller of the factors'
+        ritz = lambda1_invariant(
+            quadratic_perturbed(square, 0, 3.0), 8, build_quadrature(square, 9, 1)
+        ).lambda1T
+        Q = build_quadrature(interval01, 9, 2)
+        factors = [
+            lambda1_invariant(u, 8, Q).lambda1T
+            for u in (quadratic_perturbed(interval01, 0, 3.0), guillemin(interval01))
+        ]
+        assert ritz == pytest.approx(min(factors), abs=1e-10)
 
 
 class TestStiffnessDomination:
