@@ -31,7 +31,6 @@ from .geometry import (
     CurvatureSample,
     KEReport,
     ke_check,
-    laplacian_invariant,
     scalar_curvature,
 )
 from .quadrature import QuadratureRule, build_quadrature, triangulate
@@ -52,9 +51,7 @@ from .projective import (
     bound_report,
     build_embedding,
     psi_diag,
-    psi_mm,
     saturation_check,
-    z_squared,
 )
 from .data import example_path, example_polytope
 

@@ -1,21 +1,20 @@
 """Metric geometry of a symplectic potential on points of shape (..., n).
 
-The inverse Hessian H drives everything here: the invariant Laplacian acting
-on functions of the moment coordinates,
+The inverse Hessian H drives everything here.  One batched path,
+`hessian_inverse_derivatives`, evaluates H, dH and d2H on the last axis of its
+points with the batch axes in front: in closed form from dG and d2G, which
+every potential kind has, or on request (method="fd") by central differences
+from one `sample` call over the stencils of every point, as a cross-check.  A
+row of a batch gets exactly the bits of a one-point call.  From these arrays
+follow the invariant Laplacian of any function f of the moment coordinates,
 
     Lap f = - sum_ij ( dH_ij/dx_i * df/dx_j + H_ij * d2f/dx_i dx_j ),
 
-the scalar curvature  scal = - sum_ij d^2 H_ij / dx_i dx_j,  the Ricci
-coefficients  rho_kl = -1/2 sum_i d^2 H_li / dx_i dx_k,  and the
-Kahler-Einstein residual test: the metric is Einstein with constant lam
-exactly when  Lap x_i = 2 lam (x_i - xbar_i)  for every coordinate.
-
-All of it comes from one batched path, `hessian_inverse_derivatives`, which
-evaluates H, dH and d2H on the last axis of its points with the batch axes in
-front: in closed form from dG and d2G, which every potential kind has, or on
-request (method="fd") by central differences from one `sample` call over the
-stencils of every point, as a cross-check.  A row of a batch gets exactly the
-bits of a one-point call.
+the scalar curvature  scal = - sum_ij d^2 H_ij / dx_i dx_j  and the Ricci
+coefficients  rho_kl = -1/2 sum_i d^2 H_li / dx_i dx_k  (`scalar_curvature`),
+and the Kahler-Einstein residual test (`ke_check`): the metric is Einstein
+with constant lam exactly when  Lap x_i = 2 lam (x_i - xbar_i)  for every
+coordinate.
 
 Signs follow the positive-Laplacian convention, pinned by the sphere metric
 on the interval [0, 1] where H = 2x(1-x), Lap x = 4x - 2 and scal = 4.
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import MultiPoly
 from .potential import (
     EPS_INTERIOR,
     BoundaryPoint,
@@ -42,7 +40,6 @@ __all__ = [
     "CurvatureSample",
     "KEReport",
     "hessian_inverse_derivatives",
-    "laplacian_invariant",
     "scalar_curvature",
     "ke_check",
 ]
@@ -56,7 +53,6 @@ class StepUnderflow(PotentialError):
 class CurvatureSample:
     """Scalar curvature, Ricci coefficients and the H-derivatives behind them."""
 
-    x: np.ndarray
     scal: float | np.ndarray
     ricci: np.ndarray  # rho[k, l]: coefficient of dx_k ^ dtheta_l
     dH: np.ndarray  # dH[i, j, k]   = d H_ij / d x_k
@@ -141,36 +137,10 @@ def hessian_inverse_derivatives(
     return H, dH, d2H
 
 
-def _as_function(f, nvars: int):
-    """Normalize f to (gradient, hessian) callables.
-
-    Accepts a MultiPoly (exact derivatives) or any object exposing
-    gradient(x) and hessian(x).
-    """
-    if isinstance(f, MultiPoly):
-        if f.nvars != nvars:
-            raise ValueError("polynomial variable count does not match the polytope")
-        return f.gradient, f.hessian
-    if hasattr(f, "gradient") and hasattr(f, "hessian"):
-        return f.gradient, f.hessian
-    raise TypeError("f must be a MultiPoly or expose gradient(x) and hessian(x)")
-
-
-def laplacian_invariant(u: SymplecticPotential, f, x, method: str = "auto") -> float:
-    """The invariant Laplacian of f at x:
-    - sum_ij ( dH_ij/dx_i * df/dx_j + H_ij * d2f/dx_i dx_j )."""
-    x = np.asarray(x, dtype=float)
-    grad_f, hess_f = _as_function(f, x.size)
-    H, dH, _ = hessian_inverse_derivatives(u, x, method=method, second=False)
-    g = np.asarray(grad_f(x), dtype=float)
-    Hf = np.asarray(hess_f(x), dtype=float)
-    div_H = np.einsum("iji->j", dH)  # sum_i dH_ij/dx_i
-    return -float(div_H @ g + np.einsum("ij,ij->", H, Hf))
-
-
-def scalar_curvature(u: SymplecticPotential, x, method: str = "auto") -> CurvatureSample:
-    """Scalar curvature and Ricci coefficients at points x of shape (..., n);
-    scal is a float for one point and an array over the batch axes otherwise.
+def scalar_curvature(u: SymplecticPotential, x) -> CurvatureSample:
+    """Scalar curvature and Ricci coefficients at points x of shape (..., n),
+    contracted from the closed-form d2H of `hessian_inverse_derivatives`; scal
+    is a float for one point and an array over the batch axes otherwise.
 
     Requires min_i L_i(x) >= 1e-4: second derivatives of H amplify boundary
     ill-conditioning.
@@ -179,12 +149,12 @@ def scalar_curvature(u: SymplecticPotential, x, method: str = "auto") -> Curvatu
     low = float(np.min(facet_values(u.polytope, x)))
     if low < 1e-4:
         raise BoundaryPoint(f"curvature needs min L_i >= 1e-4, got {low:.2e}")
-    _, dH, d2H = hessian_inverse_derivatives(u, x, method=method, second=True)
+    _, dH, d2H = hessian_inverse_derivatives(u, x)
     scal = -np.einsum("...ijij->...", d2H)
     if x.ndim == 1:
         scal = float(scal)
     ricci = -0.5 * np.einsum("...liik->...kl", d2H)
-    return CurvatureSample(x=x, scal=scal, ricci=ricci, dH=dH, d2H=d2H)
+    return CurvatureSample(scal=scal, ricci=ricci, dH=dH, d2H=d2H)
 
 
 def ke_check(

@@ -17,15 +17,21 @@ class MultiPoly:
     """Polynomial sum_a  c_a * x^a  stored as {exponent tuple: coefficient}."""
 
     def __init__(self, nvars: int, terms: dict):
+        """Each exponent tuple holds nvars integers >= 0 (Python or numpy
+        integers, not bools); anything else raises ValueError rather than
+        being rounded.  Zero coefficients are dropped."""
         self.nvars = nvars
+        for expo in terms:
+            if len(expo) != nvars or not all(
+                isinstance(e, (int, np.integer)) and not isinstance(e, bool) and e >= 0
+                for e in expo
+            ):
+                raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
         self.terms = {
             tuple(int(e) for e in expo): float(c)
             for expo, c in terms.items()
             if c != 0
         }
-        for expo in self.terms:
-            if len(expo) != nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent tuple {expo} for {nvars} variables")
         self._derivatives: dict = {}
 
     def _value_t(self, coords):

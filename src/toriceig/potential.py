@@ -251,9 +251,9 @@ class GuilleminPlusPolyPotential(SymplecticPotential):
             raise ValueError("polynomial variable count must match the polytope dimension")
         if not all(math.isfinite(c) for c in poly.terms.values()):
             raise ValueError("polynomial coefficients must be finite")
-        self.poly = self.added = poly
+        self.added = poly
         if check:
-            report = validate(self, samples=40)
+            report = validate(self)
             if not report["passed"]:
                 raise NotPositiveDefinite(
                     f"Hessian of u0 + v fails positivity: worst margin {report['worst_margin']:.3e}"
@@ -315,14 +315,14 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
             entries = json.load(fh)
         try:
             terms = {tuple(e["exponents"]): e["coeff"] for e in entries}
-            poly = MultiPoly(P.dim, {expo: float(c) for expo, c in terms.items()})
+            coeffs = {expo: float(c) for expo, c in terms.items()}
         except (TypeError, KeyError, OverflowError) as exc:
             raise ValueError(
                 f"bad polynomial file {path!r}: need a list of "
                 '{"exponents": [...], "coeff": <float>} entries'
             ) from exc
-        # MultiPoly rounds exponents with int() and drops zero terms; the
-        # file itself must already be exact
+        # checked before MultiPoly, which drops zero terms, so that an inexact
+        # file is refused whatever its coefficients and the message names it
         if len(terms) != len(entries) or not all(
             len(expo) == P.dim
             and all(type(k) is int and k >= 0 for k in expo)
@@ -333,25 +333,23 @@ def potential_from_spec(P: LabelledPolytope, spec: str) -> SymplecticPotential:
                 f"bad polynomial file {path!r}: need distinct exponents of {P.dim} "
                 "integers >= 0 each and numeric coefficients"
             )
-        return guillemin_plus_poly(P, poly)
+        return guillemin_plus_poly(P, MultiPoly(P.dim, coeffs))
     raise ValueError(f"unknown potential spec {spec!r}")
 
 
 # -- operations ----------------------------------------------------------------
 
 
-def validate(u: SymplecticPotential, samples: int = 40) -> dict:
+def validate(u: SymplecticPotential) -> dict:
     """Sample-based validity report for u.
 
-    Checks G > 0 at deterministic interior points and at probes approaching
-    each facet (distances 1e-2 .. 1e-6).  Failures are collected in the
-    report, never raised.
+    Checks G > 0 at 40 deterministic interior (Halton) points and at probes
+    approaching each facet (distances 1e-2 .. 1e-6 of the polytope's scale).
+    Failures are collected in the report, never raised.
     """
-    if samples < 10:
-        raise ValueError("samples must be >= 10")
     P = u.polytope
     distances = [polytope_scale(P) * 10.0**-e for e in range(2, 7)]
-    checks = [(x, "interior") for x in interior_points(P, samples)]
+    checks = [(x, "interior") for x in interior_points(P, 40)]
     checks += [
         (x, f"near facet {i} (distance {d:.1e})") for i, d, x in facet_proximal_points(P, distances)
     ]

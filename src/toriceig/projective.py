@@ -11,8 +11,10 @@ The diagonal moment-map components
 
     Psi_mm = alpha_m^2 |Z_m|^2 / sum_j alpha_j^2 |Z_j|^2
 
-sum to one pointwise.  `balance` finds positive weights alpha making every
-Psi_mm average to vol/(N+1) by a multiplicative fixed point, and
+sum to one pointwise.  `psi_diag` evaluates them on points of shape (..., n)
+as the columns of one array, column m for the lattice point E.points[m].
+`balance` finds positive weights alpha making every Psi_mm average to
+vol/(N+1) by a multiplicative fixed point, and
 `saturation_check` tests the identities that characterize equality in the
 lattice-point eigenvalue bound (they force the standard simplex and the
 canonical metric).
@@ -39,8 +41,6 @@ __all__ = [
     "SaturationReport",
     "BoundReport",
     "build_embedding",
-    "z_squared",
-    "psi_mm",
     "psi_diag",
     "balance",
     "saturation_check",
@@ -103,16 +103,6 @@ def build_embedding(P: LabelledPolytope) -> EmbeddingData:
     )
 
 
-def _point_index(E: EmbeddingData, m) -> int:
-    if isinstance(m, (int, np.integer)):
-        return int(m)
-    key = tuple(int(v) for v in m)
-    try:
-        return E.points.index(key)
-    except ValueError as exc:
-        raise ValueError(f"{key} is not a lattice point of the embedding") from exc
-
-
 def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X) -> np.ndarray:
     """log |Z_m|^2 at points X of shape (..., n), shape (..., N+1).
 
@@ -133,13 +123,6 @@ def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X) -> np.ndarray:
     grads = u.gradient(X)  # raises BoundaryPoint near dP
     pts = np.array(E.points, dtype=float)
     return 2.0 * (grads[..., None, :] @ pts.T)[..., 0, :]
-
-
-def z_squared(E: EmbeddingData, u: SymplecticPotential, m, x) -> float:
-    """|Z_m|^2 at x (translated coordinates); m is an index or a lattice point."""
-    if u.polytope != E.polytope:
-        raise ValueError("potential must live on the embedding's translated polytope")
-    return float(np.exp(_log_z2_nodes(E, u, x)[_point_index(E, m)]))
 
 
 def _normalized_alpha(alpha, count: int) -> np.ndarray:
@@ -165,11 +148,6 @@ def psi_diag(E: EmbeddingData, u: SymplecticPotential, alpha, x) -> np.ndarray:
     logw -= np.max(logw, axis=-1, keepdims=True)
     w = np.exp(logw)
     return w / np.sum(w, axis=-1, keepdims=True)
-
-
-def psi_mm(E: EmbeddingData, u: SymplecticPotential, alpha, m, x):
-    """One diagonal component Psi_mm in [0, 1] at points x of shape (..., n)."""
-    return psi_diag(E, u, alpha, x)[..., _point_index(E, m)]
 
 
 @dataclass(frozen=True)
@@ -323,8 +301,7 @@ def saturation_check(
     design = np.hstack([np.ones((len(pts), 1)), pts])
     r2 = 0.0
     for m in adjacent:
-        idx = _point_index(E, m)
-        y = psi[:, idx]
+        y = psi[:, E.points.index(m)]
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         r2 = max(r2, float(np.max(np.abs(y - design @ coef))))
 

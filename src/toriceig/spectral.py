@@ -31,6 +31,7 @@ output.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,11 @@ __all__ = [
     "sweep_uc",
     "sweep_dilation",
 ]
+
+
+# the most entries `_ritz` puts in its monomial table or its mass matrix:
+# 256 MiB of float64
+MAX_TABLE = 2**25
 
 
 class SpectralError(Exception):
@@ -103,27 +109,25 @@ def _lowered(exponents, rows_of, halfwidth) -> list:
 
 
 class TrialFunction:
-    """Polynomial in normalized coordinates xhat = (x - center)/halfwidth,
-    determined by monomial exponents and a coefficient vector.  Evaluates at
-    points of shape (..., n)."""
+    """Polynomial sum_e c_e xhat^e in normalized coordinates
+    xhat = (x - center)/halfwidth, over every exponent e of total degree
+    1..degree in `_monomial_exponents` order, one coefficient each: the trial
+    space of `lambda1_invariant`.  Evaluates at points of shape (..., n)."""
 
-    def __init__(self, coeffs, exponents, center, halfwidth):
+    def __init__(self, coeffs, degree, center, halfwidth):
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.exponents = tuple(tuple(e) for e in exponents)
         self.center = np.asarray(center, dtype=float)
         self.halfwidth = np.asarray(halfwidth, dtype=float)
-        degree = max((sum(e) for e in self.exponents), default=0)
         self._table_exponents = _monomial_exponents(len(self.center), degree)
         rows_of = {e: i for i, e in enumerate(self._table_exponents)}
-        self._rows = [rows_of[e] for e in self.exponents]
-        self._lowered = _lowered(self.exponents, rows_of, self.halfwidth)
+        self._lowered = _lowered(self._table_exponents[1:], rows_of, self.halfwidth)
 
     def _table(self, x) -> np.ndarray:
         xhat = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
         return _monomial_table(np.moveaxis(xhat, -1, 0), self._table_exponents)
 
     def value(self, x) -> np.ndarray:
-        return np.tensordot(self.coeffs, self._table(x)[self._rows], axes=1)
+        return np.tensordot(self.coeffs, self._table(x)[1:], axes=1)
 
     def gradient(self, x) -> np.ndarray:
         V = self._table(x)
@@ -145,13 +149,12 @@ class RitzResult:
     eigvec: np.ndarray
     mass_condition: float
     stiffness_condition: float
-    exponents: tuple
     center: np.ndarray
     halfwidth: np.ndarray
     quad_nodes: int
 
     def eigenfunction(self) -> TrialFunction:
-        return TrialFunction(self.eigvec, self.exponents, self.center, self.halfwidth)
+        return TrialFunction(self.eigvec, self.degree, self.center, self.halfwidth)
 
     def to_dict(self) -> dict:
         return {
@@ -192,13 +195,21 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     """One `RitzResult` per potential on the span of mean-centered monomials
     of total degree <= degree.  The monomial table and the mass matrix with
     its eigh depend only on the rule, so they are built once; each potential
-    adds its stiffness matrix and one eigh."""
+    adds its stiffness matrix and one eigh.  A degree whose table or mass
+    matrix would hold more than MAX_TABLE entries raises ValueError before
+    either is built."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     for u in potentials:
         _require_matching(u, Q)
     P = Q.polytope
     n = P.dim
+    basis = math.comb(degree + n, n) - 1
+    if (basis + 1) * max(basis + 1, len(Q)) > MAX_TABLE:
+        raise ValueError(
+            f"degree {degree} needs {basis} basis functions on {len(Q)} nodes, "
+            f"more than the MAX_TABLE = {MAX_TABLE} entries a table may hold"
+        )
     lo, hi = P.bounding_box()
     lo_f = np.array([float(v) for v in lo])
     hi_f = np.array([float(v) for v in hi])
@@ -248,7 +259,6 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
                 eigvec=U @ (vecs[:, 0] / root),
                 mass_condition=float(mass[-1] / mass[0]),
                 stiffness_condition=float(spread.max() / spread.min()),
-                exponents=tuple(exponents[1:]),
                 center=center,
                 halfwidth=halfwidth,
                 quad_nodes=len(w),

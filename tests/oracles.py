@@ -452,7 +452,7 @@ def _facet_tangent_basis(P, facet_index: int) -> np.ndarray:
     return np.array(basis)
 
 
-def reference_validate(u, samples: int = 40) -> dict:
+def reference_validate(u) -> dict:
     """`validate` with the facet-tangent block check it used to make: at every
     probe near a facet, the restriction of G to the facet's tangent directions
     is checked too and reported as "tangent to facet i (distance d)".  It
@@ -467,7 +467,7 @@ def reference_validate(u, samples: int = 40) -> dict:
 
     P = u.polytope
     distances = [polytope_scale(P) * 10.0**-e for e in range(2, 7)]
-    checks = [(x, "interior", None) for x in interior_points(P, samples)]
+    checks = [(x, "interior", None) for x in interior_points(P, 40)]
     checks += [
         (x, f"near facet {i} (distance {d:.1e})", (i, d))
         for i, d, x in facet_proximal_points(P, distances)
@@ -507,6 +507,31 @@ def reference_poly_gradient_hessian(p, x):
         for j in range(i, n):
             H[i, j] = H[j, i] = p.derivative(i).derivative(j)._value_t(coords)
     return grad, H.T
+
+
+def reference_laplacian(u, f, x, method: str = "auto"):
+    """The invariant Laplacian -(sum_i dH_ij/dx_i) df/dx_j - H : Hess f of a
+    MultiPoly f at points x of shape (..., n); a float for one point.  It
+    shares H and dH with the library (`hessian_inverse_derivatives`, closed
+    form or with method="fd" its central differences)."""
+    from toriceig.geometry import hessian_inverse_derivatives
+
+    x = np.asarray(x, dtype=float)
+    H, dH, _ = hessian_inverse_derivatives(u, x, method=method, second=False)
+    div_H = np.einsum("...iji->...j", dH)  # sum_i dH_ij/dx_i
+    lap = -np.sum(div_H * f.gradient(x), axis=-1) - np.sum(H * f.hessian(x), axis=(-2, -1))
+    return float(lap) if x.ndim == 1 else lap
+
+
+def fd_scalar_curvature(u, x):
+    """scal = -sum_ij d^2 H_ij / dx_i dx_j at points x of shape (..., n) from
+    the central-difference d2H of `hessian_inverse_derivatives(method="fd")`;
+    a float for one point."""
+    from toriceig.geometry import hessian_inverse_derivatives
+
+    x = np.asarray(x, dtype=float)
+    scal = -np.einsum("...ijij->...", hessian_inverse_derivatives(u, x, method="fd")[2])
+    return float(scal) if x.ndim == 1 else scal
 
 
 def hc_diag(u_c, x) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,25 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "lambda1t", SIMPLEX2, "--quad-depth", "40")
         assert code == 2 and out == ""
         assert "nodes, over" in err
+
+    def test_degree_over_table_cap(self):
+        # B = C(202, 2) - 1 = 20,300 basis functions, a 3.07 GiB mass matrix.
+        # A 1 GB address-space limit on the child shows that the refusal comes
+        # before any large allocation; a degree 4 run fits under it.
+        limit = 1_000_000 * 1024
+
+        def run(degree):
+            return subprocess.run(
+                [sys.executable, "-m", "toriceig.cli", "lambda1t", SIMPLEX2, "--degree", degree],
+                capture_output=True, text=True, env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+                timeout=120,
+            )
+
+        proc = run("200")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "degree 200 needs 20300 basis functions on 432 nodes" in proc.stderr
+        assert run("4").returncode == 0
 
     def test_bad_potential_spec(self, capsys):
         code, _, _ = run_cli(capsys, "lambda1t", INTERVAL01, "--potential", "nonsense")

@@ -4,7 +4,12 @@ symbolic 1D cross-checks, Ricci consistency and the Einstein residual test."""
 import numpy as np
 import pytest
 
-from oracles import lattice_perimeter, symbolic_uc_scal_interval
+from oracles import (
+    fd_scalar_curvature,
+    lattice_perimeter,
+    reference_laplacian,
+    symbolic_uc_scal_interval,
+)
 from toriceig import (
     LabelledPolytope,
     MultiPoly,
@@ -14,7 +19,6 @@ from toriceig import (
     guillemin,
     guillemin_plus_poly,
     ke_check,
-    laplacian_invariant,
     quadratic_perturbed,
     scalar_curvature,
 )
@@ -37,13 +41,13 @@ POLY_V = MultiPoly(2, {(2, 0): 0.3, (1, 1): 0.2, (0, 3): 0.1})  # v = 0.3x^2 + 0
 class TestLaplacian:
     @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.77])
     def test_interval_coordinate(self, x):
-        assert laplacian_invariant(guillemin(interval01), x_1d, [x]) == pytest.approx(
+        assert reference_laplacian(guillemin(interval01), x_1d, [x]) == pytest.approx(
             4 * x - 2, abs=1e-12
         )
 
     def test_constant_is_zero(self):
         f = MultiPoly(2, {(0, 0): 3.5})
-        assert laplacian_invariant(guillemin(simplex2), f, [0.2, 0.3]) == pytest.approx(
+        assert reference_laplacian(guillemin(simplex2), f, [0.2, 0.3]) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -54,15 +58,15 @@ class TestLaplacian:
         n = 2
         for x in interior_points(simplex2, 8):
             expected = 2 * (n + 1) * x[i] - 2
-            assert laplacian_invariant(u, f, x) == pytest.approx(expected, abs=1e-10)
-        assert laplacian_invariant(u, f, [1 / 3, 1 / 3]) == pytest.approx(0.0, abs=1e-12)
+            assert reference_laplacian(u, f, x) == pytest.approx(expected, abs=1e-10)
+        assert reference_laplacian(u, f, [1 / 3, 1 / 3]) == pytest.approx(0.0, abs=1e-12)
 
     def test_fd_path_matches_closed(self):
         u = guillemin(simplex2)
         f = MultiPoly(2, {(1, 0): 1.0})
         for x in interior_points(simplex2, 6, min_facet=0.05):
-            closed = laplacian_invariant(u, f, x)
-            fd = laplacian_invariant(u, f, x, method="fd")
+            closed = reference_laplacian(u, f, x)
+            fd = reference_laplacian(u, f, x, method="fd")
             assert fd == pytest.approx(closed, rel=1e-5, abs=1e-6)
 
 
@@ -71,13 +75,13 @@ class TestScalarCurvature:
         u = guillemin(interval01)
         for x in interior_points(interval01, 20, min_facet=0.02):
             assert scalar_curvature(u, x).scal == pytest.approx(4.0, rel=1e-6)
-            assert scalar_curvature(u, x, method="fd").scal == pytest.approx(4.0, rel=1e-3)
+            assert fd_scalar_curvature(u, x) == pytest.approx(4.0, rel=1e-3)
 
     def test_simplex_is_12(self):
         u = guillemin(simplex2)
         for x in interior_points(simplex2, 20, min_facet=0.02):
             assert scalar_curvature(u, x).scal == pytest.approx(12.0, rel=1e-6)
-            assert scalar_curvature(u, x, method="fd").scal == pytest.approx(12.0, rel=1e-3)
+            assert fd_scalar_curvature(u, x) == pytest.approx(12.0, rel=1e-3)
 
     @pytest.mark.parametrize("c,x", [(0.0, 0.5), (2.0, 0.5), (5.0, 0.3), (2.0, 0.41)])
     def test_uc_against_symbolic(self, c, x):
@@ -90,7 +94,7 @@ class TestScalarCurvature:
             u = guillemin(P)
             for x in interior_points(P, 10, min_facet=0.05):
                 closed = scalar_curvature(u, x).scal
-                fd = scalar_curvature(u, x, method="fd").scal
+                fd = fd_scalar_curvature(u, x)
                 assert fd == pytest.approx(closed, rel=1e-4)
 
     def test_poly_closed_vs_fd(self):
@@ -98,7 +102,7 @@ class TestScalarCurvature:
         u = guillemin_plus_poly(square, POLY_V)
         for x in interior_points(square, 10, min_facet=0.05):
             closed = scalar_curvature(u, x).scal
-            assert scalar_curvature(u, x, method="fd").scal == pytest.approx(closed, rel=1e-4)
+            assert fd_scalar_curvature(u, x) == pytest.approx(closed, rel=1e-4)
 
     def test_boundary_guard(self):
         with pytest.raises(BoundaryPoint):
@@ -123,8 +127,8 @@ class TestRicci:
         s1 = scalar_curvature(u1, [0.4])
         h = 1e-6
         fd = (
-            laplacian_invariant(u1, x_1d, [0.4 + h])
-            - laplacian_invariant(u1, x_1d, [0.4 - h])
+            reference_laplacian(u1, x_1d, [0.4 + h])
+            - reference_laplacian(u1, x_1d, [0.4 - h])
         ) / (2 * h)
         assert fd == pytest.approx(4.0, rel=1e-8)
         assert 2 * s1.ricci[0, 0] == pytest.approx(fd, rel=1e-8)
@@ -138,8 +142,8 @@ class TestRicci:
                 e = np.zeros(2)
                 e[k] = h
                 fd = (
-                    laplacian_invariant(u2, f, x0 + e)
-                    - laplacian_invariant(u2, f, x0 - e)
+                    reference_laplacian(u2, f, x0 + e)
+                    - reference_laplacian(u2, f, x0 - e)
                 ) / (2 * h)
                 assert 2 * s2.ricci[k, j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
@@ -190,7 +194,7 @@ class TestKECheck:
                 for i in range(P.dim):
                     e_i = tuple(int(j == i) for j in range(P.dim))
                     f = MultiPoly(P.dim, {e_i: 1.0, (0,) * P.dim: -report.xbar[i]})
-                    lhs = laplacian_invariant(u, f, x)
+                    lhs = reference_laplacian(u, f, x)
                     rhs = 2 * lam * (x[i] - report.xbar[i])
                     assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -230,14 +234,13 @@ class TestBatchedDerivatives:
             for b, o in zip(batch, one):
                 assert (b is None and o is None) or b[idx].tobytes() == o.tobytes()
 
-    @pytest.mark.parametrize("method", ["auto", "fd"], ids=["closed", "fd"])
-    def test_scalar_curvature_rows(self, method):
+    def test_scalar_curvature_rows(self):
         u = quadratic_perturbed(square, 1, 2.5)
         X = interior_points(square, 10, min_facet=0.05)
-        batch = scalar_curvature(u, X, method=method)
+        batch = scalar_curvature(u, X)
         assert batch.scal.shape == (10,) and batch.ricci.shape == (10, 2, 2)
         for q, x in enumerate(X):
-            one = scalar_curvature(u, x, method=method)
+            one = scalar_curvature(u, x)
             assert type(one.scal) is float and one.scal == batch.scal[q]
             assert one.ricci.tobytes() == batch.ricci[q].tobytes()
 

@@ -52,3 +52,28 @@ def test_value_gradient_hessian_bits(n):
         value, expected = p.value(X), p._value_t(X.T).T
         assert type(value) is type(expected)
         assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "nvars,terms",
+    [
+        (2, {(1.5, 0): 1.0, (True, 0): 2.0}),  # both rounded to (1, 0), and one term lost
+        (2, {(True, 0): 2.0}),
+        (1, {(2.7,): 1.0}),  # truncated to x^2
+        (1, {(2.0,): 1.0}),
+        (1, {(np.True_,): 1.0}),
+        (1, {(-1,): 1.0}),
+        (2, {(1,): 1.0}),
+        (1, {(1.5,): 0.0}),  # refused even where the zero term would be dropped
+    ],
+    ids=["collision", "bool", "fraction", "float", "numpy-bool", "negative", "short", "zero-term"],
+)
+def test_inexact_exponents_rejected(nvars, terms):
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MultiPoly(nvars, terms)
+
+
+def test_numpy_integer_exponents_accepted():
+    p = MultiPoly(2, {(np.int64(2), np.int32(1)): 1.5, (np.uint8(0), 3): 0.5})
+    assert p.terms == {(2, 1): 1.5, (0, 3): 0.5}
+    assert all(type(e) is int for expo in p.terms for e in expo)

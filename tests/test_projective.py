@@ -22,10 +22,8 @@ from toriceig import (
     guillemin,
     lambda1_invariant,
     psi_diag,
-    psi_mm,
     quadratic_perturbed,
     saturation_check,
-    z_squared,
 )
 from toriceig.polytope import PolytopeError
 from toriceig.projective import NoConvergence, _log_z2_nodes, is_standard_simplex
@@ -87,30 +85,33 @@ class TestEmbedding:
 
 
 class TestZSquared:
+    """|Z_m|^2 as exp of the batched log table, column E.points.index(m)."""
+
     def test_interval_product_form(self, emb1):
         E, u, _ = emb1
         for x in (0.2, 0.5, 0.8):
-            z1 = z_squared(E, u, (1,), [x])
-            z0 = z_squared(E, u, (0,), [x])
+            z0, z1 = np.exp(_log_z2_nodes(E, u, [x]))  # E.points == ((0,), (1,))
             assert z1 == pytest.approx(x, rel=1e-12)
             assert z1 / z0 == pytest.approx(x / (1 - x), rel=1e-12)
-        assert z_squared(E, u, (1,), [0.5]) / z_squared(E, u, (0,), [0.5]) == pytest.approx(1.0)
+        z0, z1 = np.exp(_log_z2_nodes(E, u, [0.5]))
+        assert z1 / z0 == pytest.approx(1.0)
 
     def test_simplex_ratio_at_center(self, emb2):
         E, u, _ = emb2
-        x = [1 / 3, 1 / 3]
-        ratio = z_squared(E, u, (1, 0), x) / z_squared(E, u, (0, 0), x)
+        z = np.exp(_log_z2_nodes(E, u, [1 / 3, 1 / 3]))
+        ratio = z[E.points.index((1, 0))] / z[E.points.index((0, 0))]
         assert ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_non_guillemin_normalized_at_origin_point(self):
         E = build_embedding(interval01)
         u = quadratic_perturbed(E.polytope, 0, 2.0)
-        assert z_squared(E, u, (0,), [0.37]) == pytest.approx(1.0, rel=1e-15)
+        assert np.exp(_log_z2_nodes(E, u, [0.37]))[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_guillemin_extends_to_boundary(self, emb1):
         E, u, _ = emb1
-        assert z_squared(E, u, (1,), [0.0]) == pytest.approx(0.0, abs=1e-300)
-        assert z_squared(E, u, (0,), [0.0]) == pytest.approx(1.0, rel=1e-12)
+        z0, z1 = np.exp(_log_z2_nodes(E, u, [0.0]))
+        assert z1 == pytest.approx(0.0, abs=1e-300)
+        assert z0 == pytest.approx(1.0, rel=1e-12)
 
     def test_non_guillemin_boundary_rejected(self):
         from toriceig.potential import BoundaryPoint
@@ -118,27 +119,26 @@ class TestZSquared:
         E = build_embedding(interval01)
         u = quadratic_perturbed(E.polytope, 0, 2.0)
         with pytest.raises(BoundaryPoint):
-            z_squared(E, u, (1,), [0.0])
-
-    def test_unknown_lattice_point_rejected(self, emb1):
-        E, u, _ = emb1
-        with pytest.raises(ValueError):
-            z_squared(E, u, (5,), [0.5])
+            _log_z2_nodes(E, u, [0.0])
 
 
 class TestPsi:
+    """Psi_mm is column E.points.index(m) of `psi_diag`."""
+
     def test_interval_telescoping(self, emb1):
         E, u, _ = emb1
         alpha = np.array([0.5, 0.5])
         for x in (0.1, 0.3, 0.9):
-            assert psi_mm(E, u, alpha, (1,), [x]) == pytest.approx(x, rel=1e-12)
-            assert psi_mm(E, u, alpha, (0,), [x]) == pytest.approx(1 - x, rel=1e-12)
+            psi0, psi1 = psi_diag(E, u, alpha, [x])  # E.points == ((0,), (1,))
+            assert psi1 == pytest.approx(x, rel=1e-12)
+            assert psi0 == pytest.approx(1 - x, rel=1e-12)
 
     def test_simplex_telescoping(self, emb2):
         E, u, _ = emb2
         alpha = np.full(3, 1 / 3)
+        col = E.points.index((1, 0))
         for x in interior_points(simplex2, 8):
-            assert psi_mm(E, u, alpha, (1, 0), x) == pytest.approx(x[0], rel=1e-10)
+            assert psi_diag(E, u, alpha, x)[col] == pytest.approx(x[0], rel=1e-10)
 
     def test_exact_rational_telescoping(self):
         # product form with Fractions: Psi_mm is exactly the barycentric
@@ -172,7 +172,7 @@ class TestPsi:
     def test_concentration_limit(self, emb1):
         E, u, _ = emb1
         alpha = np.array([1e-6, 1.0])
-        assert psi_mm(E, u, alpha, (1,), [0.5]) == pytest.approx(1.0, abs=1e-9)
+        assert psi_diag(E, u, alpha, [0.5])[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_projective_invariance(self, emb2):
         E, u, _ = emb2
@@ -202,7 +202,7 @@ class TestBalance:
         w = balance(E, u, Q, tol=1e-10)
         for idx in range(E.count):
             avg = interval_midpoint_integral(
-                lambda p, i=idx: psi_mm(E, u, w.alpha, i, p), 0.0, 1.0, 4000
+                lambda p, i=idx: psi_diag(E, u, w.alpha, p)[..., i], 0.0, 1.0, 4000
             )
             assert avg == pytest.approx(0.5, abs=1e-8)
 
@@ -212,7 +212,7 @@ class TestBalance:
         vol = 0.5
         for idx in range(E.count):
             integral = simplex2_centroid_integral(
-                lambda pts, i=idx: psi_mm(E, u, w.alpha, i, pts), k=120
+                lambda pts, i=idx: psi_diag(E, u, w.alpha, pts)[..., i], k=120
             )
             assert integral / vol == pytest.approx(1 / 3, abs=1e-8)
 
@@ -284,10 +284,8 @@ class TestPsiBatch:
         alpha = np.linspace(1.0, 2.0, E.count)
         batch = psi_diag(E, u, alpha, X)
         assert batch.shape == X.shape[:-1] + (E.count,)
-        last = psi_mm(E, u, alpha, E.count - 1, X)
         for idx in np.ndindex(X.shape[:-1]):
             assert batch[idx].tobytes() == psi_diag(E, u, alpha, X[idx]).tobytes()
-            assert last[idx] == psi_mm(E, u, alpha, E.count - 1, X[idx])
 
 
 class TestLogZ2:

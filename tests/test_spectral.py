@@ -187,6 +187,20 @@ class TestLambda1:
         assert len(Q) == 2 and result.basis_size == 1
         assert result.lambda1T > 0
 
+    def test_table_cap(self, monkeypatch):
+        # degree 4 on simplex2: B = C(6, 2) - 1 = 14 basis functions, a table
+        # of B + 1 rows by len(Q) nodes; the cap is checked before it is built
+        Q = build_quadrature(simplex2, 3, 2)
+        entries = 15 * max(15, len(Q))
+        monkeypatch.setattr(spectral, "MAX_TABLE", entries)
+        lambda1_invariant(guillemin(simplex2), 4, Q)
+        monkeypatch.setattr(spectral, "MAX_TABLE", entries - 1)
+        message = f"degree 4 needs 14 basis functions on {len(Q)} nodes"
+        with pytest.raises(ValueError, match=message):
+            lambda1_invariant(guillemin(simplex2), 4, Q)
+        with pytest.raises(ValueError, match=message):
+            sweep_uc(simplex2, 0, [0, 1], degree=4, Q=Q)
+
     def test_zero_mass_raises(self):
         # every node at one point: the mean-centered values vanish and no
         # mass direction clears the rank tolerance
@@ -341,9 +355,8 @@ class TestStiffnessDomination:
         u0 = guillemin(intervalC)
         us = dilation(intervalC, s)
         rng = np.random.default_rng(11)
-        exponents = [(1,), (2,), (3,), (4,)]
         for _ in range(6):
-            f = TrialFunction(rng.normal(size=4), exponents, [0.0], [1.0])
+            f = TrialFunction(rng.normal(size=4), 4, [0.0], [1.0])  # x, x^2, x^3, x^4
             q_s = rayleigh_quotient(us, f, Q)
             q_0 = rayleigh_quotient(u0, f, Q)
             assert q_s >= q_0 - 1e-9 * max(1.0, abs(q_0))
