@@ -173,9 +173,11 @@ class SymplecticPotential:
                 f"(smallest eigenvalue {low[worst]:.3e})"
             ) from exc
         # R^{-1} by forward substitution and H = R^{-T} R^{-1}, one entry
-        # array over all points at a time; H comes out exactly symmetric.
+        # array over all points at a time, on a contiguous (n, n, ...) copy of
+        # R (the strided factor is dropped before R^{-1} is allocated); H
+        # comes out exactly symmetric.
         n = G.shape[-1]
-        R = np.moveaxis(R, (-2, -1), (0, 1))
+        R = np.ascontiguousarray(np.moveaxis(R, (-2, -1), (0, 1)))
         Rinv = np.zeros_like(R)
         for i in range(n):
             Rinv[i, i] = 1.0

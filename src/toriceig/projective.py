@@ -118,7 +118,8 @@ def _log_z2_nodes(E: EmbeddingData, u: SymplecticPotential, X) -> np.ndarray:
         expo = E.exponents.astype(float)  # (N+1, d)
         # a facet with L <= 0 adds 0 here ...
         out = (np.log(np.where(inside, L, 1.0))[..., None, :] @ expo.T)[..., 0, :]
-        out[(~inside).astype(float) @ expo.T > 0] = -np.inf  # ... unless its exponent is > 0
+        if not inside.all():  # quadrature nodes are interior and skip this
+            out[(~inside).astype(float) @ expo.T > 0] = -np.inf  # ... unless its exponent is > 0
         return out
     grads = u.gradient(X)  # raises BoundaryPoint near dP
     pts = np.array(E.points, dtype=float)

@@ -4,9 +4,14 @@ The polytope is triangulated exactly (rational vertices) by coning its vertex
 barycenter over its facets; a 3D facet is fanned from its smallest vertex
 along the cycle of its edges, read from the vertex active sets.
 `build_quadrature` scales that triangulation once to integers (by the lcm of
-its denominators times 2**depth), red-refines every simplex ``depth`` times
-with integer midpoints and takes each exact volume from an integer
-determinant, so no `Fraction` is made per simplex.  A conical-product
+its denominators times 2**depth) into one (simplices, n + 1, n) integer
+array, int64 while every determinant and coordinate converts to float64
+exactly and Python ints (object dtype) past that, chosen once per build.
+Each of the ``depth`` red refinements takes the midpoints by one shift and
+the children by one fancy index, then puts each child's vertices in
+lexicographic order by one `np.lexsort`; a last lexsort orders the
+simplices.  Each exact volume is a closed-form integer determinant of the
+edge arrays, so no `Fraction` is made per simplex.  A conical-product
 Gauss-Jacobi rule of degree 2*order - 1 is mapped onto all simplices in one
 batched product; its 1D factors come from the Golub-Welsch eigenproblem of
 the Jacobi matrix (Golub and Welsch, Math. Comp. 23, 1969), solved by
@@ -159,35 +164,36 @@ def build_quadrature(P: LabelledPolytope, order: int = 3, depth: int = 2) -> Qua
     if count > MAX_NODES:
         raise ValueError(f"order {order}, depth {depth} gives {count} nodes, over {MAX_NODES}")
     scale = math.lcm(*(c.denominator for s in base for v in s for c in v)) << depth
-    simplices = [
-        tuple(tuple(c.numerator * (scale // c.denominator) for c in v) for v in s) for s in base
-    ]
-    pairs, children = _RED[n]
-    for _ in range(depth):
-        refined = []
-        for s in simplices:
-            pts = s + tuple(tuple((a + b) >> 1 for a, b in zip(s[i], s[j])) for i, j in pairs)
-            refined.extend(tuple(sorted(pts[k] for k in child)) for child in children)
-        simplices = refined
-    simplices.sort()
-
-    # Python int / int is correctly rounded, so every float below equals the
-    # float of the exact rational it stands for.
-    edges = [[[b - a for a, b in zip(s[0], v)] for v in s[1:]] for s in simplices]
-    dets = [abs(_det(e)) for e in edges]
+    simplices = [[[c.numerator * (scale // c.denominator) for c in v] for v in s] for s in base]
     fact = math.factorial(n)
     denom = scale**n * fact
-    v0 = np.fromiter((c / scale for s in simplices for c in s[0]), float).reshape(-1, n)
-    # J[s] has the edge vectors as columns, x = v0 + J @ lam
-    J = np.fromiter(
-        (e[i][j] / scale for e in edges for j in range(n) for i in range(n)), float
-    ).reshape(-1, n, n)
+    # Every det term is below n! (2 top)^n, so int64 holds each and float64
+    # converts it, denom and each coordinate exactly; past that the entries
+    # are Python ints.
+    top = max(abs(c) for s in simplices for v in s for c in v)
+    exact = fact * (2 * top) ** n < 2**53 and denom < 2**53
+    S = np.array(simplices, dtype=np.int64 if exact else object)  # (simplices, n + 1, n)
+    pairs, children = (np.array(a) for a in _RED[n])
+    for _ in range(depth):
+        S = np.concatenate([S, (S[:, pairs[:, 0]] + S[:, pairs[:, 1]]) >> 1], axis=1)
+        pts = S[:, children].reshape(-1, n)
+        # each child's vertices in lexicographic order, keyed by the child first
+        child = np.repeat(np.arange(len(pts) // (n + 1)), n + 1)
+        S = pts[np.lexsort((*pts.T[::-1], child))].reshape(-1, n + 1, n)
+    S = S[np.lexsort(S.reshape(len(S), -1).T[::-1])]
+
+    # Each integer above converts to float64 exactly and IEEE division is
+    # correctly rounded, so every float below equals the float of the exact
+    # rational it stands for, as Python int / int gives.
+    edges = S[:, 1:] - S[:, :1]  # (simplices, n, n), row i is vertex i + 1 - vertex 0
+    dets = abs(_det(edges.transpose(1, 2, 0)))  # its n <= 3 closed forms, entrywise
     lam, base_w = _unit_simplex_rule(n, order)
-    nodes = v0[:, None, :] + lam @ J.transpose(0, 2, 1)
-    vol_scale = np.array([d / denom * fact for d in dets])  # |det J| per simplex
+    # x = v0 + lam @ edges, the edge vectors scaled back as rows
+    nodes = np.asarray(S[:, 0] / scale, float)[:, None, :] + lam @ np.asarray(edges / scale, float)
+    vol_scale = np.asarray(dets / denom * fact, float)  # |det J| per simplex
     return QuadratureRule(
         polytope=P,
         nodes=nodes.reshape(-1, n),
         weights=(vol_scale[:, None] * base_w).reshape(-1),
-        exact_volume=Fraction(sum(dets), denom),
+        exact_volume=Fraction(int(dets.sum()), denom),
     )

@@ -14,13 +14,16 @@ products of simplices; elsewhere, e.g. the Guillemin H of a Hirzebruch
 polygon, H is rational and the quadrature error can put the value below the
 eigenvalue.  All monomials of degree <= D sit in one table V at the nodes,
 one row per exponent e, each the product x_j * x^(e - e_j) of an earlier
-row.  The mass matrix is one GEMM, (V w) V^T for the mean-centered rows.
-The gradient of a basis monomial is a scaled row of degree <= D - 1, so the
-stiffness matrix is sum_{j<=k} C_j^T K_jk C_k plus the transposes for j < k,
-with K_jk = V_low diag(w H_jk) V_low^T over those rows and C_j the scaled
-selection of the lowered exponents.  The generalized problem A c = lambda M c
-is whitened on the eigenvectors of M = U diag(mass) U^T (one LAPACK `eigh`):
-directions with mass <= B * eps * max(mass), numpy's `matrix_rank` tolerance
+row; the rows, their parents and the rows of e - e_j come from one cached
+integer exponent table per (n, D).  The mass matrix is one GEMM, (V w) V^T
+for the mean-centered rows.  The gradient of a basis monomial is a scaled
+row of degree <= D - 1, so the stiffness matrix is sum_{j<=k} C_j^T K_jk C_k
+plus the transposes for j < k, with K_jk = V_low diag(w H_jk) V_low^T over
+those rows and C_j the scaled selection of the lowered exponents; a K_jk
+whose H_jk is zero at every node (j != k on boxes) is skipped, which moves
+no bit.  The generalized problem A c = lambda M c is whitened on the
+eigenvectors of M = U diag(mass) U^T (one LAPACK `eigh`): directions with
+mass <= B * eps * max(mass), numpy's `matrix_rank` tolerance
 for B basis functions, are dropped, and `eigh` of
 U^T A U / sqrt(mass_i mass_j) on the rest gives the Ritz values.  A sweep
 builds the trial space and the whitening once and solves each potential on
@@ -30,6 +33,7 @@ output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,59 +76,58 @@ class MassSingular(SpectralError):
     B * eps * max(mass), so the trial space is empty."""
 
 
-def _monomial_exponents(n: int, degree: int) -> list:
-    """Every exponent of total degree <= degree in (sum(e), e) order; the
-    zero exponent comes first."""
-    out = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+@functools.lru_cache(maxsize=None)
+def _exponent_table(n: int, degree: int):
+    """Read-only int arrays (E, parent, axis, lowered) over every exponent of
+    total degree <= degree, in (sum(e), e) order with the zero exponent
+    first: E holds the exponents as rows; row e is X_j * X^(e - e_j) of row
+    parent[e] with j = axis[e], the last nonzero axis of e; lowered[j, e] is
+    the row of e - e_j, or 0 where e_j = 0.  Rows are found through the
+    mixed-radix code sum_j e_j (degree + 1)^(n - 1 - j) of each exponent."""
+    E = np.array(list(itertools.product(range(degree + 1), repeat=n)), dtype=int)
+    row_of = np.zeros(len(E), dtype=int)  # by code: row p of the product has code p
+    E = E[E.sum(axis=1) <= degree]
+    E = E[np.argsort(E.sum(axis=1), kind="stable")]
+    radix = (degree + 1) ** np.arange(n - 1, -1, -1)
+    code = E @ radix
+    row_of[code] = np.arange(len(E))
+    lowered = np.where(E.T > 0, row_of[np.maximum(code - radix[:, None], 0)], 0)
+    axis = n - 1 - np.argmax(E[:, ::-1] > 0, axis=1)
+    parent = lowered[axis, np.arange(len(E))]
+    for a in (E, parent, axis, lowered):
+        a.flags.writeable = False
+    return E, parent, axis, lowered
 
 
-def _monomial_table(X: np.ndarray, exponents: list) -> np.ndarray:
-    """Row i is X^e for e = exponents[i], shape (len(exponents), ...) for X of
-    shape (n, ...).  The exponents are those of `_monomial_exponents`, so row
-    e is one multiply of an earlier row, X_j * X^(e - e_j) with j the last
-    nonzero axis of e."""
-    index = {e: i for i, e in enumerate(exponents)}
-    V = np.empty((len(exponents),) + X.shape[1:])
+def _monomial_table(X: np.ndarray, degree: int) -> np.ndarray:
+    """Row i is X^e for the exponent e in row i of `_exponent_table`, shape
+    (rows, ...) for X of shape (n, ...): one multiply of an earlier row per
+    row."""
+    _, parent, axis, _ = _exponent_table(len(X), degree)
+    V = np.empty((len(parent),) + X.shape[1:])
     V[0] = 1.0
-    for i, e in enumerate(exponents[1:], 1):
-        j = max(k for k, p in enumerate(e) if p)
-        np.multiply(X[j], V[index[e[:j] + (e[j] - 1,) + e[j + 1 :]]], out=V[i, ...])
+    for i, (j, p) in enumerate(zip(axis[1:].tolist(), parent[1:].tolist()), 1):
+        np.multiply(X[j], V[p], out=V[i, ...])
     return V
-
-
-def _lowered(exponents, rows_of, halfwidth) -> list:
-    """d/dx_j xhat^e = (e_j / halfwidth_j) xhat^(e - e_j): for each axis j, the
-    table rows of e - e_j and the factors e_j / halfwidth_j for the exponents
-    e, with row 0 and factor 0 where e_j = 0."""
-    E = np.array(exponents, dtype=int).reshape(len(exponents), -1)
-    out = []
-    for j in range(E.shape[1]):
-        lowered = E.copy()
-        lowered[:, j] -= 1
-        rows = [rows_of.get(tuple(e), 0) for e in lowered]
-        out.append((np.array(rows, dtype=int), E[:, j] / halfwidth[j]))
-    return out
 
 
 class TrialFunction:
     """Polynomial sum_e c_e xhat^e in normalized coordinates
     xhat = (x - center)/halfwidth, over every exponent e of total degree
-    1..degree in `_monomial_exponents` order, one coefficient each: the trial
+    1..degree in `_exponent_table` order, one coefficient each: the trial
     space of `lambda1_invariant`.  Evaluates at points of shape (..., n)."""
 
     def __init__(self, coeffs, degree, center, halfwidth):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.halfwidth = np.asarray(halfwidth, dtype=float)
-        self._table_exponents = _monomial_exponents(len(self.center), degree)
-        rows_of = {e: i for i, e in enumerate(self._table_exponents)}
-        self._lowered = _lowered(self._table_exponents[1:], rows_of, self.halfwidth)
+        self.degree = degree
+        E, _, _, lowered = _exponent_table(len(self.center), degree)
+        self._lowered = [(lowered[j, 1:], E[1:, j] / h) for j, h in enumerate(self.halfwidth)]
 
     def _table(self, x) -> np.ndarray:
         xhat = (np.asarray(x, dtype=float) - self.center) / self.halfwidth
-        return _monomial_table(np.moveaxis(xhat, -1, 0), self._table_exponents)
+        return _monomial_table(np.moveaxis(xhat, -1, 0), self.degree)
 
     def value(self, x) -> np.ndarray:
         return np.tensordot(self.coeffs, self._table(x)[1:], axes=1)
@@ -216,17 +219,19 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     center = (lo_f + hi_f) / 2.0
     halfwidth = np.maximum((hi_f - lo_f) / 2.0, 1e-12)
 
-    exponents = _monomial_exponents(n, degree)  # the constant first
     w = Q.weights
-    V = _monomial_table(((Q.nodes - center) / halfwidth).T, exponents)  # (B + 1, m)
+    X = np.ascontiguousarray(((Q.nodes - center) / halfwidth).T)
+    V = _monomial_table(X, degree)  # (B + 1, m), the constant first
+    del X
     vals = V[1:] - (V[1:] @ w)[:, None] / float(np.sum(w))  # mean-zero against the rule
     M = (vals * w) @ vals.T
     del vals
     # The basis gradients are scaled rows of degree <= degree - 1, which come
     # first in V; the stiffness matrix is assembled from them as the module
     # docstring says.
-    V_low = V[: sum(1 for e in exponents if sum(e) < degree)]
-    lowered = _lowered(exponents[1:], {e: i for i, e in enumerate(exponents)}, halfwidth)
+    V_low = V[: math.comb(degree - 1 + n, n)]
+    E, _, _, rows = _exponent_table(n, degree)
+    lowered = [(rows[j, 1:], E[1:, j] / h) for j, h in enumerate(halfwidth)]
 
     # Whiten on the eigenvectors of M, keeping the directions above numpy's
     # matrix_rank tolerance; eigh reads one triangle, so neither matrix needs
@@ -243,6 +248,10 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
         H = u.sample(Q.nodes).H
         A = 0.0
         for j, k in itertools.combinations_with_replacement(range(n), 2):
+            # H_jk vanishes at every node for j != k on boxes under guillemin,
+            # uc and dilation; adding its exact zero block moves no bit of A.
+            if j != k and not H[:, j, k].any():
+                continue
             (rows_j, scale_j), (rows_k, scale_k) = lowered[j], lowered[k]
             K = np.multiply(V_low, w * H[:, j, k], out=weighted) @ V_low.T
             block = scale_j[:, None] * K[np.ix_(rows_j, rows_k)] * scale_k
@@ -342,7 +351,7 @@ def sweep_dilation(
     s_list = [float(s) for s in s_list]
     if any(s <= 1 for s in s_list):
         raise ValueError("dilation parameters must satisfy s > 1")
-    if sorted(s_list, reverse=True) != s_list:
+    if any(s <= t for s, t in zip(s_list, s_list[1:])):
         raise ValueError("s_list must be strictly decreasing toward 1")
     if Q is None:
         Q = build_quadrature(P)

@@ -294,6 +294,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "max_iter must be >= 0" in err
 
+    @pytest.mark.parametrize("s", ["2,2,1.5", "2,1.5,1.5"])
+    def test_sweep_dilation_repeated_s(self, capsys, s):
+        # s must fall strictly; a repeated value printed the same row twice
+        code, out, err = run_cli(capsys, "sweep-dilation", SQUARE, "--s", s, "--output", "csv")
+        assert code == 2 and out == ""
+        assert "strictly decreasing" in err
+
     def test_quad_depth_over_node_cap(self, capsys):
         # refused from the predicted node count, before any refinement
         code, out, err = run_cli(capsys, "lambda1t", SIMPLEX2, "--quad-depth", "40")

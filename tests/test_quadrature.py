@@ -100,6 +100,19 @@ EXACT_BUILD_CASES = [
     ("far", LabelledPolytope(1, [((1,), -(10**17)), ((-1,), 10**17 + 1)])),
     ("wide-denominator", LabelledPolytope(
         1, [((1,), Fraction(121030708615038487, 446673754019253275)), ((-1,), 1)])),
+    # object dtype in 2-D and 3-D: the square moved by 10**7 crosses the
+    # int64 bound at depth 1; moved by 10**17 / 3 its scaled corners pass
+    # 2**53 on a scale that is not a power of two; the box's scale passes
+    # int64 itself
+    ("square-1e7", LabelledPolytope(
+        2, [((1, 0), -(10**7)), ((0, 1), -(10**7)), ((-1, 0), 10**7 + 1), ((0, -1), 10**7 + 1)])),
+    ("square-1e17/3", LabelledPolytope(2, [
+        ((1, 0), -Fraction(10**17, 3)), ((0, 1), -Fraction(10**17, 3)),
+        ((-1, 0), Fraction(10**17, 3) + 1), ((0, -1), Fraction(10**17, 3) + 1)])),
+    ("box-wide-denominator", LabelledPolytope(
+        3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+            ((-1, 0, 0), Fraction(121030708615038487, 446673754019253275)),
+            ((0, -1, 0), Fraction(10**18 + 9, 10**18 + 7)), ((0, 0, -1), Fraction(5, 7))])),
 ]
 
 

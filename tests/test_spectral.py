@@ -413,6 +413,11 @@ class TestSweeps:
             sweep_dilation(intervalC, [1.01, 1.5], degree=3)
         with pytest.raises(ValueError):
             sweep_dilation(intervalC, [2.0, 1.0], degree=3)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            sweep_dilation(intervalC, [2.0, 2.0, 1.5], degree=3)
+        # c only has to ascend, so a repeated value gives a repeated row
+        rows = sweep_uc(interval01, 0, [0, 1, 1], degree=3).rows
+        assert rows[1] == rows[2]
 
 
 class TestSharedTrialSpace:
@@ -440,3 +445,43 @@ class TestSharedTrialSpace:
         assert len(calls) == 1
         sweep_dilation(intervalC, [2, 1.5, 1.1], degree=4)
         assert len(calls) == 2
+
+
+class TestAssemblyTables:
+    """The cached exponent table and the skipped Hessian blocks of `_ritz`."""
+
+    @pytest.mark.parametrize("n,degree", [(1, 6), (2, 5), (3, 4)])
+    def test_exponent_table(self, n, degree):
+        E, parent, axis, lowered = spectral._exponent_table(n, degree)
+        expected = sorted(
+            (sum(e), e) for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree
+        )
+        exponents = [tuple(e) for e in E.tolist()]
+        assert exponents == [e for _, e in expected]
+        for a in (E, parent, axis, lowered):
+            assert not a.flags.writeable
+        row = {e: i for i, e in enumerate(exponents)}
+        for i, e in enumerate(exponents):
+            for j in range(n):
+                down = e[:j] + (e[j] - 1,) + e[j + 1 :]
+                assert lowered[j, i] == (row[down] if e[j] else 0)
+            if i:
+                j = max(k for k in range(n) if e[k])
+                assert axis[i] == j and parent[i] == lowered[j, i]
+
+    def test_cube_off_diagonal_blocks_vanish(self):
+        # the case whose K_jk GEMMs `_ritz` skips
+        Q = build_quadrature(cube, 3, 1)
+        H = guillemin(cube).sample(Q.nodes).H
+        for j, k in itertools.combinations(range(3), 2):
+            assert not H[:, j, k].any()
+
+    def test_coupled_block_assembled(self):
+        # an x*y term makes H_01 nonzero, so no block is skipped; the
+        # eigenfunction's Rayleigh quotient checks the K_01 block
+        u = guillemin_plus_poly(square, MultiPoly(2, {(1, 1): 0.25}))
+        Q = build_quadrature(square, 3, 1)
+        assert np.all(u.sample(Q.nodes).H[:, 0, 1] != 0)
+        result = lambda1_invariant(u, 4, Q)
+        quotient = rayleigh_quotient(u, result.eigenfunction(), Q)
+        assert quotient == pytest.approx(result.lambda1T, rel=1e-8)
