@@ -14,7 +14,8 @@ sets, because the edges of a simple n-polytope are the (n-1)-subsets of
 them, each shared by exactly two vertices (Ziegler, Lectures on Polytopes,
 ch. 3).  The lattice scan is one numpy pass over the bounding box of k P: it
 decides membership of j/k from <nu_i, j> >= ceil(-k c_i) and returns the
-numerators j as an integer array.
+numerators j as an integer array.  Its column table and its point array are
+each checked against MAX_LATTICE entries before they are allocated.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "NonSimple",
     "MismatchedNormals",
     "EmptyLattice",
+    "LatticeTooLarge",
     "K0NotFound",
     "PrematureK",
     "DegenerateN",
@@ -74,6 +76,10 @@ class EmptyLattice(PolytopeError):
     """P contains no point of Z^n/k."""
 
 
+class LatticeTooLarge(PolytopeError):
+    """The scan of P intersect Z^n/k would hold more than MAX_LATTICE entries."""
+
+
 class K0NotFound(PolytopeError):
     """No k <= k_max produced a shrunk polytope of the right combinatorial type."""
 
@@ -84,6 +90,21 @@ class PrematureK(PolytopeError):
 
 class DegenerateN(PolytopeError):
     """The lattice count N_k vanishes, so the bound formula is undefined."""
+
+
+# the most int64 entries `lattice_points` puts in its column table or its
+# point array: 256 MiB
+MAX_LATTICE = 2**25
+
+
+def _check_lattice_size(k: int, what: str, count: int, width: int) -> None:
+    """Refuse, before allocating, `count` rows of `width` entries each past
+    MAX_LATTICE."""
+    if count * width > MAX_LATTICE:
+        raise LatticeTooLarge(
+            f"k={k} needs {count} lattice {what} of {width} entries each, "
+            f"more than the MAX_LATTICE = {MAX_LATTICE} entries a scan may hold"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +381,9 @@ class LabelledPolytope:
         # at all.  Clamping t_i to the range of <nu_i, i> over the box keeps
         # the scan in int64.
         shift = [sum(v * j for v, j in zip(nu, j0)) for nu in self.normals]
-        prefix = np.indices(size[:-1]).reshape(n - 1, math.prod(size[:-1]))
+        columns = math.prod(size[:-1])
+        _check_lattice_size(k, "columns", columns, n + self.num_facets + 1)
+        prefix = np.indices(size[:-1]).reshape(n - 1, columns)
         sums = np.array([nu[:-1] for nu in self.normals], dtype=np.int64) @ prefix
         first = np.zeros(prefix.shape[1], dtype=np.int64)
         last = np.full(prefix.shape[1], size[-1] - 1)
@@ -385,8 +408,10 @@ class LabelledPolytope:
             for nu, row, s in zip(self.normals, sums, shift)
         ]
         count = last - first + 1
+        ends = np.cumsum(count)
+        _check_lattice_size(k, "points", int(ends[-1]), n)
         rows = np.repeat(np.vstack((prefix, first)).T, count, axis=0)
-        rows[:, -1] += np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        rows[:, -1] += np.arange(len(rows)) - np.repeat(ends - count, count)
         if all(-(2**63) <= j and j + m <= 2**63 for j, m in zip(j0, size)):
             points = rows + np.array(j0, dtype=np.int64)
         else:  # a point leaves int64: the numerators become Python ints

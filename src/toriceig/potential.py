@@ -20,10 +20,13 @@ The kinds differ only in psi and v:
 * ``guillemin_plus_poly``  -- any polynomial v, validity checked by sampling.
 
 Points are arrays of shape (..., n): every method evaluates on the last axis
-and puts the batch axes in front.  Each point is a (1 x d) row-vector product
-of its own, so a row of a batch gets exactly the bits of a one-point call.
-All evaluation happens at strictly interior points (every L_i >= EPS_INTERIOR)
-because G entries scale like 1/L_i.
+and puts the batch axes in front.  The facet sums are elementwise array
+operations over all points at once, so a row of a batch gets exactly the
+bits of a one-point call, and each tensor entry is a copy of the entry of
+its sorted index, so the tensors are exactly symmetric.  `sample` factors
+G = R R^T in closed form on its (n, n, ...) entry arrays: no step calls
+LAPACK or BLAS once per point.  All evaluation happens at strictly interior
+points (every L_i >= EPS_INTERIOR) because G entries scale like 1/L_i.
 """
 
 from __future__ import annotations
@@ -99,13 +102,26 @@ class SymplecticPotential:
 
     def __init__(self, polytope: LabelledPolytope):
         self.polytope = polytope
-        self._A, self._c = polytope.float_facets()  # d x n, d
-        # 1/2 nu_k tensored r times and flattened, r = 0..4: shape (d, n**r)
-        self._half_nu_powers = [np.full((len(self._A), 1), 0.5)]
-        for _ in range(4):
-            self._half_nu_powers.append(
-                np.einsum("ka,ki->kai", self._half_nu_powers[-1], self._A).reshape(len(self._A), -1)
-            )
+        self._terms = {}  # order -> `_facet_terms(order)`, built on first use
+
+    def _facet_terms(self, order: int) -> tuple:
+        """(terms, (dst, src)) for the order-th derivative of 1/2 sum_k
+        psi(L_k), flattened to n**order entries: terms pairs each entry e of
+        sorted index i_1 <= ... <= i_r with its nonzero (k, 1/2 nu_k[i_1] ...
+        nu_k[i_r]), which are exact; entry dst[j] is a copy of entry src[j]."""
+        if order not in self._terms:
+            terms, first, dst, src = [], {}, [], []
+            for e, idx in enumerate(itertools.product(range(self.polytope.dim), repeat=order)):
+                key = tuple(sorted(idx))  # first met as idx itself
+                if key in first:
+                    dst.append(e)
+                    src.append(first[key])
+                    continue
+                first[key] = e
+                coeffs = [0.5 * math.prod([nu[i] for i in idx]) for nu in self.polytope.normals]
+                terms.append((e, [(k, c) for k, c in enumerate(coeffs) if c != 0]))
+            self._terms[order] = (terms, (np.array(dst, dtype=int), np.array(src, dtype=int)))
+        return self._terms[order]
 
     def profile(self, L: np.ndarray, order: int) -> np.ndarray:
         """psi^(order) at every facet value in L."""
@@ -126,15 +142,30 @@ class SymplecticPotential:
 
     # -- values, gradients, Hessians -------------------------------------------
 
-    def _derivative(self, x, order: int) -> np.ndarray:
-        """The order-th derivative tensor of u at x, 1/2 sum_k psi^(order)(L_k)
-        nu_k^(order-fold), plus that derivative of v."""
+    def _entries(self, x, order: int) -> np.ndarray:
+        """The order-th derivative tensor of u at x as entry arrays, shape
+        (n**order,) + batch: 1/2 sum_k psi^(order)(L_k) nu_k^(order-fold),
+        summed in facet order from +0 over the nonzero terms, plus that
+        derivative of v."""
         L = self._interior_L(x)
-        total = self.profile(L, order)[..., None, :] @ self._half_nu_powers[order]
-        total = total.reshape(L.shape[:-1] + (self._A.shape[1],) * order)
+        psi = self.profile(L, order)
+        terms, (dst, src) = self._facet_terms(order)
+        T = np.zeros((self.polytope.dim**order,) + L.shape[:-1])
+        for e, entry in terms:
+            row = T[e, ...]
+            for k, coeff in entry:
+                row += psi[..., k] * coeff
+        T[dst] = T[src]
         if self.added is not None:
-            total = total + self.added.derivatives(x, order)
-        return total
+            D = self.added.derivatives(x, order).reshape(L.shape[:-1] + (-1,))
+            T += np.moveaxis(D, -1, 0)
+        return T
+
+    def _derivative(self, x, order: int) -> np.ndarray:
+        """The order-th derivative tensor of u at x, batch axes in front."""
+        T = self._entries(x, order)
+        shape = T.shape[1:] + (self.polytope.dim,) * order
+        return np.ascontiguousarray(np.moveaxis(T, 0, -1)).reshape(shape)
 
     def value(self, x):
         return self._derivative(x, 0)[()]
@@ -156,38 +187,57 @@ class SymplecticPotential:
     def sample(self, x) -> HessianSample:
         """G and H = G^{-1} at interior points.
 
-        H is produced by a symmetric (Cholesky) factorization; a nonpositive
-        pivot raises NotPositiveDefinite naming the point with the smallest
-        Hessian eigenvalue.
+        G = R R^T is factored in closed form on its (n, n, ...) entry
+        arrays; a nonpositive or NaN pivot raises NotPositiveDefinite naming
+        the point with the smallest Hessian eigenvalue.
         """
         x = np.asarray(x, dtype=float)
-        G = self.hessian(x)
-        G = 0.5 * (G + G.swapaxes(-1, -2))
-        try:
-            R = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError as exc:
-            low = np.linalg.eigvalsh(G)[..., 0]
-            worst = np.unravel_index(np.argmin(low), low.shape)
-            raise NotPositiveDefinite(
-                f"Hessian not positive definite at {x[worst]} "
-                f"(smallest eigenvalue {low[worst]:.3e})"
-            ) from exc
-        # R^{-1} by forward substitution and H = R^{-T} R^{-1}, one entry
-        # array over all points at a time, on a contiguous (n, n, ...) copy of
-        # R (the strided factor is dropped before R^{-1} is allocated); H
-        # comes out exactly symmetric.
-        n = G.shape[-1]
-        R = np.ascontiguousarray(np.moveaxis(R, (-2, -1), (0, 1)))
-        Rinv = np.zeros_like(R)
+        n = x.shape[-1]
+        G = self._entries(x, 2).reshape((n, n) + x.shape[:-1])
+        # R column by column as LAPACK's unblocked potf2 forms it: the pivot
+        # G_jj - sum_k R_jk^2, its square root, and the entries below it
+        # times the root's reciprocal.  W holds R on and below its diagonal.
+        W = np.empty_like(G)
+        for j in range(n):
+            pivot = G[j, j] - sum(W[j, k] * W[j, k] for k in range(j))
+            if not np.all(pivot > 0):  # also false on a NaN pivot
+                raise _not_positive_definite(x, np.moveaxis(G, (0, 1), (-2, -1)))
+            W[j, j] = np.sqrt(pivot)
+            recip = 1.0 / W[j, j]
+            for i in range(j + 1, n):
+                W[i, j] = (G[i, j] - sum(W[i, k] * W[j, k] for k in range(j))) * recip
+        # R^{-1} over R by forward substitution, then H = R^{-T} R^{-1} over
+        # R^{-1}: the entries above the diagonal first, which read only those
+        # on or below it, then the diagonal, then the copies below it.
         for i in range(n):
-            Rinv[i, i] = 1.0
+            row = W[i, : i + 1].copy()
+            W[i, :i] = 0.0
+            W[i, i] = 1.0
             for k in range(i):
-                Rinv[i, : k + 1] -= R[i, k] * Rinv[k, : k + 1]
-            Rinv[i, : i + 1] /= R[i, i]
-        H = np.empty_like(Rinv)
-        for a, b in itertools.combinations_with_replacement(range(n), 2):
-            H[a, b] = H[b, a] = sum(Rinv[k, a] * Rinv[k, b] for k in range(b, n))
-        return HessianSample(G=G, H=np.moveaxis(H, (0, 1), (-2, -1)))
+                W[i, : k + 1] -= row[k] * W[k, : k + 1]
+            W[i, : i + 1] /= row[i]
+        for a, b in itertools.combinations(range(n), 2):
+            W[a, b] = sum(W[k, a] * W[k, b] for k in range(b, n))
+        for a in range(n):
+            W[a, a] = sum(W[k, a] * W[k, a] for k in range(a, n))
+        for a, b in itertools.combinations(range(n), 2):
+            W[b, a] = W[a, b]
+        return HessianSample(
+            G=np.moveaxis(G, (0, 1), (-2, -1)), H=np.moveaxis(W, (0, 1), (-2, -1))
+        )
+
+
+def _not_positive_definite(x: np.ndarray, G: np.ndarray) -> NotPositiveDefinite:
+    """The error naming the point whose Hessian G (batch axes in front) has
+    the smallest eigenvalue; a point with a non-finite entry counts as the
+    smallest."""
+    finite = np.isfinite(G).all(axis=(-2, -1))
+    low = np.linalg.eigvalsh(np.where(finite[..., None, None], G, 0.0))[..., 0]
+    low = np.where(finite, low, np.nan)
+    worst = np.unravel_index(np.argmin(low), low.shape)  # the first NaN, if any
+    return NotPositiveDefinite(
+        f"Hessian not positive definite at {x[worst]} (smallest eigenvalue {low[worst]:.3e})"
+    )
 
 
 class QuadraticPerturbedPotential(SymplecticPotential):
@@ -357,9 +407,7 @@ def validate(u: SymplecticPotential) -> dict:
     ]
     X = np.array([x for x, _ in checks])
     inside = np.min(facet_values(P, X), axis=-1) >= EPS_INTERIOR  # probes below are skipped
-    G = u.hessian(X[inside])
-    G = 0.5 * (G + G.swapaxes(-1, -2))
-    lowest = np.linalg.eigvalsh(G)[:, 0]
+    lowest = np.linalg.eigvalsh(u.hessian(X[inside]))[:, 0]  # G is exactly symmetric
     failures = [
         {"point": list(map(float, x)), "where": where, "margin": float(low)}
         for (x, where), low in zip(itertools.compress(checks, inside), lowest)

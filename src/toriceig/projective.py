@@ -14,7 +14,8 @@ The diagonal moment-map components
 sum to one pointwise.  `psi_diag` evaluates them on points of shape (..., n)
 as the columns of one array, column m for the lattice point E.points[m].
 `balance` finds positive weights alpha making every Psi_mm average to
-vol/(N+1) by a multiplicative fixed point, and
+vol/(N+1) by a multiplicative fixed point on one |Z|^2 table at the nodes,
+shifted and exponentiated in place, with two GEMVs a step, and
 `saturation_check` tests the identities that characterize equality in the
 lattice-point eigenvalue bound (they force the standard simplex and the
 canonical metric).
@@ -195,9 +196,11 @@ def balance(
     vol = float(Q.exact_volume)
     target = vol / count
     # Psi_mm = Z_m a_m^2 / sum_j Z_j a_j^2 with Z = |Z|^2 scaled per node by
-    # its largest entry; Z does not depend on alpha, so it is built once.
-    logz2 = _log_z2_nodes(E, u, Q.nodes)
-    Z = np.exp(logz2 - np.max(logz2, axis=1, keepdims=True))
+    # its largest entry.  Z does not depend on alpha, so it is built once and
+    # shifted and exponentiated in place.
+    Z = _log_z2_nodes(E, u, Q.nodes)
+    Z -= np.max(Z, axis=1, keepdims=True)
+    np.exp(Z, out=Z)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for iteration in range(max_iter + 1):

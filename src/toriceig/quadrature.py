@@ -75,10 +75,12 @@ def _facet_ring(P: LabelledPolytope, facet: int) -> list:
     return [v.coords for v in ring]
 
 
+@functools.lru_cache(maxsize=64)
 def triangulate(P: LabelledPolytope) -> tuple:
     """Exact simplicial decomposition: cone the vertex barycenter over each
     facet (for n = 3, facets fanned from their smallest vertex along their
-    edge cycle).  Simplices are returned in canonical (sorted) order."""
+    edge cycle).  Simplices are returned in canonical (sorted) order, and
+    cached per polytope, as every rule on P starts from them."""
     n = P.dim
     if n > 3:
         raise DimUnsupported(f"dimension {n} > 3")

@@ -39,12 +39,20 @@ def polytope_scale(P: LabelledPolytope) -> float:
 def facet_values(P: LabelledPolytope, x) -> np.ndarray:
     """L_k(x) = <x, nu_k> + c_k for every facet, on the last axis of x.
 
-    Each point is a (1 x n) row-vector product of its own, so a row of a batch
-    gets exactly the bits of a one-point call.
+    Column k sums x_i nu_k[i] over the nonzero nu_k[i] in axis order, in
+    elementwise array operations, so a row of a batch gets exactly the bits
+    of a one-point call.
     """
-    A, c = P.float_facets()
+    _, c = P.float_facets()
     x = np.asarray(x, dtype=float)
-    return (x[..., None, :] @ A.T)[..., 0, :] + c
+    L = np.empty(x.shape[:-1] + c.shape)
+    for k, nu in enumerate(P.normals):
+        (i, a), *rest = [(i, a) for i, a in enumerate(nu) if a]
+        column = np.multiply(x[..., i], a, out=L[..., k])
+        for i, a in rest:
+            column += x[..., i] * a
+    L += c
+    return L
 
 
 def interior_points(

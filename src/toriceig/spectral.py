@@ -15,13 +15,16 @@ polygon, H is rational and the quadrature error can put the value below the
 eigenvalue.  All monomials of degree <= D sit in one table V at the nodes,
 one row per exponent e, each the product x_j * x^(e - e_j) of an earlier
 row; the rows, their parents and the rows of e - e_j come from one cached
-integer exponent table per (n, D).  The mass matrix is one GEMM, (V w) V^T
-for the mean-centered rows.  The gradient of a basis monomial is a scaled
-row of degree <= D - 1, so the stiffness matrix is sum_{j<=k} C_j^T K_jk C_k
-plus the transposes for j < k, with K_jk = V_low diag(w H_jk) V_low^T over
-those rows and C_j the scaled selection of the lowered exponents; a K_jk
-whose H_jk is zero at every node (j != k on boxes) is skipped, which moves
-no bit.  The generalized problem A c = lambda M c is whitened on the
+integer exponent table per (n, D).  The gradient of a basis monomial is a
+scaled row of degree <= D - 1, so the stiffness matrix is
+sum_{j<=k} C_j^T K_jk C_k plus the transposes for j < k, with
+K_jk = V_low diag(w H_jk) V_low^T over those rows and C_j the scaled
+selection of the lowered exponents; a K_jk whose H_jk is zero at every node
+(j != k on boxes) is skipped, which moves no bit.  The stiffness matrices
+are assembled first; then V is mean-centered in place and the mass matrix
+is one GEMM, (V w) V^T.  One (B, m) buffer takes the weighted rows of every
+GEMM, so a solve holds two full-size arrays, V and that buffer.  The
+generalized problem A c = lambda M c is whitened on the
 eigenvectors of M = U diag(mass) U^T (one LAPACK `eigh`): directions with
 mass <= B * eps * max(mass), numpy's `matrix_rank` tolerance
 for B basis functions, are dropped, and `eigh` of
@@ -194,13 +197,30 @@ def rayleigh_quotient(u: SymplecticPotential, f, Q: QuadratureRule) -> float:
     return numerator / denominator
 
 
+def _stiffness(H, V_low, w, lowered, weighted) -> np.ndarray:
+    """sum_{j<=k} C_j^T K_jk C_k plus the transposes for j < k, with
+    K_jk = V_low diag(w H_jk) V_low^T formed in the buffer `weighted`; H has
+    shape (m, n, n) and lowered[j] holds C_j as (rows, scale)."""
+    A = 0.0
+    for j, k in itertools.combinations_with_replacement(range(len(lowered)), 2):
+        # H_jk vanishes at every node for j != k on boxes under guillemin,
+        # uc and dilation; adding its exact zero block moves no bit of A.
+        if j != k and not H[:, j, k].any():
+            continue
+        (rows_j, scale_j), (rows_k, scale_k) = lowered[j], lowered[k]
+        K = np.multiply(V_low, w * H[:, j, k], out=weighted) @ V_low.T
+        block = scale_j[:, None] * K[np.ix_(rows_j, rows_k)] * scale_k
+        A = A + (block if j == k else block + block.T)
+    return A
+
+
 def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     """One `RitzResult` per potential on the span of mean-centered monomials
     of total degree <= degree.  The monomial table and the mass matrix with
     its eigh depend only on the rule, so they are built once; each potential
-    adds its stiffness matrix and one eigh.  A degree whose table or mass
-    matrix would hold more than MAX_TABLE entries raises ValueError before
-    either is built."""
+    adds its stiffness matrix, assembled before the table is centered, and
+    one eigh.  A degree whose table or mass matrix would hold more than
+    MAX_TABLE entries raises ValueError before either is built."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     for u in potentials:
@@ -223,15 +243,21 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     X = np.ascontiguousarray(((Q.nodes - center) / halfwidth).T)
     V = _monomial_table(X, degree)  # (B + 1, m), the constant first
     del X
-    vals = V[1:] - (V[1:] @ w)[:, None] / float(np.sum(w))  # mean-zero against the rule
-    M = (vals * w) @ vals.T
-    del vals
+    weighted = np.empty((basis, len(w)))  # the one buffer of weighted rows
     # The basis gradients are scaled rows of degree <= degree - 1, which come
-    # first in V; the stiffness matrix is assembled from them as the module
-    # docstring says.
+    # first in V; each potential's stiffness matrix is assembled from them
+    # before V is centered in place.
     V_low = V[: math.comb(degree - 1 + n, n)]
     E, _, _, rows = _exponent_table(n, degree)
     lowered = [(rows[j, 1:], E[1:, j] / h) for j, h in enumerate(halfwidth)]
+    stiffness = [
+        _stiffness(u.sample(Q.nodes).H, V_low, w, lowered, weighted[: len(V_low)])
+        for u in potentials
+    ]
+    vals = V[1:]
+    vals -= (vals @ w)[:, None] / float(np.sum(w))  # mean-zero against the rule
+    M = np.multiply(vals, w, out=weighted) @ vals.T
+    del V, V_low, vals, weighted
 
     # Whiten on the eigenvectors of M, keeping the directions above numpy's
     # matrix_rank tolerance; eigh reads one triangle, so neither matrix needs
@@ -242,20 +268,8 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
         raise MassSingular("mass matrix is numerically zero")
     mass, U = mass[keep], U[:, keep]
     root = np.sqrt(mass)
-    weighted = np.empty_like(V_low)  # the one (B0, m) temporary
     results = []
-    for u in potentials:
-        H = u.sample(Q.nodes).H
-        A = 0.0
-        for j, k in itertools.combinations_with_replacement(range(n), 2):
-            # H_jk vanishes at every node for j != k on boxes under guillemin,
-            # uc and dilation; adding its exact zero block moves no bit of A.
-            if j != k and not H[:, j, k].any():
-                continue
-            (rows_j, scale_j), (rows_k, scale_k) = lowered[j], lowered[k]
-            K = np.multiply(V_low, w * H[:, j, k], out=weighted) @ V_low.T
-            block = scale_j[:, None] * K[np.ix_(rows_j, rows_k)] * scale_k
-            A = A + (block if j == k else block + block.T)
+    for A in stiffness:
         A_kept = U.T @ A @ U
         eigs, vecs = np.linalg.eigh(A_kept / np.outer(root, root))
         spread = np.abs(np.linalg.eigvalsh(A_kept))

@@ -495,6 +495,37 @@ def reference_validate(u) -> dict:
     return {"passed": not failures, "worst_margin": float(worst), "failures": failures}
 
 
+def reference_sample(u, x):
+    """(G, H) of u at points x of shape (..., n) by the path `sample` took
+    before its closed-form factor: facet values and the facet sum
+    1/2 sum_k psi''(L_k) nu_k nu_k^T as one BLAS row-vector product per
+    point, G symmetrised, then LAPACK's Cholesky (`numpy.linalg.cholesky`,
+    one call per point), R^{-1} by forward substitution and H = R^{-T} R^{-1}.
+    It shares only u.profile and the polynomial part u.added with the
+    library; a nonpositive pivot raises numpy's LinAlgError."""
+    x = np.asarray(x, dtype=float)
+    A = np.array(u.polytope.normals, dtype=float)
+    c = np.array([float(v) for v in u.polytope.offsets])
+    L = (x[..., None, :] @ A.T)[..., 0, :] + c
+    half_nu_nu = 0.5 * np.einsum("ki,kj->kij", A, A).reshape(len(A), -1)
+    G = (u.profile(L, 2)[..., None, :] @ half_nu_nu)[..., 0, :].reshape(x.shape + x.shape[-1:])
+    if u.added is not None:
+        G = G + u.added.derivatives(x, 2)
+    G = 0.5 * (G + G.swapaxes(-1, -2))
+    n = G.shape[-1]
+    R = np.ascontiguousarray(np.moveaxis(np.linalg.cholesky(G), (-2, -1), (0, 1)))
+    Rinv = np.zeros_like(R)
+    for i in range(n):
+        Rinv[i, i] = 1.0
+        for k in range(i):
+            Rinv[i, : k + 1] -= R[i, k] * Rinv[k, : k + 1]
+        Rinv[i, : i + 1] /= R[i, i]
+    H = np.empty_like(Rinv)
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        H[a, b] = H[b, a] = sum(Rinv[k, a] * Rinv[k, b] for k in range(b, n))
+    return G, np.moveaxis(H, (0, 1), (-2, -1))
+
+
 def reference_poly_gradient_hessian(p, x):
     """(gradient, hessian) of a MultiPoly at points x of shape (..., n), each
     entry the value of the derivative polynomial along its sorted axes: the

@@ -326,6 +326,25 @@ class TestExitCodes:
         assert "degree 200 needs 20300 basis functions on 432 nodes" in proc.stderr
         assert run("4").returncode == 0
 
+    def test_bound_k_over_lattice_cap(self):
+        # simplex2 at k = 100,000 has 5,000,150,001 points, 74.5 GiB as one
+        # int64 array; under a 1 GB address-space limit the refusal comes
+        # before the scan allocates them, and k = 200 fits
+        limit = 1_000_000 * 1024
+
+        def run(k):
+            return subprocess.run(
+                [sys.executable, "-m", "toriceig.cli", "bound", SIMPLEX2, "--k", k],
+                capture_output=True, text=True, env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+                timeout=120,
+            )
+
+        proc = run("100000")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "k=100000 needs 5000150001 lattice points" in proc.stderr
+        assert run("200").returncode == 0
+
     def test_bad_potential_spec(self, capsys):
         code, _, _ = run_cli(capsys, "lambda1t", INTERVAL01, "--potential", "nonsense")
         assert code == 2

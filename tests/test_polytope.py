@@ -26,11 +26,13 @@ from toriceig import (
     polytope_to_dict,
     same_combinatorial_type,
 )
+from toriceig import polytope as polytope_module
 from toriceig.polytope import (
     DegenerateN,
     EmptyLattice,
     InvalidPolytope,
     K0NotFound,
+    LatticeTooLarge,
     MismatchedNormals,
     NonSimple,
     PolytopeError,
@@ -184,6 +186,25 @@ class TestLattice:
     def test_empty_lattice(self):
         with pytest.raises(EmptyLattice):
             example_polytope("perturbed-simplex").lattice_points(1)
+
+    def test_size_cap(self, monkeypatch):
+        # the unit square at k = 3 scans 4 columns, each 2 + 4 + 1 entries
+        # wide (prefix, facet sums, first and last), and finds 16 points of
+        # 2 entries: each count is checked before its arrays are built
+        square = example_polytope("square")
+        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 32)
+        assert square.lattice_points(3).n_k == 15
+        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 31)
+        with pytest.raises(LatticeTooLarge, match="k=3 needs 16 lattice points of 2 entries"):
+            square.lattice_points(3)
+        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 27)
+        with pytest.raises(LatticeTooLarge, match="k=3 needs 4 lattice columns of 7 entries"):
+            square.lattice_points(3)
+
+    def test_large_k_refused(self):
+        # 5,000,150,001 points, 74.5 GiB as an int64 array
+        with pytest.raises(LatticeTooLarge, match="k=100000 needs 5000150001 lattice points"):
+            example_polytope("simplex2").lattice_points(100000)
 
     @pytest.mark.parametrize("k,kp", [(1, 2), (2, 4), (1, 3)])
     def test_monotone_refinement(self, simplex2, k, kp):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hc_diag, reference_validate
+from oracles import hc_diag, reference_sample, reference_validate
 from toriceig import (
     LabelledPolytope,
     MultiPoly,
@@ -39,6 +39,13 @@ cube = LabelledPolytope(
 
 EXAMPLES = ("interval01", "intervalC", "interval-third", "simplex2", "square", "perturbed-simplex")
 interval_m1_2 = LabelledPolytope(1, [((1,), 1), ((-1,), 2)])
+box = LabelledPolytope(
+    3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+        ((-1, 0, 0), Fraction(7, 3)), ((0, -1, 0), Fraction(1, 2)), ((0, 0, -1), 1)],
+)
+tetrahedron = LabelledPolytope(
+    3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)]
+)
 
 VALIDATE_POLYTOPES = [interval01, simplex2, square, example_polytope("perturbed-simplex"), cube]
 
@@ -92,7 +99,9 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize(
-        "P", [interval01, simplex2, square, cube], ids=["interval", "simplex2", "square", "cube"]
+        "P",
+        [interval01, simplex2, square, cube, tetrahedron],
+        ids=["interval", "simplex2", "square", "cube", "tetrahedron"],
     )
     def test_rows_equal_one_point_calls(self, kind, P):
         u = KINDS[kind](P)
@@ -114,6 +123,72 @@ class TestBatchedEvaluation:
         # G = 1/(2x(1-x)) - 20 is most negative at the midpoint
         with pytest.raises(NotPositiveDefinite, match=r"at \[0.5\]"):
             u.sample(np.array([[0.01], [0.5], [0.99]]))
+
+
+FACTOR_KINDS = {
+    "guillemin": guillemin,
+    "uc": lambda P: quadratic_perturbed(P, 0, 10.0),
+    "dilation": lambda P: dilation(P, 1.5),
+}
+
+
+class TestClosedFormFactor:
+    """`sample` factors G in closed form; `oracles.reference_sample` is the
+    path it replaced, with per-point BLAS products and LAPACK's Cholesky."""
+
+    @pytest.mark.parametrize("kind", sorted(FACTOR_KINDS))
+    @pytest.mark.parametrize("name", EXAMPLES + ("cube", "box"))
+    def test_same_bits_as_lapack_path(self, name, kind):
+        P = {"cube": cube, "box": box}.get(name) or example_polytope(name)
+        u = FACTOR_KINDS[kind](P)
+        X = build_quadrature(P, 3, 1).nodes
+        s = u.sample(X)
+        G, H = reference_sample(u, X)
+        assert s.G.tobytes() == G.tobytes()
+        assert s.H.tobytes() == H.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(FACTOR_KINDS))
+    def test_tetrahedron_within_1e12(self, kind):
+        # a facet normal with three nonzero entries: the facet sums and the
+        # pivots round in another order than BLAS and LAPACK
+        u = FACTOR_KINDS[kind](tetrahedron)
+        X = build_quadrature(tetrahedron, 3, 1).nodes
+        s = u.sample(X)
+        G, H = reference_sample(u, X)
+        assert np.max(np.abs(s.G - G)) <= 1e-12 * np.max(np.abs(G))
+        assert np.max(np.abs(s.H - H)) <= 1e-12 * np.max(np.abs(H))
+
+    @staticmethod
+    def _indefinite(P):
+        # G = diag(g - 20, g, ...) with g = 1/(2t(1-t)) along the diagonal
+        # x = (t, ..., t): smallest eigenvalue -18 at t = 1/2, about -17.3 and
+        # -15.4 at t = 1/4 and 7/8
+        v = MultiPoly(P.dim, {(2,) + (0,) * (P.dim - 1): -10.0})
+        u = guillemin_plus_poly(P, v, check=False)
+        return u, np.array([[t] * P.dim for t in (0.25, 0.5, 0.875)])
+
+    @pytest.mark.parametrize("P", [square, cube], ids=["n2", "n3"])
+    def test_not_positive_definite_names_the_point(self, P):
+        # n = 1 is TestBatchedEvaluation's case
+        u, X = self._indefinite(P)
+        with pytest.raises(
+            NotPositiveDefinite, match=r"at \[0\.5( 0\.5)*\] \(smallest eigenvalue -1\.800e\+01\)"
+        ):
+            u.sample(X)
+
+    @pytest.mark.parametrize("P", [interval01, square, cube], ids=["n1", "n2", "n3"])
+    def test_nan_entry_names_its_point(self, P):
+        # a NaN in G at x = (7/8, ...) is refused and named before the
+        # indefinite point, although LAPACK's unblocked factor lets it pass
+        u, X = self._indefinite(P)
+        profile = u.profile
+        u.profile = lambda L, order: np.where(L == 0.875, np.nan, profile(L, order))
+        with pytest.raises(
+            NotPositiveDefinite, match=r"at \[0\.875( 0\.875)*\] \(smallest eigenvalue nan\)"
+        ):
+            u.sample(X)
+        with pytest.raises(NotPositiveDefinite, match=r"smallest eigenvalue nan"):
+            u.sample(X[2])
 
 
 class TestClosedFormVsFiniteDifferences:

@@ -257,6 +257,24 @@ class TestBalance:
         assert np.max(np.abs(w.alpha - alpha) / alpha) < 1e-13
         assert w.residual == pytest.approx(residual, rel=1e-4, abs=1e-13)
 
+    def test_cube2_on_the_benchmark_rule(self):
+        # the (3, 2) rule of the moment benchmark: 20,736 nodes, 27 points
+        E = build_embedding(
+            LabelledPolytope(
+                3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                    ((-1, 0, 0), 2), ((0, -1, 0), 2), ((0, 0, -1), 2)],
+            )
+        )
+        u = guillemin(E.polytope)
+        Q = build_quadrature(E.polytope, 3, 2)
+        w = balance(E, u, Q)
+        alpha, _, iterations = balance_exp_per_iteration(
+            _log_z2_nodes(E, u, Q.nodes), Q.weights, float(Q.exact_volume)
+        )
+        assert len(Q) == 20736 and E.count == 27
+        assert w.iterations == iterations
+        assert np.max(np.abs(w.alpha - alpha) / alpha) < 1e-13
+
 
 EMBEDDED = [
     simplex2,

@@ -248,6 +248,12 @@ class TestStructure:
         assert t1 == t2
         assert list(t1) == sorted(t1)
 
+    def test_triangulation_cached_per_polytope(self):
+        # equal polytopes share one cached triangulation; the cache is bounded
+        again = LabelledPolytope(square.dim, list(zip(square.normals, square.offsets)))
+        assert again is not square and triangulate(again) is triangulate(square)
+        assert triangulate.cache_info().maxsize is not None
+
     def test_build_deterministic(self):
         Q1 = build_quadrature(simplex2, 3, 2)
         Q2 = build_quadrature(simplex2, 3, 2)

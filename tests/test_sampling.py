@@ -64,6 +64,18 @@ class TestFacetValues:
         with pytest.raises(ValueError):
             A[0, 0] = 1.0
 
+    def test_rows_equal_one_point_calls(self):
+        # a normal with three nonzero entries: the per-axis sums of a batch
+        # round as those of a single point do
+        P = LabelledPolytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -3), 1)])
+        X = halton(60, 3).reshape(3, 20, 3) / 4.0
+        L = facet_values(P, X)
+        for idx in np.ndindex(X.shape[:-1]):
+            assert L[idx].tobytes() == facet_values(P, X[idx]).tobytes()
+        A = np.array(P.normals, dtype=float)
+        c = np.array([float(v) for v in P.offsets])
+        np.testing.assert_allclose(L, X @ A.T + c, rtol=1e-15, atol=1e-15)
+
     def test_bitwise_equal_to_fresh_arrays(self):
         A = np.array(self.P.normals, dtype=float)
         c = np.array([float(v) for v in self.P.offsets])
