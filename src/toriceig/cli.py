@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Each subcommand is declared once, in `COMMANDS`, with its handler, help text
-and flags.  Reports are JSON by default (sweeps can emit CSV); every report
-echoes the parsed arguments as its "config", and nothing is randomized, so
-identical invocations produce byte-identical output.
+and flags.  Every report is built here from the fields of the library's result
+dataclasses, and `_plain` encodes it once, in `run`.  Reports are JSON by
+default (sweeps can emit CSV); every report echoes the parsed arguments as its
+"config", and nothing is randomized, so identical invocations produce
+byte-identical output.
 
 Exit codes: 0 success, 2 validation failure (bad polytope, bad flags),
 3 numerical failure (no convergence, singular mass matrix, ...).
@@ -14,6 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from . import geometry
 from .polytope import (
@@ -29,12 +35,7 @@ from .projective import NoConvergence, balance, bound_report, build_embedding, s
 from .quadrature import MAX_ORDER, build_quadrature
 from .spectral import SpectralError, lambda1_invariant, sweep_dilation, sweep_uc
 
-NUMERICAL_ERRORS = (
-    NoConvergence,
-    SpectralError,
-    NotPositiveDefinite,
-    geometry.StepUnderflow,
-)
+NUMERICAL_ERRORS = (NoConvergence, SpectralError, NotPositiveDefinite)
 VALIDATION_ERRORS = (PolytopeError, PotentialError, ValueError, KeyError, OSError)
 
 
@@ -43,6 +44,22 @@ def _float_list(text: str) -> list:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
+
+
+def _plain(value):
+    """The JSON value of a report entry: a dataclass becomes its fields in
+    field order, an array, tuple or list a list, a Fraction an int or "p/q"."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    return value
 
 
 def _emit(report: dict, output: str) -> str:
@@ -80,39 +97,55 @@ def _cmd_bound(args, P: LabelledPolytope) -> dict:
     if not P.is_delzant():
         raise PolytopeError("bounds require a Delzant polytope")
     report = bound_report(P, k_max=args.k_max)
-    out = {"is_integral": P.is_integral(), **report.to_dict()}
+    out = {"is_integral": P.is_integral(), **vars(report)}
     if args.k is not None:
         if args.k < report.k0:
             raise PrematureK(f"k={args.k} is below k0={report.k0}")
-        out["single_k"] = BlyBound.from_lattice(P.dim, P.lattice_points(args.k)).to_dict()
+        out["single_k"] = BlyBound.from_lattice(P.dim, P.lattice_points(args.k))
     return out
 
 
 def _cmd_lambda1t(args, P: LabelledPolytope) -> dict:
     u = potential_from_spec(P, args.potential)
-    return lambda1_invariant(u, args.degree, _rule(args, P)).to_dict()
+    result = lambda1_invariant(u, args.degree, _rule(args, P))
+    eigenfunction = ("eigvec", "center", "halfwidth")  # left out of the report
+    return {key: v for key, v in vars(result).items() if key not in eigenfunction}
+
+
+def _sweep_report(result, output: str):
+    """A sweep as CSV rows, or as its fields with one dict per row."""
+    if output == "csv":
+        return "param,lambda1T,degree,quad_nodes\n" + "".join(
+            f"{p!r},{lam!r},{result.degree},{result.quad_nodes}\n" for p, lam in result.rows
+        )
+    rows = [{result.parameter: p, "lambda1T": lam} for p, lam in result.rows]
+    return {**vars(result), "rows": rows}
 
 
 def _cmd_sweep_uc(args, P: LabelledPolytope):
     result = sweep_uc(P, args.axis, args.c, degree=args.degree, Q=_rule(args, P))
-    return result.to_csv() if args.output == "csv" else result.to_dict()
+    return _sweep_report(result, args.output)
 
 
 def _cmd_sweep_dilation(args, P: LabelledPolytope):
     result = sweep_dilation(P, args.s, degree=args.degree, Q=_rule(args, P))
-    return result.to_csv() if args.output == "csv" else result.to_dict()
+    return _sweep_report(result, args.output)
 
 
-def _cmd_ke_check(args, P: LabelledPolytope) -> dict:
+def _cmd_ke_check(args, P: LabelledPolytope):
     u = potential_from_spec(P, args.potential)
-    return geometry.ke_check(u, samples=args.samples, tol=args.tol).to_dict()
+    return geometry.ke_check(u, samples=args.samples, tol=args.tol)
+
+
+def _balance_report(weights) -> dict:
+    return {**vars(weights), "alpha_over_alpha0": weights.alpha / weights.alpha[0]}
 
 
 def _cmd_balance(args, P: LabelledPolytope) -> dict:
     E = build_embedding(P)
     u = potential_from_spec(E.polytope, args.potential)
     weights = balance(E, u, _rule(args, E.polytope), tol=args.tol, max_iter=args.max_iter)
-    return {"balance": weights.to_dict(), "n_lattice": E.count}
+    return {"balance": _balance_report(weights), "n_lattice": E.count}
 
 
 def _cmd_saturate(args, P: LabelledPolytope) -> dict:
@@ -121,9 +154,9 @@ def _cmd_saturate(args, P: LabelledPolytope) -> dict:
     Q = _rule(args, E.polytope)
     weights = balance(E, u, Q, max_iter=args.max_iter)
     return {
-        "balance": weights.to_dict(),
-        "saturation": saturation_check(E, u, weights, Q, tol=args.tol).to_dict(),
-        "bounds": bound_report(P, k_max=args.k_max).to_dict(),
+        "balance": _balance_report(weights),
+        "saturation": saturation_check(E, u, weights, Q, tol=args.tol),
+        "bounds": bound_report(P, k_max=args.k_max),
     }
 
 
@@ -198,7 +231,7 @@ def run(args) -> str:
     report = COMMANDS[args.command][0](args, load_polytope(args.polytope))
     if isinstance(report, str):
         return report
-    return _emit({"config": vars(args), **report}, args.output)
+    return _emit({"config": vars(args), **_plain(report)}, args.output)
 
 
 def main(argv=None) -> int:

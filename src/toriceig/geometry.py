@@ -67,15 +67,6 @@ class KEReport:
     residual_l2: float
     is_ke: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "xbar": [float(v) for v in self.xbar],
-            "residual_max": self.residual_max,
-            "residual_l2": self.residual_l2,
-            "is_ke": self.is_ke,
-        }
-
 
 def hessian_inverse_derivatives(
     u: SymplecticPotential, x, method: str = "auto", second: bool = True

@@ -14,8 +14,8 @@ sets, because the edges of a simple n-polytope are the (n-1)-subsets of
 them, each shared by exactly two vertices (Ziegler, Lectures on Polytopes,
 ch. 3).  The lattice scan is one numpy pass over the bounding box of k P: it
 decides membership of j/k from <nu_i, j> >= ceil(-k c_i) and returns the
-numerators j as an integer array.  Its column table and its point array are
-each checked against MAX_LATTICE entries before they are allocated.
+numerators j as an integer array.  Before allocating it checks that its values
+fit int64 and that its column table and point array fit MAX_LATTICE entries.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,7 +78,8 @@ class EmptyLattice(PolytopeError):
 
 
 class LatticeTooLarge(PolytopeError):
-    """The scan of P intersect Z^n/k would hold more than MAX_LATTICE entries."""
+    """The scan of P intersect Z^n/k would hold more than MAX_LATTICE entries
+    or compute a value outside int64."""
 
 
 class K0NotFound(PolytopeError):
@@ -178,14 +180,6 @@ class BlyBound:
             bound=bound,
             is_integer_bound=bound.denominator == 1,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "k_used": self.k_used,
-            "n_k": self.n_k,
-            "bound": _fraction_to_json(self.bound),
-            "is_integer_bound": self.is_integer_bound,
-        }
 
 
 def _gcd_all(values: Iterable[int]) -> int:
@@ -378,11 +372,16 @@ class LabelledPolytope:
         # in the box [0, size), that is <nu_i, i> >= t_i.  Over each prefix of
         # the first n-1 coordinates, in lexicographic order, facet i bounds
         # the last coordinate from below (a > 0), from above (a < 0) or not
-        # at all.  Clamping t_i to the range of <nu_i, i> over the box keeps
-        # the scan in int64.
+        # at all.  t_i is clamped to the range of <nu_i, i> over the box.  That
+        # range, the box and the normals are bounded by sum |nu_i| max(m, 1),
+        # so below 2**63 every value of the scan is an int64.
         shift = [sum(v * j for v, j in zip(nu, j0)) for nu in self.normals]
         columns = math.prod(size[:-1])
         _check_lattice_size(k, "columns", columns, n + self.num_facets + 1)
+        box = [max(m, 1) for m in size]
+        reach = max(sum(map(mul, map(abs, nu), box)) for nu in self.normals)
+        if reach >= 2**63:
+            raise LatticeTooLarge(f"k={k}: the lattice scan reaches {reach}, past the int64 range")
         prefix = np.indices(size[:-1]).reshape(n - 1, columns)
         sums = np.array([nu[:-1] for nu in self.normals], dtype=np.int64) @ prefix
         first = np.zeros(prefix.shape[1], dtype=np.int64)
@@ -409,7 +408,9 @@ class LabelledPolytope:
         ]
         count = last - first + 1
         ends = np.cumsum(count)
-        _check_lattice_size(k, "points", int(ends[-1]), n)
+        # each count is at most size[-1]; past 2**63 the int64 cumsum may wrap
+        total = int(ends[-1]) if len(count) * size[-1] < 2**63 else sum(count.tolist())
+        _check_lattice_size(k, "points", total, n)
         rows = np.repeat(np.vstack((prefix, first)).T, count, axis=0)
         rows[:, -1] += np.arange(len(rows)) - np.repeat(ends - count, count)
         if all(-(2**63) <= j and j + m <= 2**63 for j, m in zip(j0, size)):
@@ -533,10 +534,6 @@ def _offset_from_json(value, index: int) -> Fraction:
     )
 
 
-def _fraction_to_json(value: Fraction):
-    return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def polytope_from_dict(data: dict) -> LabelledPolytope:
     """Parse {"dim": n, "facets": [{"normal": [...], "offset": ...}, ...]}."""
     try:
@@ -567,7 +564,7 @@ def polytope_to_dict(P: LabelledPolytope) -> dict:
     return {
         "dim": P.dim,
         "facets": [
-            {"normal": list(nu), "offset": _fraction_to_json(c)}
+            {"normal": list(nu), "offset": int(c) if c.denominator == 1 else str(c)}
             for nu, c in zip(P.normals, P.offsets)
         ],
     }

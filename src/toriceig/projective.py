@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import BlyBound, LabelledPolytope, PolytopeError, _fraction_to_json
+from .polytope import BlyBound, LabelledPolytope, PolytopeError
 from .potential import SymplecticPotential
 from .quadrature import QuadratureRule
 from .sampling import facet_values, interior_points, polytope_scale
@@ -161,15 +161,6 @@ class BalanceWeights:
     residual: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        a0 = float(self.alpha[0])
-        return {
-            "alpha": [float(v) for v in self.alpha],
-            "alpha_over_alpha0": [float(v) / a0 for v in self.alpha],
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
-
 
 def balance(
     E: EmbeddingData,
@@ -233,15 +224,6 @@ class SaturationReport:
     saturated: bool
     classification: str
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "saturated": self.saturated,
-            "classification": self.classification,
-            "tol": self.tol,
-        }
 
 
 def is_standard_simplex(P: LabelledPolytope) -> bool:
@@ -327,14 +309,6 @@ class BoundReport:
     bounds: tuple
     integral_bound: object
     recommended: Fraction
-
-    def to_dict(self) -> dict:
-        return {
-            "k0": self.k0,
-            "bounds": [b.to_dict() for b in self.bounds],
-            "integral_bound": self.integral_bound.to_dict() if self.integral_bound else None,
-            "recommended": _fraction_to_json(self.recommended),
-        }
 
 
 def bound_report(P: LabelledPolytope, k_max: int = 64) -> BoundReport:

@@ -162,17 +162,6 @@ class RitzResult:
     def eigenfunction(self) -> TrialFunction:
         return TrialFunction(self.eigvec, self.degree, self.center, self.halfwidth)
 
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "basis_size": self.basis_size,
-            "lambda1T": self.lambda1T,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "mass_condition": self.mass_condition,
-            "stiffness_condition": self.stiffness_condition,
-            "quad_nodes": self.quad_nodes,
-        }
-
 
 def _require_matching(u: SymplecticPotential, Q: QuadratureRule):
     if Q.polytope != u.polytope:
@@ -305,21 +294,6 @@ class SweepResult:
     degree: int
     quad_nodes: int
     trend_violations: tuple
-
-    def to_csv(self) -> str:
-        lines = ["param,lambda1T,degree,quad_nodes"]
-        for param, lam in self.rows:
-            lines.append(f"{param!r},{lam!r},{self.degree},{self.quad_nodes}")
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "rows": [{self.parameter: p, "lambda1T": lam} for p, lam in self.rows],
-            "degree": self.degree,
-            "quad_nodes": self.quad_nodes,
-            "trend_violations": list(self.trend_violations),
-        }
 
 
 def _sweep(parameter, params, potentials, degree, Q, trend) -> SweepResult:

@@ -11,7 +11,7 @@ import pytest
 
 import toriceig
 from toriceig import LabelledPolytope, example_path
-from toriceig.cli import main
+from toriceig.cli import COMMANDS, main
 
 INTERVAL01 = str(example_path("interval01"))
 INTERVALC = str(example_path("intervalC"))
@@ -71,6 +71,13 @@ class TestBound:
         assert report["k0"] == 3
         assert report["bounds"][0]["bound"] == 12
 
+    def test_square_fractions(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", SQUARE)
+        assert code == 0
+        report = json.loads(out)
+        assert report["recommended"] == "16/3"
+        assert [b["bound"] for b in report["bounds"]] == ["16/3", 9, "64/5", "50/3", "144/7"]
+
     def test_single_k_searches_k0_once(self, capsys, monkeypatch):
         calls = []
         original = LabelledPolytope.k0_lattice
@@ -127,6 +134,13 @@ class TestSweeps:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert rows[0]["lambda1T"] > rows[-1]["lambda1T"]
+
+    def test_csv_deterministic(self, capsys):
+        argv = ("sweep-uc", INTERVAL01, "--c", "0,1,10", "--degree", "4", "--output", "csv")
+        code, a, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv) == (0, a, "")
+        assert a.splitlines()[0] == "param,lambda1T,degree,quad_nodes"
 
     def test_csv_rejected_elsewhere(self, capsys):
         code, _, _ = run_cli(capsys, "info", SIMPLEX2, "--output", "csv")
@@ -217,6 +231,117 @@ class TestConfigEcho:
         assert json.loads(out)["config"] == {
             "command": command, "polytope": INTERVAL01, "output": "json", **self.FLAGS[command]
         }
+
+
+def key_paths(value, prefix=""):
+    """The dotted key paths of a report; "[]" marks the dicts of a list."""
+    if isinstance(value, dict):
+        return set().union(*(key_paths(v, f"{prefix}{key}.") for key, v in value.items()))
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return set().union(*(key_paths(v, f"{prefix[:-1]}[].") for v in value))
+    return {prefix[:-1]}
+
+
+BLY = ("k_used", "n_k", "bound", "is_integer_bound")
+BOUNDS = (
+    "k0", "recommended", *(f"bounds[].{key}" for key in BLY),
+    *(f"integral_bound.{key}" for key in BLY),
+)
+BALANCE = ("alpha", "alpha_over_alpha0", "residual", "iterations")
+
+
+class TestReportSchema:
+    # The key paths of each default JSON report on a bundled example, past
+    # its config (TestConfigEcho pins that).  A new result field that reaches
+    # a default report fails here until it is listed.
+    REPORTS = {
+        "info": (("info", SIMPLEX2), [
+            "dim", "num_facets", "vertices", "is_delzant", "is_integral",
+            "polytope.dim", "polytope.facets[].normal", "polytope.facets[].offset",
+        ]),
+        "bound": (("bound", SIMPLEX2), ["is_integral", *BOUNDS]),
+        "bound-k": (
+            ("bound", SIMPLEX2, "--k", "4"),
+            ["is_integral", *BOUNDS, *(f"single_k.{key}" for key in BLY)],
+        ),
+        "lambda1t": (("lambda1t", SIMPLEX2, "--degree", "4"), [
+            "degree", "basis_size", "eigenvalues", "lambda1T", "mass_condition",
+            "stiffness_condition", "quad_nodes",
+        ]),
+        "sweep-uc": (("sweep-uc", INTERVAL01, "--c", "0,1", "--degree", "4"), [
+            "parameter", "rows[].c", "rows[].lambda1T", "degree", "quad_nodes",
+            "trend_violations",
+        ]),
+        "sweep-dilation": (("sweep-dilation", INTERVALC, "--s", "2,1.5", "--degree", "4"), [
+            "parameter", "rows[].s", "rows[].lambda1T", "degree", "quad_nodes",
+            "trend_violations",
+        ]),
+        "ke-check": (("ke-check", SIMPLEX2), [
+            "lambda_hat", "xbar", "residual_max", "residual_l2", "is_ke",
+        ]),
+        "balance": (
+            ("balance", SIMPLEX2),
+            ["n_lattice", *(f"balance.{key}" for key in BALANCE)],
+        ),
+        "saturate": (("saturate", SIMPLEX2), [
+            *(f"balance.{key}" for key in BALANCE),
+            *(f"saturation.{key}" for key in ("r1", "r2", "saturated", "classification", "tol")),
+            *(f"bounds.{key}" for key in BOUNDS),
+        ]),
+    }
+
+    def test_every_command_covered(self):
+        assert {argv[0] for argv, _ in self.REPORTS.values()} == set(COMMANDS)
+
+    @pytest.mark.parametrize("name", list(REPORTS))
+    def test_key_paths(self, capsys, name):
+        argv, paths = self.REPORTS[name]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report.pop("config")["command"] == argv[0]
+        assert key_paths(report) == set(paths)
+
+    # exact rationals: these reports do not depend on BLAS or the platform
+    THIRD_BLY = [
+        {"k_used": 3, "n_k": 1, "bound": 12, "is_integer_bound": True},
+        {"k_used": 4, "n_k": 1, "bound": 16, "is_integer_bound": True},
+        {"k_used": 5, "n_k": 1, "bound": 20, "is_integer_bound": True},
+        {"k_used": 6, "n_k": 2, "bound": 18, "is_integer_bound": True},
+        {"k_used": 7, "n_k": 2, "bound": 21, "is_integer_bound": True},
+    ]
+    EXACT = {
+        "info": ((), {
+            "config": {"command": "info", "output": "json"},
+            "dim": 1,
+            "num_facets": 2,
+            "vertices": [["0"], ["1/3"]],
+            "is_delzant": True,
+            "is_integral": False,
+            "polytope": {
+                "dim": 1,
+                "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": "1/3"}],
+            },
+        }),
+        "bound": (("--k", "4"), {
+            "config": {"command": "bound", "output": "json", "k": 4, "k_max": 64},
+            "is_integral": False,
+            "k0": 3,
+            "bounds": THIRD_BLY,
+            "integral_bound": None,
+            "recommended": 12,
+            "single_k": THIRD_BLY[1],
+        }),
+    }
+
+    @pytest.mark.parametrize("command", list(EXACT))
+    def test_exact_interval_third(self, capsys, command):
+        flags, expected = self.EXACT[command]
+        code, out, _ = run_cli(capsys, command, THIRD, *flags)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"].pop("polytope") == THIRD
+        assert report == expected
 
 
 class TestExitCodes:
@@ -344,6 +469,14 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "k=100000 needs 5000150001 lattice points" in proc.stderr
         assert run("200").returncode == 0
+
+    def test_bound_k_past_int64(self, capsys):
+        code, out, err = run_cli(capsys, "bound", INTERVAL01, "--k", str(10**19))
+        assert code == 2 and out == ""
+        assert err == (
+            "invalid input: k=10000000000000000000: the lattice scan reaches "
+            "10000000000000000001, past the int64 range\n"
+        )
 
     def test_bad_potential_spec(self, capsys):
         code, _, _ = run_cli(capsys, "lambda1t", INTERVAL01, "--potential", "nonsense")

@@ -206,6 +206,30 @@ class TestLattice:
         with pytest.raises(LatticeTooLarge, match="k=100000 needs 5000150001 lattice points"):
             example_polytope("simplex2").lattice_points(100000)
 
+    def test_int64_scan_refused(self):
+        # interval01 at k = 10**19: the last column index passes int64
+        with pytest.raises(LatticeTooLarge, match="k=10000000000000000000: .* int64 range"):
+            example_polytope("interval01").lattice_points(10**19)
+
+    @pytest.mark.parametrize("slope", [2**61, 2**63])
+    def test_int64_scan_slanted(self, slope):
+        # 0 <= x <= 1, slope x <= y <= slope x + 1/2 holds only (0, 0) and
+        # (1, slope); at slope 2**63 a normal entry and the column pass int64
+        P = LabelledPolytope(
+            2, [((1, 0), 0), ((-1, 0), 1), ((-slope, 1), 0), ((slope, -1), F(1, 2))]
+        )
+        if slope < 2**63:
+            assert P.lattice_points(1).points.tolist() == [[0, 0], [1, slope]]
+        else:
+            with pytest.raises(LatticeTooLarge, match="k=1: .* int64 range"):
+                P.lattice_points(1)
+
+    def test_point_count_past_int64_refused(self):
+        # 1024 columns of 2**62 + 1 points each: their int64 sum wraps to 1024
+        P = LabelledPolytope(2, [((1, 0), 0), ((-1, 0), 1023), ((0, 1), 0), ((0, -1), 2**62)])
+        with pytest.raises(LatticeTooLarge, match=f"k=1 needs {1024 * (2**62 + 1)} lattice points"):
+            P.lattice_points(1)
+
     @pytest.mark.parametrize("k,kp", [(1, 2), (2, 4), (1, 3)])
     def test_monotone_refinement(self, simplex2, k, kp):
         assert kp % k == 0
