@@ -8,14 +8,19 @@ eigenvalue bound they produce) is exact, so reruns are bit-identical.
 The arithmetic is in integers, and `fractions.Fraction` values are made
 only for what is reported: vertex coordinates, offsets and L_min.  Each
 n-subset of facets is solved by Cramer's rule over the offsets scaled to
-integers, which gives the vertex active sets exactly.  Boundedness,
-non-redundancy of a facet and the combinatorial type are read from those
-sets, because the edges of a simple n-polytope are the (n-1)-subsets of
-them, each shared by exactly two vertices (Ziegler, Lectures on Polytopes,
-ch. 3).  The lattice scan is one numpy pass over the bounding box of k P: it
-decides membership of j/k from <nu_i, j> >= ceil(-k c_i) and returns the
-numerators j as an integer array.  Before allocating it checks that its values
-fit int64 and that its column table and point array fit MAX_LATTICE entries.
+integers, all subsets in one product with a table built once per polytope,
+which gives the vertex active sets exactly.  Boundedness, non-redundancy of
+a facet and the combinatorial type are read from those sets, because the
+edges of a simple n-polytope are the (n-1)-subsets of them, each shared by
+exactly two vertices (Ziegler, Lectures on Polytopes, ch. 3).  The lattice
+scan is one numpy pass over the columns of the bounding box of k P: it
+decides membership of j/k from <nu_i, j> >= ceil(-k c_i) and keeps each
+column's first and last point.  Counting is that scan alone.  It gives N_k
+and the integer offsets of kP_k = {<nu_i, y> >= min_j <nu_i, j>}, on which
+the k0 search decides the type, with no point or Fraction made.  Listing is
+the scan followed by the integer array of numerators j, each written once.
+Before allocating, the scan checks that its values fit int64 and its column
+table fits MAX_LATTICE entries, and a listing that its points do too.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "PrematureK",
     "DegenerateN",
     "Vertex",
+    "LatticeCount",
     "LatticeData",
     "BlyBound",
     "LabelledPolytope",
@@ -94,8 +100,8 @@ class DegenerateN(PolytopeError):
     """The lattice count N_k vanishes, so the bound formula is undefined."""
 
 
-# the most int64 entries `lattice_points` puts in its column table or its
-# point array: 256 MiB
+# the most int64 entries a lattice scan puts in its column table, or a
+# listing in its point array: 256 MiB
 MAX_LATTICE = 2**25
 
 
@@ -117,6 +123,8 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix: closed forms for n <= 3,
     cofactor expansion along the first row beyond."""
     n = len(rows)
+    if n == 0:
+        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -140,6 +148,18 @@ class Vertex:
 
     coords: tuple
     active: tuple
+
+
+@dataclass(frozen=True)
+class LatticeCount:
+    """N_k and the facet minima of P intersected with Z^n/k, from the column
+    scan alone.  low_sums[i] is the least <nu_i, j> over the numerators j, so
+    L_min(i, k) = low_sums[i] / k + c_i and kP_k = {<nu_i, y> >= low_sums[i]}.
+    """
+
+    k: int
+    n_k: int
+    low_sums: tuple
 
 
 @dataclass(frozen=True)
@@ -169,7 +189,7 @@ class BlyBound:
     is_integer_bound: bool
 
     @classmethod
-    def from_lattice(cls, dim: int, data: LatticeData) -> "BlyBound":
+    def from_lattice(cls, dim: int, data: LatticeCount | LatticeData) -> "BlyBound":
         """The bound at data.k from its lattice count N_k."""
         if data.n_k == 0:
             raise DegenerateN(f"N_{data.k} = 0: the bound formula is undefined")
@@ -219,6 +239,7 @@ class LabelledPolytope:
         self._vertices: Optional[tuple] = None
         self._box: Optional[tuple] = None
         self._float_facets: Optional[tuple] = None
+        self._cramer: Optional[tuple] = None
         if validate:
             if len(normals) < dim + 1:
                 raise InvalidPolytope(f"need at least {dim + 1} facets, got {len(normals)}")
@@ -266,34 +287,13 @@ class LabelledPolytope:
         for simplicity, boundedness and interior; the vertex is
         numerators / denominator.
 
-        With b = D c for D the lcm of the offset denominators, Cramer's rule
-        on an n-subset of facets gives x = num / (D det) with num and det
-        Python ints, and D det L_i(x) = <nu_i, num> + det b_i, whose sign and
-        zeros are exact.  An active set determines its vertex, so it is the
-        key, in the order of the first n-subset that reaches the vertex.
+        The offsets are scaled to the integers b = D c, D the lcm of their
+        denominators, and solved by `_vertex_sets`.
         """
         n = self.dim
         D = math.lcm(*(c.denominator for c in self.offsets))
         b = [c.numerator * (D // c.denominator) for c in self.offsets]
-        found: dict = {}
-        for subset in itertools.combinations(range(self.num_facets), n):
-            rows = [self.normals[i] for i in subset]
-            det = _det(rows)
-            if det == 0:
-                continue
-            rhs = [-b[i] for i in subset]
-            num = [
-                _det([(*row[:j], r, *row[j + 1 :]) for row, r in zip(rows, rhs)])
-                for j in range(n)
-            ]
-            if det < 0:
-                det, num = -det, [-x for x in num]
-            vals = [
-                sum(v * x for v, x in zip(nu, num)) + det * bi for nu, bi in zip(self.normals, b)
-            ]
-            if any(v < 0 for v in vals):
-                continue
-            found.setdefault(tuple(i for i, v in enumerate(vals) if v == 0), (num, D * det))
+        found = {active: (num, D * det) for active, (num, det) in self._vertex_sets(b).items()}
         if not found:
             raise UnboundedOrEmpty("no feasible vertex; polytope is empty or contains a line")
         for active, (num, den) in found.items():
@@ -310,6 +310,54 @@ class LabelledPolytope:
         # such a polyhedron have positively dependent normals, spanning fewer
         # dimensions than their number, so each vertex lies on at least n + 1
         # facets and NonSimple is raised above.
+        return found
+
+    def _vertex_sets(self, b: Sequence[int]) -> dict:
+        """{active set: (numerators, det)} of the feasible n-subset solutions
+        of {<nu_i, x> + b_i / D >= 0} for integer offsets b and any scale D,
+        unchecked for simplicity or boundedness; the vertex is numerators /
+        (D det).  An active set determines its vertex, so it is the key, in
+        the order of the first n-subset that reaches the vertex.
+
+        On a subset S with adjugate A_S and det_S > 0 (both sign-flipped if
+        needed), Cramer's rule gives x = num_S / (D det_S), num_S = -A_S b_S,
+        and D det_S L_i(x) = <nu_i, num_S> + det_S b_i: both linear in b, so
+        tabulated once and solved for every S in one product.  It runs in
+        int64 when the table's largest row sum of |entries| times max |b| is
+        below 2**63, and in Python ints otherwise.
+        """
+        n, d = self.dim, self.num_facets
+        if self._cramer is None:
+            dets, table = [], []
+            for subset in itertools.combinations(range(d), n):
+                rows = [self.normals[i] for i in subset]
+                det = _det(rows)
+                if det == 0:
+                    continue
+                sign = 1 if det > 0 else -1
+                block = [[sign * det * (r == n + l) for l in range(d)] for r in range(n + d)]
+                for i, f in enumerate(subset):
+                    # column i of A_S: the signed cofactors of row i
+                    minor = rows[:i] + rows[i + 1 :]
+                    adj = [
+                        sign * (-1) ** (i + j) * _det([r[:j] + r[j + 1 :] for r in minor])
+                        for j in range(n)
+                    ]
+                    for row, v in zip(block, adj + [sum(map(mul, nu, adj)) for nu in self.normals]):
+                        row[f] -= v
+                dets.append(sign * det)
+                table.extend(block)
+            # at least 1, so that b itself fits when every value does
+            reach = max((sum(map(abs, row)) for row in table), default=1)
+            table = np.array(table, dtype=np.int64 if reach < 2**63 else object).reshape(-1, d)
+            self._cramer = (dets, table, reach)
+        dets, table, reach = self._cramer
+        dtype = np.int64 if table.dtype == np.int64 and reach * max(map(abs, b)) < 2**63 else object
+        out = (table.astype(dtype, copy=False) @ np.array(b, dtype=dtype)).reshape(len(dets), n + d)
+        feasible = (out[:, n:] >= 0).all(axis=1)
+        found: dict = {}
+        for det, row in zip(itertools.compress(dets, feasible), out[feasible].tolist()):
+            found.setdefault(tuple(i for i, v in enumerate(row[n:]) if v == 0), (row[:n], det))
         return found
 
     def _validate(self):
@@ -360,8 +408,11 @@ class LabelledPolytope:
             all(c.denominator == 1 for c in v.coords) for v in self.vertices()
         )
 
-    def lattice_points(self, k: int) -> LatticeData:
-        """Enumerate P  intersect  Z^n/k and derive L_min and the shrunk P_k."""
+    def _scan(self, k: int) -> tuple:
+        """The column scan of P intersect Z^n/k: (count, j0, size, prefix,
+        first, lengths).  Column c of the box j0 + [0, size) holds the points
+        j0 + (prefix[:, c], first[c] + t) for 0 <= t < lengths[c], and only
+        columns with a point are kept."""
         if k < 1:
             raise ValueError("k must be a positive integer")
         n = self.dim
@@ -383,7 +434,8 @@ class LabelledPolytope:
         if reach >= 2**63:
             raise LatticeTooLarge(f"k={k}: the lattice scan reaches {reach}, past the int64 range")
         prefix = np.indices(size[:-1]).reshape(n - 1, columns)
-        sums = np.array([nu[:-1] for nu in self.normals], dtype=np.int64) @ prefix
+        normals = np.array(self.normals, dtype=np.int64)
+        sums = normals[:, :-1] @ prefix
         first = np.zeros(prefix.shape[1], dtype=np.int64)
         last = np.full(prefix.shape[1], size[-1] - 1)
         for nu, c, s, row in zip(self.normals, self.offsets, shift, sums):
@@ -402,71 +454,89 @@ class LabelledPolytope:
             raise EmptyLattice(f"P contains no point of Z^{n}/{k}")
         prefix, sums, first, last = prefix[:, keep], sums[:, keep], first[keep], last[keep]
         # L_min: <nu_i, i> is least at the end of each row that facet i bounds.
-        low_sums = [
-            int((row + nu[-1] * (first if nu[-1] > 0 else last)).min()) + s
-            for nu, row, s in zip(self.normals, sums, shift)
-        ]
-        count = last - first + 1
-        ends = np.cumsum(count)
-        # each count is at most size[-1]; past 2**63 the int64 cumsum may wrap
-        total = int(ends[-1]) if len(count) * size[-1] < 2**63 else sum(count.tolist())
+        # In place, so the scan holds one more (d, columns) array at most.
+        a = normals[:, -1:]
+        ends = np.where(a > 0, first, last)
+        ends *= a
+        ends += sums
+        low_sums = tuple(m + s for m, s in zip(ends.min(axis=1).tolist(), shift))
+        lengths = last - first + 1
+        # each length is at most size[-1]; past 2**63 the int64 sum may wrap
+        total = int(lengths.sum()) if len(lengths) * size[-1] < 2**63 else sum(lengths.tolist())
+        return LatticeCount(k, total - 1, low_sums), j0, size, prefix, first, lengths
+
+    def lattice_count(self, k: int) -> LatticeCount:
+        """N_k and the facet minima of P intersect Z^n/k, counted without
+        listing a point."""
+        return self._scan(k)[0]
+
+    def lattice_points(self, k: int) -> LatticeData:
+        """Enumerate P  intersect  Z^n/k and derive L_min and the shrunk P_k."""
+        count, j0, size, prefix, first, lengths = self._scan(k)
+        n, total = self.dim, count.n_k + 1
         _check_lattice_size(k, "points", total, n)
-        rows = np.repeat(np.vstack((prefix, first)).T, count, axis=0)
-        rows[:, -1] += np.arange(len(rows)) - np.repeat(ends - count, count)
-        if all(-(2**63) <= j and j + m <= 2**63 for j, m in zip(j0, size)):
-            points = rows + np.array(j0, dtype=np.int64)
-        else:  # a point leaves int64: the numerators become Python ints
-            points = rows.astype(object) + np.array(j0, dtype=object)
+        # A column repeats its prefix and counts its last coordinate up from
+        # first; an int64 sum that wraps on the way wraps back, as each point
+        # fits.  Past int64 the rows start at 0 and j0 is added in Python ints.
+        fits = all(-(2**63) <= j and j + m <= 2**63 for j, m in zip(j0, size))
+        base = j0 if fits else [0] * n
+        rows = np.empty((total, n), dtype=np.int64)
+        for i in range(n - 1):
+            rows[:, i] = np.repeat(prefix[i] + base[i], lengths)
+        start = np.cumsum(lengths) - lengths
+        rows[:, -1] = np.arange(total) + np.repeat(first + base[-1] - start, lengths)
+        points = rows if fits else rows.astype(object) + np.array(j0, dtype=object)
         points.flags.writeable = False
         shrunk = LabelledPolytope(
-            n, [(nu, Fraction(-m, k)) for nu, m in zip(self.normals, low_sums)], validate=False
+            n, [(nu, Fraction(-m, k)) for nu, m in zip(self.normals, count.low_sums)], validate=False
         )
         return LatticeData(
             k=k,
             points=points,
-            n_k=len(points) - 1,
-            l_min=tuple(Fraction(m, k) + c for m, c in zip(low_sums, self.offsets)),
+            n_k=count.n_k,
+            l_min=tuple(Fraction(m, k) + c for m, c in zip(count.low_sums, self.offsets)),
             shrunk=shrunk,
         )
 
     def k0(self, k_max: int = 64) -> int:
         """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially."""
-        return self.k0_lattice(k_max).k
+        return self.k0_count(k_max).k
 
-    def k0_lattice(self, k_max: int = 64) -> LatticeData:
-        """The `LatticeData` of P intersect Z^n/k0, kept from the k0 search."""
+    def k0_count(self, k_max: int = 64) -> LatticeCount:
+        """The k0 search: the `LatticeCount` at the smallest k <= k_max whose
+        P_k matches P combinatorially.  P_k has the type of kP_k =
+        {<nu_i, y> >= low_sums[i]}, whose vertex active sets are solved on
+        its integer offsets."""
         if not self.is_delzant():
             raise InvalidPolytope("k0 is defined for Delzant polytopes")
+        family = {v.active for v in self.vertices()}
         for k in range(1, k_max + 1):
             try:
-                data = self.lattice_points(k)
+                count = self.lattice_count(k)
             except EmptyLattice:
                 continue
-            if same_combinatorial_type(self, data.shrunk):
-                return data
+            if self._vertex_sets([-m for m in count.low_sums]).keys() == family:
+                return count
         raise K0NotFound(f"no k <= {k_max} reproduces the combinatorial type; raise k_max")
+
+    def k0_lattice(self, k_max: int = 64) -> LatticeData:
+        """The `LatticeData` of P intersect Z^n/k0, listed once k0 is found."""
+        return self.lattice_points(self.k0(k_max))
 
     def check_kpk_integral(self, k: int, k_max: int = 64) -> dict:
         """Build kP_k and report integrality, the Delzant test and the count match."""
-        data = self.k0_lattice(k_max)
-        if k < data.k:
-            raise PrematureK(f"k={k} is below k0={data.k}")
-        if k > data.k:
-            data = self.lattice_points(k)
-        kpk = LabelledPolytope(
-            self.dim,
-            [
-                (nu, k * (c - m))
-                for nu, c, m in zip(self.normals, self.offsets, data.l_min)
-            ],
-        )
-        count = kpk.lattice_points(1).n_k + 1
+        count = self.k0_count(k_max)
+        if k < count.k:
+            raise PrematureK(f"k={k} is below k0={count.k}")
+        if k > count.k:
+            count = self.lattice_count(k)
+        kpk = LabelledPolytope(self.dim, [(nu, -m) for nu, m in zip(self.normals, count.low_sums)])
         return {
             "k": k,
             "is_integral": kpk.is_integral(),
             "is_delzant": kpk.is_delzant(),
-            "lattice_count_matches": count == data.n_k + 1,
-            "n_k": data.n_k,
+            "lattice_count_matches": kpk.lattice_count(1).n_k == count.n_k,
+            "n_k": count.n_k,
         }
 
     def bly_bound(self, k: Optional[int] = None, k_max: int = 64) -> BlyBound:
@@ -474,15 +544,15 @@ class LabelledPolytope:
 
         With no k the integral case uses k=1 and the non-integral case k=k0(P).
         """
-        data = None if self.is_integral() else self.k0_lattice(k_max)
-        threshold = 1 if data is None else data.k
+        count = None if self.is_integral() else self.k0_count(k_max)
+        threshold = 1 if count is None else count.k
         if k is None:
             k = threshold
         elif k < threshold:
             raise PrematureK(f"k={k} is below k0={threshold}")
-        if data is None or k > data.k:
-            data = self.lattice_points(k)
-        return BlyBound.from_lattice(self.dim, data)
+        if count is None or k > count.k:
+            count = self.lattice_count(k)
+        return BlyBound.from_lattice(self.dim, count)
 
     # -- misc -----------------------------------------------------------------
 

@@ -233,7 +233,7 @@ def is_standard_simplex(P: LabelledPolytope) -> bool:
         return False
     if not (P.is_delzant() and P.is_integral()):
         return False
-    return P.lattice_points(1).n_k == P.dim
+    return P.lattice_count(1).n_k == P.dim
 
 
 _SATURATION_POINTS = 60
@@ -314,12 +314,13 @@ class BoundReport:
 def bound_report(P: LabelledPolytope, k_max: int = 64) -> BoundReport:
     """Tabulate the lattice-point bound over k0 .. k0+4 (exact rationals).
 
-    k0 is searched once and its accepted lattice data is the first row; an
+    k0 is searched once and its accepted count is the first row; an
     integral P has k0 = 1 (its vertices are lattice points, so P_1 = P).
+    Every row is counted without listing a point.
     """
-    first = P.k0_lattice(k_max)
+    first = P.k0_count(k_max)
     k_first = first.k
-    rows = (first, *(P.lattice_points(k) for k in range(k_first + 1, k_first + 5)))
+    rows = (first, *(P.lattice_count(k) for k in range(k_first + 1, k_first + 5)))
     bounds = tuple(BlyBound.from_lattice(P.dim, data) for data in rows)
     integral = bounds[0] if P.is_integral() else None
     recommended = min(b.bound for b in bounds)

@@ -183,6 +183,26 @@ def brute_force_lattice(P, k: int):
     return points, l_min
 
 
+def ehrhart_fit(values) -> list:
+    """Coefficients c_0..c_n, lowest first, in Fractions, of the polynomial
+    of degree n through (k, values[k]) for k = 0..n (Lagrange interpolation).
+    For an integral n-polytope and values[k] = N_k + 1 it is the Ehrhart
+    polynomial (Beck and Robins, "Computing the Continuous Discretely",
+    ch. 3)."""
+    n = len(values) - 1
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, y in enumerate(values):
+        basis, scale = [Fraction(1)], 1
+        for j in range(n + 1):
+            if j != i:
+                # basis * (k - j)
+                basis = [(basis[t - 1] if t else 0) - j * (basis[t] if t < len(basis) else 0)
+                         for t in range(len(basis) + 1)]
+                scale *= i - j
+        coeffs = [c + Fraction(y, scale) * b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
 def lattice_perimeter(P) -> int:
     """|dP| in the lattice measure of a lattice polygon: each edge counts its
     lattice steps, the gcd of its integer edge vector."""

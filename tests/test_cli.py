@@ -79,16 +79,18 @@ class TestBound:
         assert [b["bound"] for b in report["bounds"]] == ["16/3", 9, "64/5", "50/3", "144/7"]
 
     def test_single_k_searches_k0_once(self, capsys, monkeypatch):
-        calls = []
-        original = LabelledPolytope.k0_lattice
+        # one k0 search, and every row and the single k only counted
+        calls = {"k0_count": 0, "lattice_points": 0}
+        for name in calls:
+            original = getattr(LabelledPolytope, name)
 
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(LabelledPolytope, "k0_lattice", counted)
+            monkeypatch.setattr(LabelledPolytope, name, counted)
         code, out, _ = run_cli(capsys, "bound", THIRD, "--k", "4")
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == {"k0_count": 1, "lattice_points": 0}
         assert json.loads(out)["single_k"] == {
             "bound": 16, "is_integer_bound": True, "k_used": 4, "n_k": 1
         }
@@ -453,8 +455,10 @@ class TestExitCodes:
 
     def test_bound_k_over_lattice_cap(self):
         # simplex2 at k = 100,000 has 5,000,150,001 points, 74.5 GiB as one
-        # int64 array; under a 1 GB address-space limit the refusal comes
-        # before the scan allocates them, and k = 200 fits
+        # int64 array, and 100,001 scan columns: under a 1 GB address-space
+        # limit they are counted, not listed.  At k = 10**7 the 10**7 + 1
+        # columns pass MAX_LATTICE, and the refusal comes before the scan
+        # allocates them.
         limit = 1_000_000 * 1024
 
         def run(k):
@@ -466,9 +470,11 @@ class TestExitCodes:
             )
 
         proc = run("100000")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["single_k"]["n_k"] == 5_000_150_000
+        proc = run("10000000")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "k=100000 needs 5000150001 lattice points" in proc.stderr
-        assert run("200").returncode == 0
+        assert "k=10000000 needs 10000001 lattice columns" in proc.stderr
 
     def test_bound_k_past_int64(self, capsys):
         code, out, err = run_cli(capsys, "bound", INTERVAL01, "--k", str(10**19))

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from oracles import (
     _recession_ray,
     brute_force_lattice,
+    ehrhart_fit,
     reference_polytope,
     reference_same_combinatorial_type,
 )
 
 from toriceig import (
     LabelledPolytope,
+    build_quadrature,
     example_polytope,
     load_polytope,
     polytope_from_dict,
@@ -27,6 +29,7 @@ from toriceig import (
     same_combinatorial_type,
 )
 from toriceig import polytope as polytope_module
+from toriceig.data import EXAMPLES
 from toriceig.polytope import (
     DegenerateN,
     EmptyLattice,
@@ -229,6 +232,8 @@ class TestLattice:
         P = LabelledPolytope(2, [((1, 0), 0), ((-1, 0), 1023), ((0, 1), 0), ((0, -1), 2**62)])
         with pytest.raises(LatticeTooLarge, match=f"k=1 needs {1024 * (2**62 + 1)} lattice points"):
             P.lattice_points(1)
+        # counted, the exact sum gives the bound
+        assert P.bly_bound().n_k == 1024 * (2**62 + 1) - 1
 
     @pytest.mark.parametrize("k,kp", [(1, 2), (2, 4), (1, 3)])
     def test_monotone_refinement(self, simplex2, k, kp):
@@ -251,6 +256,90 @@ class TestLattice:
         a = simplex2.lattice_points(3)
         b = simplex2.lattice_points(3)
         assert fractions(a) == fractions(b) and a.l_min == b.l_min
+
+
+def far_translated():
+    """A box 10**18 from the origin: at k = 12 its numerators leave int64."""
+    lo = (10**18 + F(1, 3), -(10**18) - F(1, 2))
+    return LabelledPolytope(
+        2,
+        [((1, 0), -lo[0]), ((0, 1), -lo[1]), ((-1, 0), lo[0] + 2), ((0, -1), lo[1] + F(3, 2))],
+    )
+
+
+def cube(top=1):
+    return LabelledPolytope(
+        3, [(nu, 0) for nu in np.eye(3, dtype=int).tolist()]
+        + [(nu, top) for nu in (-np.eye(3, dtype=int)).tolist()],
+    )
+
+
+def cut_cube():
+    """[0,2]^3 intersect {x + y + z <= 5}: a Delzant polytope with 7 facets."""
+    return LabelledPolytope(3, list(zip(cube(2).normals, cube(2).offsets)) + [((-1, -1, -1), 5)])
+
+
+class TestCountPath:
+    """The count-only scan against the listing and against Ehrhart theory."""
+
+    @pytest.mark.parametrize("P", [*map(example_polytope, EXAMPLES), far_translated()])
+    def test_count_equals_listing(self, P):
+        listed_k0 = None
+        for k in range(1, 13):
+            try:
+                data = P.lattice_points(k)
+            except EmptyLattice:
+                with pytest.raises(EmptyLattice):
+                    P.lattice_count(k)
+                continue
+            count = P.lattice_count(k)
+            assert (count.k, count.n_k) == (k, data.n_k)
+            assert tuple(F(m, k) + c for m, c in zip(count.low_sums, P.offsets)) == data.l_min
+            # the type check of the k0 search, on the integer offsets of kP_k
+            integer = P._vertex_sets([-m for m in count.low_sums]).keys() == {
+                v.active for v in P.vertices()
+            }
+            same = same_combinatorial_type(P, data.shrunk)
+            assert integer == same == reference_same_combinatorial_type(P, data.shrunk)
+            if same and listed_k0 is None:
+                listed_k0 = k
+        assert P.k0() == listed_k0
+        assert P.k0_count() == P.lattice_count(listed_k0)
+        at_k0, listed = P.k0_lattice(), P.lattice_points(listed_k0)
+        assert (at_k0.k, at_k0.n_k, at_k0.l_min) == (listed.k, listed.n_k, listed.l_min)
+        assert at_k0.points.tolist() == listed.points.tolist()
+
+    def test_far_translated_listing_is_object(self):
+        assert far_translated().lattice_points(12).points.dtype == object
+
+    @pytest.mark.parametrize(
+        "P",
+        [*(example_polytope(name) for name in EXAMPLES if example_polytope(name).is_integral()),
+         cube(), cut_cube()],
+    )
+    def test_ehrhart_polynomial(self, P):
+        # N_k + 1 is a polynomial of degree n in k with constant term 1: fit
+        # on k = 0..n, it predicts every later count, and its leading
+        # coefficient is the volume, from the exact quadrature layer
+        n = P.dim
+        coeffs = ehrhart_fit([1] + [P.lattice_count(k).n_k + 1 for k in range(1, n + 1)])
+        for k in range(n + 1, 13):
+            assert P.lattice_count(k).n_k + 1 == sum(c * k**t for t, c in enumerate(coeffs))
+        assert coeffs[-1] == build_quadrature(P, 1, 0).exact_volume
+
+    def test_cut_cube_coefficients(self):
+        assert ehrhart_fit([1] + [cut_cube().lattice_count(k).n_k + 1 for k in (1, 2, 3)]) == [
+            1, F(17, 3), F(23, 2), F(47, 6)
+        ]
+
+    def test_large_k_counted(self):
+        # 212,536,701 points: 4.75 GiB as one int64 array, so listing them is
+        # refused; the 601**2 scan columns are counted
+        P = cut_cube()
+        assert P.lattice_count(300).n_k + 1 == 212_536_701
+        with pytest.raises(LatticeTooLarge, match="k=300 needs 212536701 lattice points"):
+            P.lattice_points(300)
+        assert example_polytope("simplex2").lattice_count(100000).n_k == 5_000_150_000
 
 
 # Normals of the 2-D families whose GL(2, Z) images the scan is checked on, and

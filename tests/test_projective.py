@@ -429,10 +429,11 @@ class TestBoundReport:
 
 
 class TestBoundReportCalls:
-    """bound_report searches k0 once and keeps nothing between calls."""
+    """bound_report searches k0 once, lists no point and keeps nothing
+    between calls."""
 
     def test_one_k0_search_per_report(self, monkeypatch):
-        calls = {"k0_lattice": 0, "lattice_points": 0}
+        calls = {"k0_count": 0, "lattice_count": 0, "lattice_points": 0}
         for name in calls:
             original = getattr(LabelledPolytope, name)
 
@@ -450,13 +451,13 @@ class TestBoundReportCalls:
         for _ in range(2):
             report = bound_report(P)
             counts.append(dict(calls))
-            calls.update(k0_lattice=0, lattice_points=0)
+            calls.update(k0_count=0, lattice_count=0, lattice_points=0)
             assert report.k0 == 17
             assert [b.bound for b in report.bounds] == [
                 F(697, 10), F(516, 7), F(855, 11), F(1880, 23), F(343, 4)
             ]
-        assert counts[0]["k0_lattice"] == 1
-        assert counts[0]["lattice_points"] <= 21
+        # k = 1..17 in the search, then the four later rows
+        assert counts[0] == {"k0_count": 1, "lattice_count": 21, "lattice_points": 0}
         assert counts[1] == counts[0]
 
     def test_k_max_above_default(self):
