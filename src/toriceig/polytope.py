@@ -8,19 +8,20 @@ eigenvalue bound they produce) is exact, so reruns are bit-identical.
 The arithmetic is in integers, and `fractions.Fraction` values are made
 only for what is reported: vertex coordinates, offsets and L_min.  Each
 n-subset of facets is solved by Cramer's rule over the offsets scaled to
-integers, all subsets in one product with a table built once per polytope,
-which gives the vertex active sets exactly.  Boundedness, non-redundancy of
-a facet and the combinatorial type are read from those sets, because the
-edges of a simple n-polytope are the (n-1)-subsets of them, each shared by
-exactly two vertices (Ziegler, Lectures on Polytopes, ch. 3).  The lattice
-scan is one numpy pass over the columns of the bounding box of k P: it
-decides membership of j/k from <nu_i, j> >= ceil(-k c_i) and keeps each
-column's first and last point.  Counting is that scan alone.  It gives N_k
-and the integer offsets of kP_k = {<nu_i, y> >= min_j <nu_i, j>}, on which
-the k0 search decides the type, with no point or Fraction made.  Listing is
-the scan followed by the integer array of numerators j, each written once.
-Before allocating, the scan checks that its values fit int64 and its column
-table fits MAX_LATTICE entries, and a listing that its points do too.
+integers, all subsets at once from their adjugates and determinants,
+tabulated once per polytope, which gives the vertex active sets exactly.
+Boundedness, non-redundancy of a facet and the combinatorial type are read
+from those sets, because the edges of a simple n-polytope are the
+(n-1)-subsets of them, each shared by exactly two vertices (Ziegler,
+Lectures on Polytopes, ch. 3).  The lattice scan is one numpy pass over
+the columns of the bounding box of k P: it decides membership of j/k from
+<nu_i, j> >= ceil(-k c_i) and keeps each column's first and last point.
+Counting is that scan alone.  It gives N_k and the integer offsets of
+kP_k = {<nu_i, y> >= min_j <nu_i, j>}, on which the k0 search decides the
+type, with no point or Fraction made.  Listing is the scan followed by the
+integer array of numerators j, each written once.  Before allocating, the
+scan checks that its values fit int64 and its column table fits MAX_LATTICE
+entries, and a listing that its points do too.
 """
 
 from __future__ import annotations
@@ -321,43 +322,56 @@ class LabelledPolytope:
 
         On a subset S with adjugate A_S and det_S > 0 (both sign-flipped if
         needed), Cramer's rule gives x = num_S / (D det_S), num_S = -A_S b_S,
-        and D det_S L_i(x) = <nu_i, num_S> + det_S b_i: both linear in b, so
-        tabulated once and solved for every S in one product.  It runs in
-        int64 when the table's largest row sum of |entries| times max |b| is
-        below 2**63, and in Python ints otherwise.
+        and D det_S L_i(x) = <nu_i, num_S> + det_S b_i.  The subsets, A_S and
+        det_S are tabulated once, and every S is solved in two products.  They
+        run in int64 when `reach` times max |b| is below 2**63, and in Python
+        ints otherwise.
         """
-        n, d = self.dim, self.num_facets
+        n = self.dim
         if self._cramer is None:
-            dets, table = [], []
-            for subset in itertools.combinations(range(d), n):
+            subsets, adjs, dets = [], [], []
+            for subset in itertools.combinations(range(self.num_facets), n):
                 rows = [self.normals[i] for i in subset]
                 det = _det(rows)
                 if det == 0:
                     continue
                 sign = 1 if det > 0 else -1
-                block = [[sign * det * (r == n + l) for l in range(d)] for r in range(n + d)]
-                for i, f in enumerate(subset):
-                    # column i of A_S: the signed cofactors of row i
-                    minor = rows[:i] + rows[i + 1 :]
-                    adj = [
+                minors = [rows[:i] + rows[i + 1 :] for i in range(n)]
+                # entry (j, i) of A_S: the signed cofactor of row i, column j
+                adjs.append([
+                    [
                         sign * (-1) ** (i + j) * _det([r[:j] + r[j + 1 :] for r in minor])
-                        for j in range(n)
+                        for i, minor in enumerate(minors)
                     ]
-                    for row, v in zip(block, adj + [sum(map(mul, nu, adj)) for nu in self.normals]):
-                        row[f] -= v
+                    for j in range(n)
+                ])
+                subsets.append(subset)
                 dets.append(sign * det)
-                table.extend(block)
-            # at least 1, so that b itself fits when every value does
-            reach = max((sum(map(abs, row)) for row in table), default=1)
-            table = np.array(table, dtype=np.int64 if reach < 2**63 else object).reshape(-1, d)
-            self._cramer = (dets, table, reach)
-        dets, table, reach = self._cramer
-        dtype = np.int64 if table.dtype == np.int64 and reach * max(map(abs, b)) < 2**63 else object
-        out = (table.astype(dtype, copy=False) @ np.array(b, dtype=dtype)).reshape(len(dets), n + d)
-        feasible = (out[:, n:] >= 0).all(axis=1)
+            # |num_S| <= (max row sum of |A_S|) max |b|, so each value, and each
+            # partial sum of it, is at most reach * max |b|
+            width = max(sum(map(abs, nu)) for nu in self.normals)
+            reach = max(
+                (width * max(sum(map(abs, row)) for row in adj) + det for adj, det in zip(adjs, dets)),
+                default=1,
+            )
+            dtype = np.int64 if reach < 2**63 else object
+            self._cramer = (
+                np.array(subsets, dtype=np.intp).reshape(-1, n),
+                np.array(adjs, dtype=dtype).reshape(-1, n, n),
+                np.array(dets, dtype=dtype),
+                np.array(self.normals, dtype=dtype).T,
+                reach,
+            )
+        subsets, adjs, dets, normals, reach = self._cramer
+        dtype = np.int64 if adjs.dtype == np.int64 and reach * max(map(abs, b)) < 2**63 else object
+        adjs, dets, normals = (a.astype(dtype, copy=False) for a in (adjs, dets, normals))
+        b = np.array(b, dtype=dtype)
+        num = -(adjs @ b[subsets][:, :, None])[:, :, 0]
+        vals = num @ normals + dets[:, None] * b
+        feasible = (vals >= 0).all(axis=1)
         found: dict = {}
-        for det, row in zip(itertools.compress(dets, feasible), out[feasible].tolist()):
-            found.setdefault(tuple(i for i, v in enumerate(row[n:]) if v == 0), (row[:n], det))
+        for row, x, det in zip(vals[feasible].tolist(), num[feasible].tolist(), dets[feasible].tolist()):
+            found.setdefault(tuple(i for i, v in enumerate(row) if v == 0), (x, det))
         return found
 
     def _validate(self):
@@ -454,12 +468,10 @@ class LabelledPolytope:
             raise EmptyLattice(f"P contains no point of Z^{n}/{k}")
         prefix, sums, first, last = prefix[:, keep], sums[:, keep], first[keep], last[keep]
         # L_min: <nu_i, i> is least at the end of each row that facet i bounds.
-        # In place, so the scan holds one more (d, columns) array at most.
-        a = normals[:, -1:]
-        ends = np.where(a > 0, first, last)
-        ends *= a
-        ends += sums
-        low_sums = tuple(m + s for m, s in zip(ends.min(axis=1).tolist(), shift))
+        # Added into sums one facet at a time, so no second (d, columns) array.
+        for nu, row in zip(self.normals, sums):
+            row += nu[-1] * (first if nu[-1] > 0 else last)
+        low_sums = tuple(m + s for m, s in zip(sums.min(axis=1).tolist(), shift))
         lengths = last - first + 1
         # each length is at most size[-1]; past 2**63 the int64 sum may wrap
         total = int(lengths.sum()) if len(lengths) * size[-1] < 2**63 else sum(lengths.tolist())

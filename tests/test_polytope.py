@@ -4,6 +4,7 @@ combinatorial type, k0 and the rational bound."""
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -586,6 +587,29 @@ class TestReferenceOracle:
         assume(isinstance(P, LabelledPolytope))
         Q = LabelledPolytope(n, [(nu, c - t) for (nu, c), t in zip(facets, shrink)], validate=False)
         assert same_combinatorial_type(P, Q) == reference_same_combinatorial_type(P, Q)
+
+    def test_many_facets(self):
+        # The edges are the 96 primitive vectors of [-6, 6]^2 in order of
+        # angle, from the vertex (1/3, 2/7): vertex i lies on facets i - 1, i.
+        edges = sorted(
+            (e for e in itertools.product(range(-6, 7), repeat=2) if math.gcd(*e) == 1),
+            key=lambda e: math.atan2(e[1], e[0]),
+        )
+        facets, x = [], (F(1, 3), F(2, 7))
+        for a, b in edges:
+            facets.append(((-b, a), b * x[0] - a * x[1]))
+            x = (x[0] + a, x[1] + b)
+        tracemalloc.start()
+        try:
+            P = LabelledPolytope(2, facets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the solve holds O(C(d, n) (n^2 + d)) entries: 4,560 x 100 here
+        assert peak < 32 * 2**20
+        got = tuple((v.coords, v.active) for v in P.vertices())
+        assert len(got) == 96
+        assert got == reference_polytope(2, facets)
 
 
 class TestCombinatorialType:
