@@ -13,7 +13,6 @@ from .polytope import (
     load_polytope,
     polytope_from_dict,
     polytope_to_dict,
-    same_combinatorial_type,
 )
 from .polynomials import MultiPoly
 from .potential import (
@@ -38,7 +37,6 @@ from .spectral import (
     RitzResult,
     SweepResult,
     lambda1_invariant,
-    rayleigh_quotient,
     sweep_dilation,
     sweep_uc,
 )

@@ -3,10 +3,10 @@
 A labelled polytope is the data (P, nu): a compact simple polytope cut out
 by affine inequalities L_i(x) = <x, nu_i> + c_i >= 0 with primitive integer
 inward normals nu_i and rational offsets c_i.  Everything in this module
-(membership, vertices, lattice enumeration, the shrunk polytopes P_k and the
-eigenvalue bound they produce) is exact, so reruns are bit-identical.
+(membership, vertices, lattice counts and listings, the k0 search and the
+eigenvalue bound) is exact, so reruns are bit-identical.
 The arithmetic is in integers, and `fractions.Fraction` values are made
-only for what is reported: vertex coordinates, offsets and L_min.  Each
+only for what is reported: vertex coordinates, offsets and bounds.  Each
 n-subset of facets is solved by Cramer's rule over the offsets scaled to
 integers, all subsets at once from their adjugates and determinants,
 tabulated once per polytope, which gives the vertex active sets exactly.
@@ -19,9 +19,10 @@ the columns of the bounding box of k P: it decides membership of j/k from
 Counting is that scan alone.  It gives N_k and the integer offsets of
 kP_k = {<nu_i, y> >= min_j <nu_i, j>}, on which the k0 search decides the
 type, with no point or Fraction made.  Listing is the scan followed by the
-integer array of numerators j, each written once.  Before allocating, the
-scan checks that its values fit int64 and its column table fits MAX_LATTICE
-entries, and a listing that its points do too.
+integer array of numerators j, each written once, and returns only those
+and N_k.  Before allocating, the scan checks that its values fit int64 and
+its column table fits MAX_LATTICE entries, and a listing that its points
+do too.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "InvalidPolytope",
     "UnboundedOrEmpty",
     "NonSimple",
-    "MismatchedNormals",
     "EmptyLattice",
     "LatticeTooLarge",
     "K0NotFound",
@@ -53,7 +53,6 @@ __all__ = [
     "LatticeData",
     "BlyBound",
     "LabelledPolytope",
-    "same_combinatorial_type",
     "polytope_from_dict",
     "polytope_to_dict",
     "load_polytope",
@@ -74,10 +73,6 @@ class UnboundedOrEmpty(PolytopeError):
 
 class NonSimple(PolytopeError):
     """Some vertex lies on more than `dim` facets."""
-
-
-class MismatchedNormals(PolytopeError):
-    """Combinatorial comparison requires identical normal lists."""
 
 
 class EmptyLattice(PolytopeError):
@@ -165,8 +160,7 @@ class LatticeCount:
 
 @dataclass(frozen=True)
 class LatticeData:
-    """P intersected with Z^n/k: the points, the count N_k, the facet minima
-    L_min(i, k) and the shrunk polytope P_k = {L_i >= L_min(i, k)}.
+    """P intersected with Z^n/k: the points and the count N_k.
 
     `points` is a read-only (N_k + 1, n) integer array of numerators, in
     lexicographic order: row j is the point j/k.  Its dtype is int64, or
@@ -176,8 +170,6 @@ class LatticeData:
     k: int
     points: np.ndarray
     n_k: int
-    l_min: tuple
-    shrunk: "LabelledPolytope"
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ class BlyBound:
     is_integer_bound: bool
 
     @classmethod
-    def from_lattice(cls, dim: int, data: LatticeCount | LatticeData) -> "BlyBound":
+    def from_lattice(cls, dim: int, data: LatticeCount) -> "BlyBound":
         """The bound at data.k from its lattice count N_k."""
         if data.n_k == 0:
             raise DegenerateN(f"N_{data.k} = 0: the bound formula is undefined")
@@ -214,12 +206,11 @@ class LabelledPolytope:
     """Compact simple polytope {x : <x, nu_i> + c_i >= 0} with integer normals.
 
     Normals must be primitive; offsets are rationals.  Construction validates
-    boundedness, nonempty interior, simplicity and facet non-redundancy unless
-    ``validate=False`` (used internally for candidate shrunk polytopes that may
-    be degenerate).
+    the facet count, boundedness, nonempty interior, simplicity and facet
+    non-redundancy.
     """
 
-    def __init__(self, dim: int, facets: Sequence[tuple], validate: bool = True):
+    def __init__(self, dim: int, facets: Sequence[tuple]):
         if dim < 1:
             raise InvalidPolytope("dimension must be >= 1")
         normals = []
@@ -241,10 +232,9 @@ class LabelledPolytope:
         self._box: Optional[tuple] = None
         self._float_facets: Optional[tuple] = None
         self._cramer: Optional[tuple] = None
-        if validate:
-            if len(normals) < dim + 1:
-                raise InvalidPolytope(f"need at least {dim + 1} facets, got {len(normals)}")
-            self._validate()
+        if len(normals) < dim + 1:
+            raise InvalidPolytope(f"need at least {dim + 1} facets, got {len(normals)}")
+        self._validate()
 
     # -- basic geometry -----------------------------------------------------
 
@@ -425,8 +415,7 @@ class LabelledPolytope:
     def _scan(self, k: int) -> tuple:
         """The column scan of P intersect Z^n/k: (count, j0, size, prefix,
         first, lengths).  Column c of the box j0 + [0, size) holds the points
-        j0 + (prefix[:, c], first[c] + t) for 0 <= t < lengths[c], and only
-        columns with a point are kept."""
+        j0 + (prefix[:, c], first[c] + t) for 0 <= t < lengths[c]."""
         if k < 1:
             raise ValueError("k must be a positive integer")
         n = self.dim
@@ -442,7 +431,9 @@ class LabelledPolytope:
         # so below 2**63 every value of the scan is an int64.
         shift = [sum(v * j for v, j in zip(nu, j0)) for nu in self.normals]
         columns = math.prod(size[:-1])
-        _check_lattice_size(k, "columns", columns, n + self.num_facets + 1)
+        # a column holds its prefix (n - 1), facet sums (d), first, last and
+        # length, one temporary, and an eighth each of two boolean masks
+        _check_lattice_size(k, "columns", columns, n + self.num_facets + 3)
         box = [max(m, 1) for m in size]
         reach = max(sum(map(mul, map(abs, nu), box)) for nu in self.normals)
         if reach >= 2**63:
@@ -466,13 +457,15 @@ class LabelledPolytope:
         keep = first <= last
         if not keep.any():
             raise EmptyLattice(f"P contains no point of Z^{n}/{k}")
-        prefix, sums, first, last = prefix[:, keep], sums[:, keep], first[keep], last[keep]
         # L_min: <nu_i, i> is least at the end of each row that facet i bounds.
-        # Added into sums one facet at a time, so no second (d, columns) array.
+        # The ends are added into sums in place and each minimum is taken over
+        # the columns with a point; values in the others may wrap, unread.
         for nu, row in zip(self.normals, sums):
             row += nu[-1] * (first if nu[-1] > 0 else last)
-        low_sums = tuple(m + s for m, s in zip(sums.min(axis=1).tolist(), shift))
+        low_sums = tuple(int(r.min(where=keep, initial=2**63 - 1)) + s for r, s in zip(sums, shift))
+        # an empty column has length 0, so np.repeat skips it when listing
         lengths = last - first + 1
+        lengths[~keep] = 0
         # each length is at most size[-1]; past 2**63 the int64 sum may wrap
         total = int(lengths.sum()) if len(lengths) * size[-1] < 2**63 else sum(lengths.tolist())
         return LatticeCount(k, total - 1, low_sums), j0, size, prefix, first, lengths
@@ -483,7 +476,7 @@ class LabelledPolytope:
         return self._scan(k)[0]
 
     def lattice_points(self, k: int) -> LatticeData:
-        """Enumerate P  intersect  Z^n/k and derive L_min and the shrunk P_k."""
+        """Enumerate P intersect Z^n/k."""
         count, j0, size, prefix, first, lengths = self._scan(k)
         n, total = self.dim, count.n_k + 1
         _check_lattice_size(k, "points", total, n)
@@ -499,16 +492,7 @@ class LabelledPolytope:
         rows[:, -1] = np.arange(total) + np.repeat(first + base[-1] - start, lengths)
         points = rows if fits else rows.astype(object) + np.array(j0, dtype=object)
         points.flags.writeable = False
-        shrunk = LabelledPolytope(
-            n, [(nu, Fraction(-m, k)) for nu, m in zip(self.normals, count.low_sums)], validate=False
-        )
-        return LatticeData(
-            k=k,
-            points=points,
-            n_k=count.n_k,
-            l_min=tuple(Fraction(m, k) + c for m, c in zip(count.low_sums, self.offsets)),
-            shrunk=shrunk,
-        )
+        return LatticeData(k=k, points=points, n_k=count.n_k)
 
     def k0(self, k_max: int = 64) -> int:
         """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially."""
@@ -530,10 +514,6 @@ class LabelledPolytope:
             if self._vertex_sets([-m for m in count.low_sums]).keys() == family:
                 return count
         raise K0NotFound(f"no k <= {k_max} reproduces the combinatorial type; raise k_max")
-
-    def k0_lattice(self, k_max: int = 64) -> LatticeData:
-        """The `LatticeData` of P intersect Z^n/k0, listed once k0 is found."""
-        return self.lattice_points(self.k0(k_max))
 
     def check_kpk_integral(self, k: int, k_max: int = 64) -> dict:
         """Build kP_k and report integrality, the Delzant test and the count match."""
@@ -581,20 +561,6 @@ class LabelledPolytope:
 
     def __hash__(self):
         return hash((self.dim, self.normals, self.offsets))
-
-
-def same_combinatorial_type(P: LabelledPolytope, Q: LabelledPolytope) -> bool:
-    """True iff Q is a simple polytope whose vertex active sets are those of
-    P.  Every facet of P is active at a vertex, so equal families also keep
-    every facet of Q.  Requires identical normal lists (parallel facets give
-    the canonical facet correspondence)."""
-    if P.dim != Q.dim or P.normals != Q.normals:
-        raise MismatchedNormals("combinatorial comparison needs identical normal lists")
-    try:
-        family_q = Q._vertex_table().keys()
-    except (UnboundedOrEmpty, NonSimple):
-        return False
-    return family_q == {v.active for v in P.vertices()}
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,10 @@ from .quadrature import QuadratureRule, build_quadrature
 
 __all__ = [
     "SpectralError",
-    "ZeroDenominator",
     "MassSingular",
     "TrialFunction",
     "RitzResult",
     "SweepResult",
-    "rayleigh_quotient",
     "lambda1_invariant",
     "sweep_uc",
     "sweep_dilation",
@@ -68,10 +66,6 @@ MAX_TABLE = 2**25
 
 class SpectralError(Exception):
     pass
-
-
-class ZeroDenominator(SpectralError):
-    """The test function is quadrature-constant."""
 
 
 class MassSingular(SpectralError):
@@ -166,24 +160,6 @@ class RitzResult:
 def _require_matching(u: SymplecticPotential, Q: QuadratureRule):
     if Q.polytope != u.polytope:
         raise ValueError("quadrature was built for a different polytope than the potential")
-
-
-def rayleigh_quotient(u: SymplecticPotential, f, Q: QuadratureRule) -> float:
-    """integral H(df, df) / integral (f - fbar)^2 by quadrature; an upper
-    bound for lambda1T up to quadrature error.  f evaluates value(x) and
-    gradient(x) on arrays of points, as MultiPoly and TrialFunction do."""
-    _require_matching(u, Q)
-    w = Q.weights
-    vals = np.asarray(f.value(Q.nodes), dtype=float)
-    grads = np.asarray(f.gradient(Q.nodes), dtype=float)
-    numerator = float(np.einsum("qj,qjk,qk->", grads * w[:, None], u.sample(Q.nodes).H, grads))
-    fbar = float(w @ vals) / float(np.sum(w))
-    centered = vals - fbar
-    denominator = float(w @ centered**2)
-    scale = float(np.sum(w)) * max(1.0, float(np.max(np.abs(vals))) ** 2)
-    if denominator <= 1e-24 * scale:
-        raise ZeroDenominator("test function is constant on the quadrature nodes")
-    return numerator / denominator
 
 
 def _stiffness(H, V_low, w, lowered, weighted) -> np.ndarray:

@@ -183,6 +183,18 @@ def brute_force_lattice(P, k: int):
     return points, l_min
 
 
+def listed_l_min(P, data) -> tuple:
+    """L_min(i, k) = min_j <nu_i, j> / k + c_i over the numerators j that
+    `P.lattice_points(k)` listed in `data`, summed in Python ints, as
+    `Fraction`s.
+
+    This is a reference for the facet minima of the count scan: it reads
+    only the listed points.
+    """
+    sums = data.points.astype(object) @ np.array(P.normals, dtype=object).T
+    return tuple(Fraction(int(m), data.k) + c for m, c in zip(sums.min(axis=0), P.offsets))
+
+
 def ehrhart_fit(values) -> list:
     """Coefficients c_0..c_n, lowest first, in Fractions, of the polynomial
     of degree n through (k, values[k]) for k = 0..n (Lagrange interpolation).
@@ -321,36 +333,68 @@ def _carries_facets(dim: int, num_facets: int, verts) -> bool:
     )
 
 
-def reference_polytope(dim: int, facets, validate: bool = True) -> tuple:
-    """The vertices `LabelledPolytope(dim, facets, validate).vertices()`
-    should return, as `reference_vertices` does, after the constructor's
-    facet count and redundancy checks (by affine rank) when validating."""
+def reference_polytope(dim: int, facets) -> tuple:
+    """The vertices `LabelledPolytope(dim, facets).vertices()` should return,
+    as `reference_vertices` does, after the constructor's facet count and
+    redundancy checks (by affine rank)."""
     from toriceig.polytope import InvalidPolytope
 
     normals = [tuple(nu) for nu, _ in facets]
-    if validate and len(normals) < dim + 1:
+    if len(normals) < dim + 1:
         raise InvalidPolytope("too few facets")
     verts = reference_vertices(dim, normals, [c for _, c in facets])
-    if validate and not _carries_facets(dim, len(normals), verts):
+    if not _carries_facets(dim, len(normals), verts):
         raise InvalidPolytope("redundant facet")
     return verts
 
 
-def reference_same_combinatorial_type(P, Q) -> bool:
-    """`same_combinatorial_type` from `reference_vertices` and an affine-rank
-    test of every facet of Q."""
-    from toriceig.polytope import MismatchedNormals, NonSimple, UnboundedOrEmpty
+def reference_same_combinatorial_type(P, offsets) -> bool:
+    """True iff Q = {<x, nu_i> + offsets[i] >= 0}, on the normals of P, is a
+    simple polytope whose vertex active sets are those of P, from
+    `reference_vertices` and an affine-rank test of every facet of Q.
 
-    if P.dim != Q.dim or P.normals != Q.normals:
-        raise MismatchedNormals("normal lists differ")
+    This is a reference for the integer type check of the k0 search: it
+    shares nothing with the library but the normals and offsets of P.
+    """
+    from toriceig.polytope import NonSimple, UnboundedOrEmpty
+
+    if len(offsets) != P.num_facets:
+        raise ValueError("Q needs one offset per facet of P")
     try:
-        verts_q = reference_vertices(Q.dim, Q.normals, Q.offsets)
+        verts_q = reference_vertices(P.dim, P.normals, offsets)
     except (UnboundedOrEmpty, NonSimple):
         return False
-    if not _carries_facets(Q.dim, Q.num_facets, verts_q):
+    if not _carries_facets(P.dim, P.num_facets, verts_q):
         return False
     family_p = {frozenset(a) for _, a in reference_vertices(P.dim, P.normals, P.offsets)}
     return family_p == {frozenset(a) for _, a in verts_q}
+
+
+class ZeroDenominator(Exception):
+    """The test function of `rayleigh_quotient` is quadrature-constant."""
+
+
+def rayleigh_quotient(u, f, Q) -> float:
+    """integral H(df, df) / integral (f - fbar)^2 by quadrature; an upper
+    bound for lambda1T up to quadrature error.  f evaluates value(x) and
+    gradient(x) on arrays of points, as MultiPoly and TrialFunction do.
+
+    This is a check of the Ritz solve of `lambda1_invariant`: it shares only
+    the quadrature rule and the potential's Hessian samples with it.
+    """
+    if Q.polytope != u.polytope:
+        raise ValueError("quadrature was built for a different polytope than the potential")
+    w = Q.weights
+    vals = np.asarray(f.value(Q.nodes), dtype=float)
+    grads = np.asarray(f.gradient(Q.nodes), dtype=float)
+    numerator = float(np.einsum("qj,qjk,qk->", grads * w[:, None], u.sample(Q.nodes).H, grads))
+    fbar = float(w @ vals) / float(np.sum(w))
+    centered = vals - fbar
+    denominator = float(w @ centered**2)
+    scale = float(np.sum(w)) * max(1.0, float(np.max(np.abs(vals))) ** 2)
+    if denominator <= 1e-24 * scale:
+        raise ZeroDenominator("test function is constant on the quadrature nodes")
+    return numerator / denominator
 
 
 def _midpoint(a, b):

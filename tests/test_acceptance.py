@@ -14,6 +14,7 @@ from oracles import (
     fd_scalar_curvature,
     hc_diag,
     interval_midpoint_integral,
+    rayleigh_quotient,
     simplex2_centroid_integral,
     sturm_liouville_lambda1,
 )
@@ -30,7 +31,6 @@ from toriceig import (
     lambda1_invariant,
     psi_diag,
     quadratic_perturbed,
-    rayleigh_quotient,
     saturation_check,
     scalar_curvature,
     sweep_dilation,

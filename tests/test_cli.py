@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON round-trips, CSV schema, determinism."""
 
+import hashlib
 import json
 import os
 import resource
@@ -12,6 +13,7 @@ import pytest
 import toriceig
 from toriceig import LabelledPolytope, example_path
 from toriceig.cli import COMMANDS, main
+from toriceig.data import EXAMPLES
 
 INTERVAL01 = str(example_path("interval01"))
 INTERVALC = str(example_path("intervalC"))
@@ -639,6 +641,63 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+class TestGolden:
+    """The `info`, `bound` and `bound --k <k0 + 5>` reports of every bundled
+    example, byte for byte, pinned by SHA-256.  They are exact, so they do not
+    depend on the BLAS thread count.  The file is copied to the working
+    directory so that the echoed path is the bare file name."""
+
+    SHA256 = {
+        "interval01": (
+            "f2840448cbc0af421de2a679ee320b7d4b107ed794e80749eeb145f4ac79fda1",
+            "1f69eab3b21896bc4c3795d611db62765b91bfb3afae508c1f28fe47e5f8104a",
+            "c5725a8bcae2521689acd8bb1b148f739ee9db59cd3be9b5e1a933b0fe697ef4",
+        ),
+        "intervalC": (
+            "46487e76bcd1e9360c783b61a1ae245c5d2aeb8824c59f725f6ea58e34672873",
+            "d7a00a4ac5a9a4e65160f7c00738ce5cc0bfc1d1c0844d164501ca2a8e035a58",
+            "c617de1d97c9a866febdf45545bf1738a2024c26164800dce1b72cbe0e480a88",
+        ),
+        "simplex2": (
+            "6dd4e5519aa7b749e242a0f973b7b7789baa567d1a34c3b5001a002015f06fc4",
+            "974dcb2950105334a6edb3fc5550541a1953967e5104b8c6b7a1cc9788fcefc0",
+            "a22b906c2e68f11497c3742facc599168aa2507c5c08961adb78940d3acf569e",
+        ),
+        "square": (
+            "c760c6d8865f3a353eb7c174dfab6b02aaedba268fdec5d8c5e224c7e0be0fa9",
+            "c8918dce0471fa6e622b6b1f428ab6c7aedb6a81c381fc77a676c68dc0b0d0e8",
+            "c682389ad8c4daecdaf28eb0e3a867a7869b2c945fa8efb7385b2ff73ac34179",
+        ),
+        "interval-third": (
+            "a57b329b2a17c291737eb38180898b096c282735f82049bf42510797dae2d841",
+            "7daf77bee1f6560cfec804ff02ff2e99d12e46728c245580316b864bb5ee11c8",
+            "06639f32a77127a05286371154b5603d079a09e180fdfc6ae37123f797045214",
+        ),
+        "perturbed-simplex": (
+            "970875242936cabb351fd4889f835c4c2aa08abfbf6ded5755be73cb4172b4a9",
+            "07ba1ad9644a1e4825f9a5c807aecb01a1cdf55aca9da3e43afe47a5a3740702",
+            "9d3b455f5e2f066d85ae43bea6a4941b51de48746f7a2f2245e2c399c0311f7e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_reports(self, capsys, monkeypatch, tmp_path, name):
+        path = f"{name}.json"
+        (tmp_path / path).write_bytes(example_path(name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for argv in (("info", path), ("bound", path)):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            outputs.append(out)
+        k = json.loads(outputs[1])["k0"] + 5
+        code, out, _ = run_cli(capsys, "bound", path, "--k", str(k))
+        assert code == 0
+        outputs.append(out)
+        digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in outputs)
+        assert digests == self.SHA256[name]
 
 
 class TestBlasThreads:

@@ -16,6 +16,7 @@ from oracles import (
     _recession_ray,
     brute_force_lattice,
     ehrhart_fit,
+    listed_l_min,
     reference_polytope,
     reference_same_combinatorial_type,
 )
@@ -27,7 +28,6 @@ from toriceig import (
     load_polytope,
     polytope_from_dict,
     polytope_to_dict,
-    same_combinatorial_type,
 )
 from toriceig import polytope as polytope_module
 from toriceig.data import EXAMPLES
@@ -37,7 +37,6 @@ from toriceig.polytope import (
     InvalidPolytope,
     K0NotFound,
     LatticeTooLarge,
-    MismatchedNormals,
     NonSimple,
     PolytopeError,
     PrematureK,
@@ -56,9 +55,28 @@ def fractions(data):
     are a read-only (N_k + 1, n) array of integer numerators."""
     points = data.points
     assert not points.flags.writeable
-    assert points.shape == (data.n_k + 1, data.shrunk.dim)
+    assert points.ndim == 2 and len(points) == data.n_k + 1
     assert np.issubdtype(points.dtype, np.integer) or all(type(j) is int for j in points.flat)
     return tuple(tuple(F(j, data.k) for j in row) for row in points.tolist())
+
+
+def counted_l_min(P, k):
+    """L_min(i, k) = low_sums[i] / k + c_i from the count scan."""
+    return tuple(F(m, k) + c for m, c in zip(P.lattice_count(k).low_sums, P.offsets))
+
+
+def shrunk_offsets(P, data):
+    """The offsets c_i - L_min(i, k) of P_k = {L_i >= L_min(i, k)}, from the
+    listed points."""
+    return tuple(c - m for c, m in zip(P.offsets, listed_l_min(P, data)))
+
+
+def integer_type(P, offsets):
+    """The type check of the k0 search on Q = {<x, nu_i> + offsets[i] >= 0}:
+    Q's vertex active sets, solved on its offsets scaled to integers, are P's."""
+    D = math.lcm(*(F(c).denominator for c in offsets))
+    b = [int(F(c) * D) for c in offsets]
+    return P._vertex_sets(b).keys() == {v.active for v in P.vertices()}
 
 
 @pytest.fixture
@@ -99,9 +117,9 @@ class TestVertices:
             LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((1, 1), -1)])
 
     def test_strip_raises(self):
-        strip = LabelledPolytope(2, [((1, 0), 0), ((-1, 0), 1)], validate=False)
+        # 0 <= x <= 1 and x <= 2: no two normals span the plane
         with pytest.raises(UnboundedOrEmpty, match="contains a line"):
-            strip.vertices()
+            LabelledPolytope(2, [((1, 0), 0), ((-1, 0), 1), ((-1, 0), 2)])
 
     @pytest.mark.parametrize("dim,facets", [
         (1, [((1,), 0), ((-1,), 0)]),  # the point x = 0
@@ -169,41 +187,64 @@ class TestLattice:
         data = simplex2.lattice_points(1)
         assert fractions(data) == ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
         assert data.n_k == 2
-        assert data.l_min == (0, 0, 0)
-        assert same_combinatorial_type(simplex2, data.shrunk)
+        assert listed_l_min(simplex2, data) == (0, 0, 0)
+        assert integer_type(simplex2, shrunk_offsets(simplex2, data))
+        assert reference_same_combinatorial_type(simplex2, shrunk_offsets(simplex2, data))
 
     def test_three_halves_k1(self):
         P = interval(0, F(3, 2))
         data = P.lattice_points(1)
         assert fractions(data) == ((0,), (1,))
         assert data.n_k == 1
-        assert data.l_min == (0, F(1, 2))
-        assert data.shrunk.offsets == (0, 1)  # P_1 = [0, 1]
+        assert listed_l_min(P, data) == (0, F(1, 2))
+        assert shrunk_offsets(P, data) == (0, 1)  # P_1 = [0, 1]
 
     def test_third_k3(self):
         P = interval(0, F(1, 3))
         data = P.lattice_points(3)
         assert fractions(data) == ((0,), (F(1, 3),))
         assert data.n_k == 1
-        assert data.l_min == (0, 0)
+        assert listed_l_min(P, data) == (0, 0)
 
     def test_empty_lattice(self):
         with pytest.raises(EmptyLattice):
             example_polytope("perturbed-simplex").lattice_points(1)
 
     def test_size_cap(self, monkeypatch):
-        # the unit square at k = 3 scans 4 columns, each 2 + 4 + 1 entries
-        # wide (prefix, facet sums, first and last), and finds 16 points of
-        # 2 entries: each count is checked before its arrays are built
+        # the unit square at k = 5 scans 6 columns, each 1 + 4 + 3 + 1
+        # entries wide (prefix, facet sums, first, last and length, one
+        # temporary), and finds 36 points of 2 entries: each count is
+        # checked before its arrays are built
         square = example_polytope("square")
-        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 32)
-        assert square.lattice_points(3).n_k == 15
-        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 31)
-        with pytest.raises(LatticeTooLarge, match="k=3 needs 16 lattice points of 2 entries"):
-            square.lattice_points(3)
-        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 27)
-        with pytest.raises(LatticeTooLarge, match="k=3 needs 4 lattice columns of 7 entries"):
-            square.lattice_points(3)
+        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 72)
+        assert square.lattice_points(5).n_k == 35
+        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 71)
+        with pytest.raises(LatticeTooLarge, match="k=5 needs 36 lattice points of 2 entries"):
+            square.lattice_points(5)
+        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 53)
+        with pytest.raises(LatticeTooLarge, match="k=5 needs 6 lattice columns of 9 entries"):
+            square.lattice_points(5)
+
+    @pytest.mark.parametrize("name,k", [("simplex2", 200_000), ("square", 100_000), ("cube", 300)])
+    def test_scan_memory_within_cap(self, monkeypatch, name, k):
+        # the scan holds at most the int64 entries its column check counts
+        P = cube() if name == "cube" else example_polytope(name)
+        P.bounding_box()
+        counted = []
+        check = polytope_module._check_lattice_size
+
+        def recorded(k, what, count, width):
+            counted.append(count * width)
+            check(k, what, count, width)
+
+        monkeypatch.setattr(polytope_module, "_check_lattice_size", recorded)
+        tracemalloc.start()
+        try:
+            P.lattice_count(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sum(counted)
 
     def test_large_k_refused(self):
         # 5,000,150,001 points, 74.5 GiB as an int64 array
@@ -242,21 +283,24 @@ class TestLattice:
         coarse = simplex2.lattice_points(k)
         fine = simplex2.lattice_points(kp)
         assert set(fractions(coarse)) <= set(fractions(fine))
-        assert all(f <= c for c, f in zip(coarse.l_min, fine.l_min))
+        assert all(
+            f <= c for c, f in zip(listed_l_min(simplex2, coarse), listed_l_min(simplex2, fine))
+        )
 
     def test_shrunk_contained_and_exact(self):
+        # P_k = {L_i >= L_min(i, k)} lies in P and is kP_k / k, whose offsets
+        # the count scan gives as integers
         P = interval(0, F(3, 2))
-        data = P.lattice_points(1)
-        for v in data.shrunk.vertices():
+        offsets = shrunk_offsets(P, P.lattice_points(1))
+        for v in LabelledPolytope(1, list(zip(P.normals, offsets))).vertices():
             assert min(P.defining_values(v.coords)) >= 0
-        assert data.shrunk.offsets == tuple(
-            c - m for c, m in zip(P.offsets, data.l_min)
-        )
+        assert offsets == tuple(F(-m) for m in P.lattice_count(1).low_sums)
 
     def test_rerun_bit_identical(self, simplex2):
         a = simplex2.lattice_points(3)
         b = simplex2.lattice_points(3)
-        assert fractions(a) == fractions(b) and a.l_min == b.l_min
+        assert fractions(a) == fractions(b)
+        assert simplex2.lattice_count(3) == simplex2.lattice_count(3)
 
 
 def far_translated():
@@ -295,20 +339,15 @@ class TestCountPath:
                 continue
             count = P.lattice_count(k)
             assert (count.k, count.n_k) == (k, data.n_k)
-            assert tuple(F(m, k) + c for m, c in zip(count.low_sums, P.offsets)) == data.l_min
-            # the type check of the k0 search, on the integer offsets of kP_k
-            integer = P._vertex_sets([-m for m in count.low_sums]).keys() == {
-                v.active for v in P.vertices()
-            }
-            same = same_combinatorial_type(P, data.shrunk)
-            assert integer == same == reference_same_combinatorial_type(P, data.shrunk)
-            if same and listed_k0 is None:
+            assert counted_l_min(P, k) == listed_l_min(P, data)
+            # the type check of the k0 search, on the integer offsets of kP_k,
+            # against the reference on P_k from the listed points
+            integer = integer_type(P, [-m for m in count.low_sums])
+            assert integer == reference_same_combinatorial_type(P, shrunk_offsets(P, data))
+            if integer and listed_k0 is None:
                 listed_k0 = k
         assert P.k0() == listed_k0
         assert P.k0_count() == P.lattice_count(listed_k0)
-        at_k0, listed = P.k0_lattice(), P.lattice_points(listed_k0)
-        assert (at_k0.k, at_k0.n_k, at_k0.l_min) == (listed.k, listed.n_k, listed.l_min)
-        assert at_k0.points.tolist() == listed.points.tolist()
 
     def test_far_translated_listing_is_object(self):
         assert far_translated().lattice_points(12).points.dtype == object
@@ -414,9 +453,7 @@ class TestIntegerScan:
         data = P.lattice_points(k)
         assert fractions(data) == ref_points
         assert data.n_k == len(ref_points) - 1
-        assert data.l_min == ref_l_min
-        assert all(type(m) is F for m in data.l_min)
-        assert data.shrunk.offsets == tuple(c - m for c, m in zip(P.offsets, ref_l_min))
+        assert counted_l_min(P, k) == ref_l_min
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(P=boxes(), k=st.integers(1, 12))
@@ -493,7 +530,7 @@ class TestLatticeInvariance:
         if isinstance(want, type):
             assert got is want
         else:
-            assert (got.n_k, got.l_min) == (want.n_k, want.l_min)
+            assert (got.n_k, counted_l_min(Q, k)) == (want.n_k, counted_l_min(P, k))
             mapped = sorted(
                 tuple(sum(a * b for a, b in zip(row, j)) + k * s for row, s in zip(S, t))
                 for j in want.points.tolist()
@@ -554,15 +591,13 @@ class TestReferenceOracle:
     active sets, against the Gauss-Jordan reference in `oracles`."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(data=st.one_of(facet_sets(), cut_simplices()), validate=st.booleans())
-    def test_vertices_match_reference(self, data, validate):
+    @given(data=st.one_of(facet_sets(), cut_simplices()))
+    def test_vertices_match_reference(self, data):
         n, facets = data
         got = _outcome(
-            lambda: tuple(
-                (v.coords, v.active) for v in LabelledPolytope(n, facets, validate).vertices()
-            )
+            lambda: tuple((v.coords, v.active) for v in LabelledPolytope(n, facets).vertices())
         )
-        want = _outcome(lambda: reference_polytope(n, facets, validate))
+        want = _outcome(lambda: reference_polytope(n, facets))
         if isinstance(got, tuple):
             assert all(type(c) is F for coords, _ in got for c in coords)
         if got is NonSimple and want is UnboundedOrEmpty:
@@ -570,7 +605,7 @@ class TestReferenceOracle:
             assert _recession_ray([nu for nu, _ in facets], n) is not None
         elif got is InvalidPolytope and isinstance(want, tuple):
             # a 1-D facet that carries no vertex is now redundant
-            assert n == 1 and validate
+            assert n == 1
             assert any(all(i not in active for _, active in want) for i in range(len(facets)))
         else:
             assert got == want
@@ -585,8 +620,8 @@ class TestReferenceOracle:
         n, facets = data
         P = _outcome(lambda: LabelledPolytope(n, facets))
         assume(isinstance(P, LabelledPolytope))
-        Q = LabelledPolytope(n, [(nu, c - t) for (nu, c), t in zip(facets, shrink)], validate=False)
-        assert same_combinatorial_type(P, Q) == reference_same_combinatorial_type(P, Q)
+        offsets = [c - t for (_, c), t in zip(facets, shrink)]
+        assert integer_type(P, offsets) == reference_same_combinatorial_type(P, offsets)
 
     def test_many_facets(self):
         # The edges are the 96 primitive vectors of [-6, 6]^2 in order of
@@ -613,22 +648,23 @@ class TestReferenceOracle:
 
 
 class TestCombinatorialType:
+    """The integer type check against the reference, on Q given by offsets."""
+
     def test_parallel_intervals(self):
-        assert same_combinatorial_type(interval(0, F(3, 2)), interval(0, 1))
+        P = interval(0, F(3, 2))
+        assert integer_type(P, (0, 1)) and reference_same_combinatorial_type(P, (0, 1))
 
     def test_degenerate_point(self):
         P = interval(0, F(1, 3))
-        Q = LabelledPolytope(1, [((1,), 0), ((-1,), 0)], validate=False)  # just {0}
-        assert not same_combinatorial_type(P, Q)
+        # Q = {0}: its one vertex lies on both facets
+        assert not integer_type(P, (0, 0))
+        assert not reference_same_combinatorial_type(P, (0, 0))
 
     def test_shifted_simplex(self, simplex2):
-        assert same_combinatorial_type(simplex2, example_polytope("perturbed-simplex"))
-
-    def test_mismatched_normals(self):
-        P = interval(0, 1)
-        Q = LabelledPolytope(1, [((-1,), 1), ((1,), 0)])  # facets listed in the other order
-        with pytest.raises(MismatchedNormals):
-            same_combinatorial_type(P, Q)
+        Q = example_polytope("perturbed-simplex")
+        assert Q.normals == simplex2.normals
+        assert integer_type(simplex2, Q.offsets)
+        assert reference_same_combinatorial_type(simplex2, Q.offsets)
 
 
 class TestK0AndBound:
@@ -699,7 +735,7 @@ class TestHigherDimensions:
         P = example_polytope("simplex2")
         one = P.lattice_points(5)
         three = P.lattice_points(5)
-        assert np.array_equal(one.points, three.points) and one.l_min == three.l_min
+        assert np.array_equal(one.points, three.points)
 
 
 class TestLminTrend:
@@ -724,10 +760,10 @@ class TestLminTrend:
                 data = P.lattice_points(k)
             except EmptyLattice:
                 continue
-            maxima.append(max(data.l_min))
+            maxima.append(max(listed_l_min(P, data)))
         assert all(b <= a for a, b in zip(maxima, maxima[1:]))
         if P.is_integral():
-            assert max(P.lattice_points(1).l_min) == 0
+            assert max(listed_l_min(P, P.lattice_points(1))) == 0
 
 
 class TestJson:

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ZeroDenominator,
     box_midpoint_integral,
     interval_midpoint_integral,
     mp_guillemin_ritz_eigenvalues,
+    rayleigh_quotient,
     sturm_liouville_lambda1,
 )
 from toriceig import (
@@ -24,13 +26,12 @@ from toriceig import (
     ke_check,
     lambda1_invariant,
     quadratic_perturbed,
-    rayleigh_quotient,
     sweep_dilation,
     sweep_uc,
 )
 from toriceig import spectral
 from toriceig.potential import NotPositiveDefinite
-from toriceig.spectral import MassSingular, TrialFunction, ZeroDenominator
+from toriceig.spectral import MassSingular, TrialFunction
 
 interval01 = example_polytope("interval01")
 intervalC = example_polytope("intervalC")
