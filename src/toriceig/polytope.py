@@ -463,7 +463,7 @@ class LabelledPolytope:
         for nu, row in zip(self.normals, sums):
             row += nu[-1] * (first if nu[-1] > 0 else last)
         low_sums = tuple(int(r.min(where=keep, initial=2**63 - 1)) + s for r, s in zip(sums, shift))
-        # an empty column has length 0, so np.repeat skips it when listing
+        # an empty column has length 0, so a listing skips it
         lengths = last - first + 1
         lengths[~keep] = 0
         # each length is at most size[-1]; past 2**63 the int64 sum may wrap
@@ -480,16 +480,21 @@ class LabelledPolytope:
         count, j0, size, prefix, first, lengths = self._scan(k)
         n, total = self.dim, count.n_k + 1
         _check_lattice_size(k, "points", total, n)
-        # A column repeats its prefix and counts its last coordinate up from
-        # first; an int64 sum that wraps on the way wraps back, as each point
-        # fits.  Past int64 the rows start at 0 and j0 is added in Python ints.
+        # Row p of column c is (prefix[:, c], first[c] - starts[c] + p), built
+        # in place as the running sum of its jumps at column starts; an int64
+        # sum that wraps on the way wraps back, as each point fits.  Past
+        # int64 the rows start at 0 and j0 is added in Python ints.
         fits = all(-(2**63) <= j and j + m <= 2**63 for j, m in zip(j0, size))
         base = j0 if fits else [0] * n
         rows = np.empty((total, n), dtype=np.int64)
-        for i in range(n - 1):
-            rows[:, i] = np.repeat(prefix[i] + base[i], lengths)
-        start = np.cumsum(lengths) - lengths
-        rows[:, -1] = np.arange(total) + np.repeat(first + base[-1] - start, lengths)
+        kept = lengths > 0
+        starts = np.cumsum(lengths[kept]) - lengths[kept]
+        for i, col in enumerate(rows.T):
+            heads = prefix[i][kept] if i < n - 1 else first[kept] - starts
+            col.fill(i == n - 1)
+            col[starts[1:]] = np.diff(heads) + (i == n - 1)
+            col[0] = heads[0] + base[i]
+            np.cumsum(col, out=col)
         points = rows if fits else rows.astype(object) + np.array(j0, dtype=object)
         points.flags.writeable = False
         return LatticeData(k=k, points=points, n_k=count.n_k)

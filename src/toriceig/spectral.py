@@ -19,11 +19,12 @@ integer exponent table per (n, D).  The gradient of a basis monomial is a
 scaled row of degree <= D - 1, so the stiffness matrix is
 sum_{j<=k} C_j^T K_jk C_k plus the transposes for j < k, with
 K_jk = V_low diag(w H_jk) V_low^T over those rows and C_j the scaled
-selection of the lowered exponents; a K_jk whose H_jk is zero at every node
-(j != k on boxes) is skipped, which moves no bit.  The stiffness matrices
-are assembled first; then V is mean-centered in place and the mass matrix
-is one GEMM, (V w) V^T.  One (B, m) buffer takes the weighted rows of every
-GEMM, so a solve holds two full-size arrays, V and that buffer.  The
+selection of the lowered exponents.  One pass over node blocks of at most
+BLOCK_ENTRIES table entries adds each block's K_jk, skipping an H_jk that is
+zero at every node (j != k on boxes), which moves no bit, and its mass Gram,
+centered on the block's weighted mean; M = sum_b M_b + sum_b W_b (mu_b -
+mu)(mu_b - mu)^T (Chan, Golub and LeVeque) then adds the scatter of the
+block means.  So memory is set by the block, not by the node count.  The
 generalized problem A c = lambda M c is whitened on the
 eigenvectors of M = U diag(mass) U^T (one LAPACK `eigh`): directions with
 mass <= B * eps * max(mass), numpy's `matrix_rank` tolerance
@@ -59,9 +60,10 @@ __all__ = [
 ]
 
 
-# the most entries `_ritz` puts in its monomial table or its mass matrix:
-# 256 MiB of float64
+# the most entries `_ritz` puts in one block's monomial table or in its mass
+# matrix: 256 MiB of float64
 MAX_TABLE = 2**25
+BLOCK_ENTRIES = 2**17  # a `_ritz` block: max(64, BLOCK_ENTRIES // (B + 1)) nodes
 
 
 class SpectralError(Exception):
@@ -162,30 +164,24 @@ def _require_matching(u: SymplecticPotential, Q: QuadratureRule):
         raise ValueError("quadrature was built for a different polytope than the potential")
 
 
-def _stiffness(H, V_low, w, lowered, weighted) -> np.ndarray:
-    """sum_{j<=k} C_j^T K_jk C_k plus the transposes for j < k, with
-    K_jk = V_low diag(w H_jk) V_low^T formed in the buffer `weighted`; H has
-    shape (m, n, n) and lowered[j] holds C_j as (rows, scale)."""
+def _stiffness(K, lowered) -> np.ndarray:
+    """sum_{j<=k} C_j^T K_jk C_k plus the transposes for j < k over the
+    blocks K[j, k] that were formed; lowered[j] holds C_j as (rows, scale)."""
     A = 0.0
-    for j, k in itertools.combinations_with_replacement(range(len(lowered)), 2):
-        # H_jk vanishes at every node for j != k on boxes under guillemin,
-        # uc and dilation; adding its exact zero block moves no bit of A.
-        if j != k and not H[:, j, k].any():
-            continue
+    for (j, k), K_jk in sorted(K.items()):
         (rows_j, scale_j), (rows_k, scale_k) = lowered[j], lowered[k]
-        K = np.multiply(V_low, w * H[:, j, k], out=weighted) @ V_low.T
-        block = scale_j[:, None] * K[np.ix_(rows_j, rows_k)] * scale_k
+        block = scale_j[:, None] * K_jk[np.ix_(rows_j, rows_k)] * scale_k
         A = A + (block if j == k else block + block.T)
     return A
 
 
 def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     """One `RitzResult` per potential on the span of mean-centered monomials
-    of total degree <= degree.  The monomial table and the mass matrix with
-    its eigh depend only on the rule, so they are built once; each potential
-    adds its stiffness matrix, assembled before the table is centered, and
-    one eigh.  A degree whose table or mass matrix would hold more than
-    MAX_TABLE entries raises ValueError before either is built."""
+    of total degree <= degree.  One pass over node blocks builds each
+    block's table once and adds every potential's K_jk and the block's mass
+    Gram; the mass matrix and its eigh are built once, and each potential
+    adds one eigh.  A degree whose block table or mass matrix would hold
+    more than MAX_TABLE entries raises ValueError before either is built."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     for u in potentials:
@@ -193,36 +189,44 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     P = Q.polytope
     n = P.dim
     basis = math.comb(degree + n, n) - 1
-    if (basis + 1) * max(basis + 1, len(Q)) > MAX_TABLE:
+    m, step = len(Q), max(64, BLOCK_ENTRIES // (basis + 1))
+    if (basis + 1) * max(basis + 1, min(m, step)) > MAX_TABLE:
         raise ValueError(
-            f"degree {degree} needs {basis} basis functions on {len(Q)} nodes, "
+            f"degree {degree} needs {basis} basis functions on {m} nodes, "
             f"more than the MAX_TABLE = {MAX_TABLE} entries a table may hold"
         )
-    lo, hi = P.bounding_box()
-    lo_f = np.array([float(v) for v in lo])
-    hi_f = np.array([float(v) for v in hi])
+    lo_f, hi_f = (np.array([float(v) for v in b]) for b in P.bounding_box())
     center = (lo_f + hi_f) / 2.0
     halfwidth = np.maximum((hi_f - lo_f) / 2.0, 1e-12)
 
-    w = Q.weights
-    X = np.ascontiguousarray(((Q.nodes - center) / halfwidth).T)
-    V = _monomial_table(X, degree)  # (B + 1, m), the constant first
-    del X
-    weighted = np.empty((basis, len(w)))  # the one buffer of weighted rows
     # The basis gradients are scaled rows of degree <= degree - 1, which come
-    # first in V; each potential's stiffness matrix is assembled from them
-    # before V is centered in place.
-    V_low = V[: math.comb(degree - 1 + n, n)]
+    # first in each block's table; every potential's K_jk is formed from them
+    # before the table is centered in place on the block's mean.
+    low = math.comb(degree - 1 + n, n)
     E, _, _, rows = _exponent_table(n, degree)
     lowered = [(rows[j, 1:], E[1:, j] / h) for j, h in enumerate(halfwidth)]
-    stiffness = [
-        _stiffness(u.sample(Q.nodes).H, V_low, w, lowered, weighted[: len(V_low)])
-        for u in potentials
-    ]
-    vals = V[1:]
-    vals -= (vals @ w)[:, None] / float(np.sum(w))  # mean-zero against the rule
-    M = np.multiply(vals, w, out=weighted) @ vals.T
-    del V, V_low, vals, weighted
+    grams, sums, means = [{} for _ in potentials], [], []
+    for a in range(0, m, step):
+        nodes, w = Q.nodes[a : a + step], Q.weights[a : a + step]
+        V = _monomial_table(np.ascontiguousarray(((nodes - center) / halfwidth).T), degree)
+        for u, K in zip(potentials, grams):
+            H = u.sample(nodes).H
+            for j, k in itertools.combinations_with_replacement(range(n), 2):
+                # H_jk vanishes at every node for j != k on boxes under
+                # guillemin, uc and dilation; skipping its zero block moves no bit.
+                if j == k or H[:, j, k].any():
+                    G = (V[:low] * (w * H[:, j, k])) @ V[:low].T
+                    K[j, k] = K[j, k] + G if (j, k) in K else G
+        vals = V[1:]
+        sums.append(float(np.sum(w)))
+        means.append((vals @ w) / sums[-1])
+        vals -= means[-1][:, None]  # mean-zero against the block
+        gram = (vals * w) @ vals.T
+        M = gram if a == 0 else M + gram
+    if len(means) > 1:  # Chan-Golub-LeVeque: add the scatter of the block means
+        sums, means = np.array(sums), np.array(means)
+        means -= (sums @ means) / sums.sum()
+        M += (means.T * sums) @ means
 
     # Whiten on the eigenvectors of M, keeping the directions above numpy's
     # matrix_rank tolerance; eigh reads one triangle, so neither matrix needs
@@ -234,8 +238,8 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
     mass, U = mass[keep], U[:, keep]
     root = np.sqrt(mass)
     results = []
-    for A in stiffness:
-        A_kept = U.T @ A @ U
+    for K in grams:
+        A_kept = U.T @ _stiffness(K, lowered) @ U
         eigs, vecs = np.linalg.eigh(A_kept / np.outer(root, root))
         spread = np.abs(np.linalg.eigvalsh(A_kept))
         results.append(
@@ -249,7 +253,7 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
                 stiffness_condition=float(spread.max() / spread.min()),
                 center=center,
                 halfwidth=halfwidth,
-                quad_nodes=len(w),
+                quad_nodes=m,
             )
         )
     return results

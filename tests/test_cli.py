@@ -118,6 +118,23 @@ class TestLambda1t:
         assert code == 0
         assert json.loads(out)["lambda1T"] > 2.0
 
+    def test_deep_rule_under_address_limit(self):
+        # 1,327,104 nodes: a full degree-8 table would hold 45 x 1,327,104
+        # entries, past MAX_TABLE; the solve streams it in blocks and fits
+        # under a 2 GB address-space limit
+        limit = 2_000_000 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-m", "toriceig.cli", "lambda1t", SQUARE, "--degree", "8",
+             "--quad-order", "9", "--quad-depth", "6"],
+            capture_output=True, text=True, env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["quad_nodes"] == 1_327_104
+        assert abs(report["lambda1T"] - 4.0) <= 1e-10
+
 
 class TestSweeps:
     def test_dilation_csv_increasing(self, capsys):

@@ -225,11 +225,10 @@ class TestLattice:
         with pytest.raises(LatticeTooLarge, match="k=5 needs 6 lattice columns of 9 entries"):
             square.lattice_points(5)
 
-    @pytest.mark.parametrize("name,k", [("simplex2", 200_000), ("square", 100_000), ("cube", 300)])
-    def test_scan_memory_within_cap(self, monkeypatch, name, k):
-        # the scan holds at most the int64 entries its column check counts
-        P = cube() if name == "cube" else example_polytope(name)
-        P.bounding_box()
+    @staticmethod
+    def counted_peak(monkeypatch, call):
+        """The tracemalloc peak of call() and the entries each
+        `_check_lattice_size` call on the way counted."""
         counted = []
         check = polytope_module._check_lattice_size
 
@@ -240,10 +239,29 @@ class TestLattice:
         monkeypatch.setattr(polytope_module, "_check_lattice_size", recorded)
         tracemalloc.start()
         try:
-            P.lattice_count(k)
+            result = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return result, peak, counted
+
+    @pytest.mark.parametrize("name,k", [("simplex2", 200_000), ("square", 100_000), ("cube", 300)])
+    def test_scan_memory_within_cap(self, monkeypatch, name, k):
+        # the scan holds at most the int64 entries its column check counts
+        P = cube() if name == "cube" else example_polytope(name)
+        P.bounding_box()
+        _, peak, counted = self.counted_peak(monkeypatch, lambda: P.lattice_count(k))
+        assert peak <= 8 * sum(counted)
+
+    @pytest.mark.parametrize("name,k", [("simplex2", 1000), ("square", 1000), ("cube", 60)])
+    def test_listing_memory_within_cap(self, monkeypatch, name, k):
+        # a listing holds at most the int64 entries its column and points
+        # checks count: the points are built in place, with no point-sized
+        # temporary
+        P = cube() if name == "cube" else example_polytope(name)
+        P.bounding_box()
+        data, peak, counted = self.counted_peak(monkeypatch, lambda: P.lattice_points(k))
+        assert len(counted) == 2 and counted[1] == data.points.size
         assert peak <= 8 * sum(counted)
 
     def test_large_k_refused(self):

@@ -3,6 +3,8 @@ finite-difference Sturm-Liouville oracle and Riemann-grid integrals."""
 
 import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,8 +191,9 @@ class TestLambda1:
         assert result.lambda1T > 0
 
     def test_table_cap(self, monkeypatch):
-        # degree 4 on simplex2: B = C(6, 2) - 1 = 14 basis functions, a table
-        # of B + 1 rows by len(Q) nodes; the cap is checked before it is built
+        # degree 4 on simplex2: B = C(6, 2) - 1 = 14 basis functions, a block
+        # table of B + 1 rows by min(m, step) nodes, here all len(Q) of them;
+        # the cap is checked before it is built
         Q = build_quadrature(simplex2, 3, 2)
         entries = 15 * max(15, len(Q))
         monkeypatch.setattr(spectral, "MAX_TABLE", entries)
@@ -480,3 +483,66 @@ class TestAssemblyTables:
         result = lambda1_invariant(u, 4, Q)
         quotient = rayleigh_quotient(u, result.eigenfunction(), Q)
         assert quotient == pytest.approx(result.lambda1T, rel=1e-8)
+
+
+class TestStreaming:
+    """`_ritz` makes one pass over node blocks of at most BLOCK_ENTRIES table
+    entries and combines the blocks' centred mass Grams by the pairwise
+    update of Chan, Golub and LeVeque."""
+
+    @staticmethod
+    def split(monkeypatch, Q, degree, blocks=5):
+        # blocks of len(Q) // blocks nodes, so the rule takes >= `blocks`
+        step = len(Q) // blocks
+        assert step >= 64
+        rows = math.comb(degree + Q.polytope.dim, degree)
+        monkeypatch.setattr(spectral, "BLOCK_ENTRIES", rows * step)
+
+    @pytest.mark.parametrize("order,depth,degree", [(3, 2, 4), (7, 1, 6), (9, 1, 8)])
+    def test_blocks_match_one_block(self, monkeypatch, order, depth, degree):
+        Q = build_quadrature(cube, order, depth)
+        u = guillemin(cube)
+        monkeypatch.setattr(spectral, "BLOCK_ENTRIES", 2**40)
+        whole = lambda1_invariant(u, degree, Q)
+        self.split(monkeypatch, Q, degree)
+        blocked = lambda1_invariant(u, degree, Q)
+        assert blocked.basis_size == whole.basis_size
+        assert blocked.lambda1T == pytest.approx(whole.lambda1T, rel=1e-12, abs=0)
+        assert np.max(np.abs(blocked.eigenvalues / whole.eigenvalues - 1)) < 1e-9
+        if order == degree + 1:  # a matched rule: the exact value
+            assert abs(blocked.lambda1T - 4.0) <= 1e-12
+
+    def test_sweep_blocks_match_one_block(self, monkeypatch):
+        Q = build_quadrature(cube, 3, 2)
+        monkeypatch.setattr(spectral, "BLOCK_ENTRIES", 2**40)
+        whole = sweep_uc(cube, 2, [0.0, 1.0, 10.0], degree=4, Q=Q)
+        self.split(monkeypatch, Q, 4)
+        blocked = sweep_uc(cube, 2, [0.0, 1.0, 10.0], degree=4, Q=Q)
+        for (c, lam), (c_whole, lam_whole) in zip(blocked.rows, whole.rows):
+            assert c == c_whole and lam == pytest.approx(lam_whole, rel=1e-12, abs=0)
+
+    def test_memory_independent_of_node_count(self):
+        # depth 5 has 4x the nodes of depth 4 (331,776); a solve's peak is
+        # set by its blocks of the degree-8 table, about 3 MiB at both
+        u = guillemin(square)
+        lambda1_invariant(u, 8, build_quadrature(square, 9, 0))  # fill the caches
+        peaks = []
+        for depth in (4, 5):
+            Q = build_quadrature(square, 9, depth)
+            tracemalloc.start()
+            try:
+                lambda1_invariant(u, 8, Q)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+
+    def test_not_positive_definite_in_later_block(self, monkeypatch):
+        # G = 1/(2x(1 - x)) - 6 fails for 0.092 < x < 0.908, past the first
+        # block of 64 nodes, which ends before x = 0.034
+        u = guillemin_plus_poly(interval01, MultiPoly(1, {(2,): -3.0}), check=False)
+        Q = build_quadrature(interval01, 15, 6)
+        self.split(monkeypatch, Q, 4, blocks=len(Q) // 64)
+        u.sample(Q.nodes[:64])
+        with pytest.raises(NotPositiveDefinite, match="not positive definite at"):
+            lambda1_invariant(u, 4, Q)
