@@ -101,7 +101,7 @@ def _cmd_bound(args, P: LabelledPolytope) -> dict:
     if args.k is not None:
         if args.k < report.k0:
             raise PrematureK(f"k={args.k} is below k0={report.k0}")
-        out["single_k"] = BlyBound.from_lattice(P.dim, P.lattice_count(args.k))
+        out["single_k"] = BlyBound.from_lattice(P.dim, P.typed_count(args.k))
     return out
 
 

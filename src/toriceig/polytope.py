@@ -13,16 +13,25 @@ tabulated once per polytope, which gives the vertex active sets exactly.
 Boundedness, non-redundancy of a facet and the combinatorial type are read
 from those sets, because the edges of a simple n-polytope are the
 (n-1)-subsets of them, each shared by exactly two vertices (Ziegler,
-Lectures on Polytopes, ch. 3).  The lattice scan is one numpy pass over
-the columns of the bounding box of k P: it decides membership of j/k from
-<nu_i, j> >= ceil(-k c_i) and keeps each column's first and last point.
-Counting is that scan alone.  It gives N_k and the integer offsets of
-kP_k = {<nu_i, y> >= min_j <nu_i, j>}, on which the k0 search decides the
-type, with no point or Fraction made.  Listing is the scan followed by the
-integer array of numerators j, each written once, and returns only those
-and N_k.  Before allocating, the scan checks that its values fit int64 and
-its column table fits MAX_LATTICE entries, and a listing that its points
-do too.
+Lectures on Polytopes, ch. 3).  The lattice scan is one numpy pass over a
+window of consecutive k: the box of each k P, its facet shifts and targets
+are integer arrays over the window, and the columns of every k form one
+table.  It decides membership of j/k from <nu_i, j> >= ceil(-k c_i) and
+keeps each column's first and last point, and gives each k its N_k and the
+integer offsets of kP_k = {<nu_i, y> >= min_j <nu_i, j>}.  The k0 search
+walks windows that double in length and decides the type of every kP_k of
+a window in one stacked solve, with no point or Fraction made; the bound
+rows after k0 come from the same windows.  The bound at k needs kP_k of
+P's type: a bound row without it is dropped, and `bly_bound(k)` and
+`typed_count(k)` raise WrongTypeK.  A k's error (a scan past
+MAX_LATTICE or int64, or an empty lattice, which the search skips) is kept
+with that k and raised only when the walk reaches it.  A window holds at
+most WINDOW_ENTRIES column entries, and one k at least; a single k, as
+`lattice_count` and `lattice_points` scan, is capped by MAX_LATTICE.
+Listing is the scan followed by the integer array of numerators j, each
+written once, and returns only those and N_k.  Before allocating, the scan
+checks that its values fit int64 and each k's column table fits
+MAX_LATTICE entries, and a listing that its points do too.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +56,7 @@ __all__ = [
     "K0NotFound",
     "PrematureK",
     "DegenerateN",
+    "WrongTypeK",
     "Vertex",
     "LatticeCount",
     "LatticeData",
@@ -96,9 +105,17 @@ class DegenerateN(PolytopeError):
     """The lattice count N_k vanishes, so the bound formula is undefined."""
 
 
+class WrongTypeK(PolytopeError):
+    """At refinement k, kP_k does not have the combinatorial type of P, so
+    the bound at k is not the paper's."""
+
+
 # the most int64 entries a lattice scan puts in its column table, or a
 # listing in its point array: 256 MiB
 MAX_LATTICE = 2**25
+# the most column-table entries one scan window of several k holds (512 KiB
+# of int64); a window holds at least one k, which MAX_LATTICE alone caps
+WINDOW_ENTRIES = 2**16
 
 
 def _check_lattice_size(k: int, what: str, count: int, width: int) -> None:
@@ -202,6 +219,15 @@ def _gcd_all(values: Iterable[int]) -> int:
     return g
 
 
+def _check_simple(n: int, found: dict) -> None:
+    """Raise NonSimple at the first vertex of a `_vertex_dict` result, in its
+    order, that lies on more than n facets."""
+    for active, (num, den) in found.items():
+        if len(active) > n:
+            coords = tuple(Fraction(x, den) for x in num)
+            raise NonSimple(f"vertex {coords} lies on facets {active}")
+
+
 class LabelledPolytope:
     """Compact simple polytope {x : <x, nu_i> + c_i >= 0} with integer normals.
 
@@ -232,6 +258,8 @@ class LabelledPolytope:
         self._box: Optional[tuple] = None
         self._float_facets: Optional[tuple] = None
         self._cramer: Optional[tuple] = None
+        self._table: Optional[tuple] = None
+        self._family: Optional[tuple] = None
         if len(normals) < dim + 1:
             raise InvalidPolytope(f"need at least {dim + 1} facets, got {len(normals)}")
         self._validate()
@@ -279,18 +307,15 @@ class LabelledPolytope:
         numerators / denominator.
 
         The offsets are scaled to the integers b = D c, D the lcm of their
-        denominators, and solved by `_vertex_sets`.
+        denominators, and solved by `_vertex_dict`.
         """
         n = self.dim
         D = math.lcm(*(c.denominator for c in self.offsets))
         b = [c.numerator * (D // c.denominator) for c in self.offsets]
-        found = {active: (num, D * det) for active, (num, det) in self._vertex_sets(b).items()}
+        found = {active: (num, D * det) for active, (num, det) in self._vertex_dict(b).items()}
         if not found:
             raise UnboundedOrEmpty("no feasible vertex; polytope is empty or contains a line")
-        for active, (num, den) in found.items():
-            if len(active) > n:
-                coords = tuple(Fraction(x, den) for x in num)
-                raise NonSimple(f"vertex {coords} lies on facets {active}")
+        _check_simple(n, found)
         # At a simple vertex every n-1 of its n facets span an edge, and the
         # edge is bounded iff a second vertex has the same n-1 facets active;
         # a pointed polyhedron whose edges are all bounded is a polytope.
@@ -303,24 +328,24 @@ class LabelledPolytope:
         # facets and NonSimple is raised above.
         return found
 
-    def _vertex_sets(self, b: Sequence[int]) -> dict:
-        """{active set: (numerators, det)} of the feasible n-subset solutions
-        of {<nu_i, x> + b_i / D >= 0} for integer offsets b and any scale D,
-        unchecked for simplicity or boundedness; the vertex is numerators /
-        (D det).  An active set determines its vertex, so it is the key, in
-        the order of the first n-subset that reaches the vertex.
+    def _vertex_sets(self, bs: Sequence[Sequence[int]]) -> tuple:
+        """The n-subset solutions of {<nu_i, x> + b_i / D >= 0} for each
+        integer offset vector b of the stack bs and any scale D: (num, dets,
+        feasible, codes).  Subset S of row r solves to num[r, S] / (D
+        dets[S]); feasible[r, S] says whether it lies in the polyhedron, and
+        codes[r, S] is the bit mask sum 2**i of the facets i active there.
 
         On a subset S with adjugate A_S and det_S > 0 (both sign-flipped if
         needed), Cramer's rule gives x = num_S / (D det_S), num_S = -A_S b_S,
-        and D det_S L_i(x) = <nu_i, num_S> + det_S b_i.  The subsets, A_S and
-        det_S are tabulated once, and every S is solved in two products.  They
-        run in int64 when `reach` times max |b| is below 2**63, and in Python
-        ints otherwise.
+        and D det_S L_i(x) = <nu_i, num_S> + det_S b_i.  The subsets, A_S,
+        det_S and the facet bits are tabulated once, and every S of every b
+        is solved in two products.  They run in int64 when `reach` times
+        max |b| is below 2**63, and in Python ints otherwise.
         """
-        n = self.dim
+        n, d = self.dim, self.num_facets
         if self._cramer is None:
             subsets, adjs, dets = [], [], []
-            for subset in itertools.combinations(range(self.num_facets), n):
+            for subset in itertools.combinations(range(d), n):
                 rows = [self.normals[i] for i in subset]
                 det = _det(rows)
                 if det == 0:
@@ -350,19 +375,46 @@ class LabelledPolytope:
                 np.array(adjs, dtype=dtype).reshape(-1, n, n),
                 np.array(dets, dtype=dtype),
                 np.array(self.normals, dtype=dtype).T,
+                np.array([1 << i for i in range(d)], dtype=np.int64 if d < 63 else object),
                 reach,
             )
-        subsets, adjs, dets, normals, reach = self._cramer
-        dtype = np.int64 if adjs.dtype == np.int64 and reach * max(map(abs, b)) < 2**63 else object
-        adjs, dets, normals = (a.astype(dtype, copy=False) for a in (adjs, dets, normals))
-        b = np.array(b, dtype=dtype)
-        num = -(adjs @ b[subsets][:, :, None])[:, :, 0]
-        vals = num @ normals + dets[:, None] * b
-        feasible = (vals >= 0).all(axis=1)
+        subsets, adjs, dets, normals, bits, reach = self._cramer
+        if adjs.dtype != object and reach * max(map(abs, itertools.chain(*bs))) >= 2**63:
+            adjs, dets, normals = (a.astype(object) for a in (adjs, dets, normals))
+        b = np.array(bs, dtype=adjs.dtype)
+        num = -(adjs @ b[:, subsets, None])[..., 0]
+        vals = num @ normals + dets[:, None] * b[:, None, :]
+        return num, dets, (vals >= 0).all(axis=2), (vals == 0) @ bits
+
+    def _vertex_dict(self, b: Sequence[int]) -> dict:
+        """{active set: (numerators, det)} of the feasible n-subset solutions
+        of {<nu_i, x> + b_i / D >= 0}, unchecked for simplicity or
+        boundedness; the vertex is numerators / (D det).  An active set
+        determines its vertex, so it is the key, in the order of the first
+        n-subset that reaches the vertex."""
+        num, dets, feasible, codes = self._vertex_sets([b])
+        keep = feasible[0]
         found: dict = {}
-        for row, x, det in zip(vals[feasible].tolist(), num[feasible].tolist(), dets[feasible].tolist()):
-            found.setdefault(tuple(i for i, v in enumerate(row) if v == 0), (x, det))
-        return found
+        for code, x, det in zip(codes[0, keep].tolist(), num[0, keep].tolist(), dets[keep].tolist()):
+            found.setdefault(code, (x, det))
+        facets = range(self.num_facets)
+        return {tuple(i for i in facets if code >> i & 1): v for code, v in found.items()}
+
+    def _has_type(self, bs: Sequence[Sequence[int]]) -> list:
+        """For each integer offset vector b of the stack bs, whether
+        Q = {<nu_i, y> + b_i >= 0} has the vertex active sets of P.
+
+        P is simple, so this holds iff the feasible n-subsets of Q are
+        exactly those that are active sets of P, and each has no facet
+        active beyond its own n: its code is its own bits."""
+        _, _, feasible, codes = self._vertex_sets(bs)
+        if self._family is None:
+            subsets, bits = self._cramer[0], self._cramer[4]
+            own = bits[subsets].sum(axis=1)
+            family = {sum(1 << i for i in v.active) for v in self.vertices()}
+            self._family = own, np.array([code in family for code in own.tolist()])
+        own, vertex = self._family
+        return np.where(vertex, feasible & (codes == own), ~feasible).all(axis=1).tolist()
 
     def _validate(self):
         # A facet active at a simple vertex carries the n - 1 edges of that
@@ -412,73 +464,196 @@ class LabelledPolytope:
             all(c.denominator == 1 for c in v.coords) for v in self.vertices()
         )
 
-    def _scan(self, k: int) -> tuple:
-        """The column scan of P intersect Z^n/k: (count, j0, size, prefix,
-        first, lengths).  Column c of the box j0 + [0, size) holds the points
-        j0 + (prefix[:, c], first[c] + t) for 0 <= t < lengths[c]."""
-        if k < 1:
+    def _scan_table(self, offsets: Sequence, box: tuple) -> tuple:
+        """What a scan of {<nu_i, x> + offsets[i] >= 0} over `box` reads at
+        every k: (spread, norm, ratios, normals, head).  k ratios[0] //
+        ratios[1] is (floor(-k lo), floor(k hi), floor(k c)), and normals is
+        (n, d); both are int64 when spread, the largest numerator or
+        denominator, and norm, the largest sum |nu_i|, fit.  head is the
+        int64 (d, n - 1) normals without their last entries, None where no k
+        can be scanned."""
+        values = (*(-v for v in box[0]), *box[1], *offsets)
+        spread = max(max(abs(v.numerator), v.denominator) for v in values)
+        norm = max(sum(map(abs, nu)) for nu in self.normals)
+        dtype = np.int64 if max(spread, norm) < 2**63 else object
+        ratios = np.array([[v.numerator for v in values], [v.denominator for v in values]], dtype)
+        head = np.array(self.normals, dtype=np.int64)[:, :-1] if norm < 2**63 else None
+        return spread, norm, ratios, np.array(self.normals, dtype=dtype).T, head
+
+    def _scan(self, ks: range, table: Optional[tuple] = None) -> tuple:
+        """The column scan of P intersect Z^n/k, or of the `_scan_table`
+        given, for each k of the window ks: (results, j0, size, prefix,
+        first, lengths).
+
+        results[w] is (N_k, low_sums) of k = ks[w], as in `LatticeCount`, or
+        the PolytopeError that k raises, for the caller to raise when it
+        reaches that k.  They cover the leading ks whose column tables fit
+        WINDOW_ENTRIES together, and one k at least.  The scanned k own runs
+        of columns, in order; column c of k holds the points j0[w] +
+        (prefix[:, c], first[c] + t) for 0 <= t < lengths[c].
+        """
+        if ks[0] < 1:
             raise ValueError("k must be a positive integer")
-        n = self.dim
-        lo, hi = self.bounding_box()
-        j0 = [-(-k * v.numerator // v.denominator) for v in lo]
-        size = [k * h.numerator // h.denominator - j + 1 for h, j in zip(hi, j0)]
-        # j/k lies in P iff <nu_i, j> >= ceil(-k c_i).  With j = j0 + i and i
-        # in the box [0, size), that is <nu_i, i> >= t_i.  Over each prefix of
-        # the first n-1 coordinates, in lexicographic order, facet i bounds
-        # the last coordinate from below (a > 0), from above (a < 0) or not
-        # at all.  t_i is clamped to the range of <nu_i, i> over the box.  That
-        # range, the box and the normals are bounded by sum |nu_i| max(m, 1),
-        # so below 2**63 every value of the scan is an int64.
-        shift = [sum(v * j for v, j in zip(nu, j0)) for nu in self.normals]
-        columns = math.prod(size[:-1])
+        n, d = self.dim, self.num_facets
+        if table is None:
+            if self._table is None:
+                self._table = self._scan_table(self.offsets, self.bounding_box())
+            table = self._table
+        spread, norm, ratios, normals, head = table
+        # The box j0 + [0, size), the facet shifts <nu_i, j0> and the targets
+        # t of every k are integer arrays over the window: j/k lies in P iff
+        # <nu_i, j> >= ceil(-k c_i), iff <nu_i, i> >= t_i with i = j - j0 in
+        # the box.  These, and <nu_i, i> - t_i over the box, are at most
+        # 4 (norm + 1) (k spread + 1): below 2**63 the window is int64, and
+        # so is every value of a column with a point.
+        wide = 4 * (norm + 1) * (ks[-1] * spread + 1) >= 2**63
+        if wide:
+            ratios, normals = ratios.astype(object), normals.astype(object)
+        floors = np.array(ks, dtype=ratios.dtype)[:, None] * ratios[0] // ratios[1]
+        j0 = -floors[:, :n]
+        size = floors[:, n : 2 * n] - j0 + 1
+        shift = j0 @ normals
+        t = -floors[:, 2 * n :] - shift
+        reach = [0] * len(ks)
+        if wide:
+            # t_i is clamped to the range of <nu_i, i> over the box, and a k
+            # is scanned if that range, the box and the normals, all bounded
+            # by reach, are int64
+            t = np.minimum(
+                np.maximum(t, (size - 1) @ np.minimum(normals, 0)),
+                (size - 1) @ np.maximum(normals, 0) + 1,
+            )
+            reach = (np.maximum(size, 1) @ abs(normals)).max(axis=1).tolist()
         # a column holds its prefix (n - 1), facet sums (d), first, last and
         # length, one temporary, and an eighth each of two boolean masks
-        _check_lattice_size(k, "columns", columns, n + self.num_facets + 3)
-        box = [max(m, 1) for m in size]
-        reach = max(sum(map(mul, map(abs, nu), box)) for nu in self.normals)
-        if reach >= 2**63:
-            raise LatticeTooLarge(f"k={k}: the lattice scan reaches {reach}, past the int64 range")
-        prefix = np.indices(size[:-1]).reshape(n - 1, columns)
-        normals = np.array(self.normals, dtype=np.int64)
-        sums = normals[:, :-1] @ prefix
+        width = n + d + 3
+        results, scanned, columns, long_sums, held = [], [], [], [], 0
+        for w, extent in enumerate(size.tolist()):
+            count = math.prod(extent[:-1])
+            if w and held + count * width > WINDOW_ENTRIES:
+                break
+            try:
+                _check_lattice_size(ks[w], "columns", count, width)
+                if reach[w] >= 2**63:
+                    raise LatticeTooLarge(
+                        f"k={ks[w]}: the lattice scan reaches {reach[w]}, past the int64 range"
+                    )
+                if count == 0:
+                    raise EmptyLattice(f"P contains no point of Z^{n}/{ks[w]}")
+            except PolytopeError as exc:
+                # kept without its traceback, which would hold this frame
+                results.append(exc.with_traceback(None))
+                continue
+            results.append(None)
+            # each length is at most size[-1]; past 2**63 the int64 sum of a
+            # k may wrap, and it is summed in Python ints
+            if count * extent[-1] >= 2**63:
+                long_sums.append((len(scanned), held // width, count))
+            scanned.append(w)
+            columns.append(count)
+            held += count * width
+        if not scanned:
+            return results, j0, size, None, None, None
+        sel = slice(0, len(results)) if len(scanned) == len(results) else scanned
+        counts = np.array(columns)
+        starts = np.cumsum(counts) - counts
+        sizes = size[sel].astype(np.int64, copy=False)
+        # Column c of a k is its lexicographic index in the box of the first
+        # n - 1 coordinates, decoded mixed-radix from the last one.
+        index = np.arange(held // width)
+        index -= np.repeat(starts, counts)
+        prefix = np.empty((n - 1, len(index)), dtype=np.int64)
+        for axis in range(n - 2, 0, -1):
+            np.divmod(index, np.repeat(sizes[:, axis], counts), out=(index, prefix[axis]))
+        prefix[:1] = index
+        del index
+        # sums[i] holds <nu_i, prefix> - t_i; three facets' targets at a time
+        # fit the column budget while first, last and length are not made.
+        # Over each prefix facet i bounds the last coordinate from below
+        # (a > 0), from above (a < 0) or not at all.
+        sums = head @ prefix
+        t = t[sel]
+        targets = t.T.astype(np.int64, copy=False)
+        for i in range(0, d, 3):
+            sums[i : i + 3] -= np.repeat(targets[i : i + 3], counts, axis=1)
         first = np.zeros(prefix.shape[1], dtype=np.int64)
-        last = np.full(prefix.shape[1], size[-1] - 1)
-        for nu, c, s, row in zip(self.normals, self.offsets, shift, sums):
-            low = sum(v * (m - 1) for v, m in zip(nu, size) if v < 0)
-            high = sum(v * (m - 1) for v, m in zip(nu, size) if v > 0)
-            t = min(max(-(k * c.numerator // c.denominator) - s, low), high + 1)
+        last = np.repeat(sizes[:, -1] - 1, counts)
+        # the one temporary: ceil(-row / a) = -(row // a) and floor(-row / a)
+        # = row // -a are made in it
+        scratch = np.empty_like(first)
+        for nu, row in zip(self.normals, sums):
             a = nu[-1]
             if a > 0:
-                np.maximum(first, -((row - t) // a), out=first)
+                np.negative(np.floor_divide(row, a, out=scratch), out=scratch)
+                np.maximum(first, scratch, out=first)
             elif a < 0:
-                np.minimum(last, (t - row) // a, out=last)
+                np.minimum(last, np.floor_divide(row, -a, out=scratch), out=last)
             else:
-                last[row < t] = -1
-        keep = first <= last
-        if not keep.any():
-            raise EmptyLattice(f"P contains no point of Z^{n}/{k}")
-        # L_min: <nu_i, i> is least at the end of each row that facet i bounds.
-        # The ends are added into sums in place and each minimum is taken over
-        # the columns with a point; values in the others may wrap, unread.
+                last[row < 0] = -1
+        drop = first > last
+        # L_min: <nu_i, i> is least at the end of each row that facet i
+        # bounds.  The ends are added into sums in place, and each k's
+        # minimum is taken over its columns with a point.
         for nu, row in zip(self.normals, sums):
-            row += nu[-1] * (first if nu[-1] > 0 else last)
-        low_sums = tuple(int(r.min(where=keep, initial=2**63 - 1)) + s for r, s in zip(sums, shift))
+            if nu[-1]:
+                row += np.multiply(first if nu[-1] > 0 else last, nu[-1], out=scratch)
+        del scratch
+        np.copyto(sums, 2**63 - 1, where=drop)
+        low = np.minimum.reduceat(sums, starts, axis=1).T + (t + shift[sel])
         # an empty column has length 0, so a listing skips it
-        lengths = last - first + 1
-        lengths[~keep] = 0
-        # each length is at most size[-1]; past 2**63 the int64 sum may wrap
-        total = int(lengths.sum()) if len(lengths) * size[-1] < 2**63 else sum(lengths.tolist())
-        return LatticeCount(k, total - 1, low_sums), j0, size, prefix, first, lengths
+        lengths = np.subtract(last, first, out=last)
+        lengths += 1
+        lengths[drop] = 0
+        totals = np.add.reduceat(lengths, starts).tolist()
+        for s, start, count in long_sums:
+            totals[s] = sum(lengths[start : start + count].tolist())
+        for w, total, low_sums in zip(scanned, totals, low.tolist()):
+            if total:
+                results[w] = (total - 1, tuple(low_sums))
+            else:
+                results[w] = EmptyLattice(f"P contains no point of Z^{n}/{ks[w]}")
+        return results, j0, size, prefix, first, lengths
+
+    def _typed_scan(self, ks: range) -> tuple:
+        """The window scan of ks: each k's LatticeCount or error, and whether
+        its kP_k has P's type, solved in one `_has_type` stack."""
+        results = self._scan(ks)[0]
+        counted = [w for w, r in enumerate(results) if type(r) is tuple]
+        typed = [False] * len(results)
+        if counted:
+            bs = [[-m for m in results[w][1]] for w in counted]
+            for w, ok in zip(counted, self._has_type(bs)):
+                results[w], typed[w] = LatticeCount(ks[w], *results[w]), ok
+        return results, typed
 
     def lattice_count(self, k: int) -> LatticeCount:
         """N_k and the facet minima of P intersect Z^n/k, counted without
         listing a point."""
-        return self._scan(k)[0]
+        return self._scan_one(k)[0]
+
+    def _scan_one(self, k: int) -> tuple:
+        """The scan of k alone, its result a LatticeCount, raising what k
+        raises."""
+        (result,), *scan = self._scan(range(k, k + 1))
+        if isinstance(result, PolytopeError):
+            raise result
+        return (LatticeCount(k, *result), *scan)
+
+    def typed_count(self, k: int) -> LatticeCount:
+        """`lattice_count(k)` where kP_k has P's combinatorial type, the
+        condition for the bound at k; WrongTypeK elsewhere."""
+        (result,), (typed,) = self._typed_scan(range(k, k + 1))
+        if isinstance(result, PolytopeError):
+            raise result
+        if not typed:
+            raise WrongTypeK(f"k={k}: kP_k does not have the combinatorial type of P")
+        return result
 
     def lattice_points(self, k: int) -> LatticeData:
         """Enumerate P intersect Z^n/k."""
-        count, j0, size, prefix, first, lengths = self._scan(k)
+        count, j0, size, prefix, first, lengths = self._scan_one(k)
         n, total = self.dim, count.n_k + 1
+        j0, size = j0[0].tolist(), size[0].tolist()
         _check_lattice_size(k, "points", total, n)
         # Row p of column c is (prefix[:, c], first[c] - starts[c] + p), built
         # in place as the running sum of its jumps at column starts; an int64
@@ -504,35 +679,69 @@ class LabelledPolytope:
         return self.k0_count(k_max).k
 
     def k0_count(self, k_max: int = 64) -> LatticeCount:
-        """The k0 search: the `LatticeCount` at the smallest k <= k_max whose
-        P_k matches P combinatorially.  P_k has the type of kP_k =
-        {<nu_i, y> >= low_sums[i]}, whose vertex active sets are solved on
-        its integer offsets."""
+        """The `LatticeCount` at k0, the smallest k <= k_max whose P_k
+        matches P combinatorially."""
+        return self.k0_rows(k_max)[0]
+
+    def k0_rows(self, k_max: int = 64, rows: int = 1) -> tuple:
+        """The k0 search and the bound rows after it: the `LatticeCount`s of
+        k0, k0 + 1, ..., k0 + rows - 1 whose kP_k has P's type.
+
+        P_k has the type of kP_k = {<nu_i, y> >= low_sums[i]}, solved on its
+        integer offsets.  The k are scanned and type-checked in windows that
+        double in length from 8, which cost about what one k does; a k's
+        error is raised when the walk reaches it, and the search skips
+        EmptyLattice.
+        """
         if not self.is_delzant():
             raise InvalidPolytope("k0 is defined for Delzant polytopes")
-        family = {v.active for v in self.vertices()}
-        for k in range(1, k_max + 1):
-            try:
-                count = self.lattice_count(k)
-            except EmptyLattice:
-                continue
-            if self._vertex_sets([-m for m in count.low_sums]).keys() == family:
-                return count
-        raise K0NotFound(f"no k <= {k_max} reproduces the combinatorial type; raise k_max")
+        found: list = []
+        k, length, stop = 1, 8, k_max + 1
+        while k < stop:
+            results, typed = self._typed_scan(range(k, min(k + length, stop)))
+            for result, ok in zip(results, typed):
+                if k >= stop:
+                    break
+                skipped = not found and type(result) is EmptyLattice
+                if isinstance(result, PolytopeError) and not skipped:
+                    raise result
+                if ok:
+                    if not found:
+                        stop = k + rows
+                    found.append(result)
+                k += 1
+            length *= 2
+        if not found:
+            raise K0NotFound(f"no k <= {k_max} reproduces the combinatorial type; raise k_max")
+        return tuple(found)
 
     def check_kpk_integral(self, k: int, k_max: int = 64) -> dict:
-        """Build kP_k and report integrality, the Delzant test and the count match."""
+        """Report on kP_k: integrality, the Delzant test and the count match.
+
+        kP_k = {<nu_i, y> >= low_sums[i]} is P's table solved at the integer
+        offsets b = -low_sums: a vertex is numerators / det, so kP_k is
+        integral iff every det divides its numerators and Delzant iff every
+        det is 1.  Its lattice points are scanned at k = 1 over the box of
+        its vertices."""
         count = self.k0_count(k_max)
         if k < count.k:
             raise PrematureK(f"k={k} is below k0={count.k}")
         if k > count.k:
             count = self.lattice_count(k)
-        kpk = LabelledPolytope(self.dim, [(nu, -m) for nu, m in zip(self.normals, count.low_sums)])
+        b = [-m for m in count.low_sums]
+        found = self._vertex_dict(b)
+        _check_simple(self.dim, found)
+        # at k = 1 the scan reads the box only through its integer part
+        lo = [min(-(-num[a] // det) for num, det in found.values()) for a in range(self.dim)]
+        hi = [max(num[a] // det for num, det in found.values()) for a in range(self.dim)]
+        (own,), *_ = self._scan(range(1, 2), self._scan_table(b, (lo, hi)))
+        if isinstance(own, PolytopeError):
+            raise own
         return {
             "k": k,
-            "is_integral": kpk.is_integral(),
-            "is_delzant": kpk.is_delzant(),
-            "lattice_count_matches": kpk.lattice_count(1).n_k == count.n_k,
+            "is_integral": all(x % det == 0 for num, det in found.values() for x in num),
+            "is_delzant": all(det == 1 for _, det in found.values()),
+            "lattice_count_matches": own[0] == count.n_k,
             "n_k": count.n_k,
         }
 
@@ -540,6 +749,7 @@ class LabelledPolytope:
         """The exact rational eigenvalue bound 2nk(N_k+1)/N_k.
 
         With no k the integral case uses k=1 and the non-integral case k=k0(P).
+        A k whose kP_k has not P's type raises WrongTypeK.
         """
         count = None if self.is_integral() else self.k0_count(k_max)
         threshold = 1 if count is None else count.k
@@ -548,7 +758,7 @@ class LabelledPolytope:
         elif k < threshold:
             raise PrematureK(f"k={k} is below k0={threshold}")
         if count is None or k > count.k:
-            count = self.lattice_count(k)
+            count = self.typed_count(k)
         return BlyBound.from_lattice(self.dim, count)
 
     # -- misc -----------------------------------------------------------------

@@ -303,7 +303,8 @@ def saturation_check(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Eigenvalue bounds 2nk(N_k+1)/N_k tabulated for k = k0 .. k0+4."""
+    """Eigenvalue bounds 2nk(N_k+1)/N_k tabulated for the k of k0 .. k0+4
+    whose kP_k has P's type."""
 
     k0: int
     bounds: tuple
@@ -314,16 +315,16 @@ class BoundReport:
 def bound_report(P: LabelledPolytope, k_max: int = 64) -> BoundReport:
     """Tabulate the lattice-point bound over k0 .. k0+4 (exact rationals).
 
-    k0 is searched once and its accepted count is the first row; an
-    integral P has k0 = 1 (its vertices are lattice points, so P_1 = P).
-    Every row is counted without listing a point.
+    k0 is searched once, and the rows come from the same windows of the
+    scan; a row whose kP_k has not P's type is dropped, and `recommended` is
+    the least bound of the rows kept.  An integral P has k0 = 1 (its
+    vertices are lattice points, so P_1 = P).  Every row is counted without
+    listing a point.
     """
-    first = P.k0_count(k_max)
-    k_first = first.k
-    rows = (first, *(P.lattice_count(k) for k in range(k_first + 1, k_first + 5)))
+    rows = P.k0_rows(k_max, rows=5)
     bounds = tuple(BlyBound.from_lattice(P.dim, data) for data in rows)
     integral = bounds[0] if P.is_integral() else None
     recommended = min(b.bound for b in bounds)
     return BoundReport(
-        k0=k_first, bounds=bounds, integral_bound=integral, recommended=recommended
+        k0=rows[0].k, bounds=bounds, integral_bound=integral, recommended=recommended
     )

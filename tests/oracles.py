@@ -709,3 +709,40 @@ def mp_guillemin_ritz_eigenvalues(P, nodes, weights, degree, center, halfwidth, 
         Linv = mp.cholesky(M) ** -1
         eigs = mp.eigsy(Linv * A * Linv.T, eigvals_only=True)
         return np.array(sorted(float(v) for v in eigs))
+
+
+# Four Delzant polygons with rational offsets, as polytope JSON, whose kP_k
+# loses the type of P at some k just past k0: (polygon, k0, those k in
+# k0..k0 + 4).  At those k a vertex of kP_k lies on three facets.
+MISTYPED_POLYGONS = [
+    (
+        {"dim": 2, "facets": [  # x, y >= 0; y <= 3/2; x + 2y <= 17/5
+            {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0},
+            {"normal": [0, -1], "offset": "3/2"}, {"normal": [-1, -2], "offset": "17/5"},
+        ]},
+        1, (2,),
+    ),
+    (
+        {"dim": 2, "facets": [  # x, y >= 0; y <= 31/9; x + y <= 18/5
+            {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0},
+            {"normal": [0, -1], "offset": "31/9"}, {"normal": [-1, -1], "offset": "18/5"},
+        ]},
+        2, (3,),
+    ),
+    (
+        {"dim": 2, "facets": [  # x >= -1/5, x + y >= -1/3, y >= -29/5, x <= 40/7, y <= 8
+            {"normal": [1, 0], "offset": "1/5"}, {"normal": [1, 1], "offset": "1/3"},
+            {"normal": [0, 1], "offset": "29/5"}, {"normal": [-1, 0], "offset": "40/7"},
+            {"normal": [0, -1], "offset": 8},
+        ]},
+        3, (4, 5),
+    ),
+    (
+        {"dim": 2, "facets": [  # x >= -2, x + y >= -4/5, y >= -27/4, x <= 28, y <= 9/7
+            {"normal": [1, 0], "offset": 2}, {"normal": [1, 1], "offset": "4/5"},
+            {"normal": [0, 1], "offset": "27/4"}, {"normal": [-1, 0], "offset": 28},
+            {"normal": [0, -1], "offset": "9/7"},
+        ]},
+        14, (16, 17),
+    ),
+]

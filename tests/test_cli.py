@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import toriceig
+from oracles import MISTYPED_POLYGONS
 from toriceig import LabelledPolytope, example_path
 from toriceig.cli import COMMANDS, main
 from toriceig.data import EXAMPLES
@@ -80,9 +81,25 @@ class TestBound:
         assert report["recommended"] == "16/3"
         assert [b["bound"] for b in report["bounds"]] == ["16/3", 9, "64/5", "50/3", "144/7"]
 
+    @pytest.mark.parametrize("data,k0,mistyped", MISTYPED_POLYGONS)
+    def test_mistyped_k_refused(self, capsys, tmp_path, data, k0, mistyped):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "bound", str(path))
+        assert code == 0
+        assert [b["k_used"] for b in json.loads(out)["bounds"]] == [
+            k for k in range(k0, k0 + 5) if k not in mistyped
+        ]
+        code, out, err = run_cli(capsys, "bound", str(path), "--k", str(mistyped[0]))
+        assert code == 2 and out == ""
+        assert f"k={mistyped[0]}: kP_k does not have the combinatorial type of P" in err
+        code, out, _ = run_cli(capsys, "bound", str(path), "--k", str(k0 + 4))
+        assert code == 0 and json.loads(out)["single_k"]["k_used"] == k0 + 4
+
     def test_single_k_searches_k0_once(self, capsys, monkeypatch):
-        # one k0 search, and every row and the single k only counted
-        calls = {"k0_count": 0, "lattice_points": 0}
+        # one k0 search, whose first scan window holds k0 = 3 and the rows
+        # k = 4..7, and one more scan for the single k; nothing is listed
+        calls = {"k0_rows": 0, "_scan": 0, "lattice_points": 0}
         for name in calls:
             original = getattr(LabelledPolytope, name)
 
@@ -92,7 +109,7 @@ class TestBound:
 
             monkeypatch.setattr(LabelledPolytope, name, counted)
         code, out, _ = run_cli(capsys, "bound", THIRD, "--k", "4")
-        assert code == 0 and calls == {"k0_count": 1, "lattice_points": 0}
+        assert code == 0 and calls == {"k0_rows": 1, "_scan": 2, "lattice_points": 0}
         assert json.loads(out)["single_k"] == {
             "bound": 16, "is_integer_bound": True, "k_used": 4, "n_k": 1
         }

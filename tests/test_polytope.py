@@ -4,8 +4,10 @@ combinatorial type, k0 and the rational bound."""
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    MISTYPED_POLYGONS,
     _recession_ray,
     brute_force_lattice,
     ehrhart_fit,
@@ -41,6 +44,7 @@ from toriceig.polytope import (
     PolytopeError,
     PrematureK,
     UnboundedOrEmpty,
+    WrongTypeK,
 )
 
 F = Fraction
@@ -76,7 +80,7 @@ def integer_type(P, offsets):
     Q's vertex active sets, solved on its offsets scaled to integers, are P's."""
     D = math.lcm(*(F(c).denominator for c in offsets))
     b = [int(F(c) * D) for c in offsets]
-    return P._vertex_sets(b).keys() == {v.active for v in P.vertices()}
+    return P._has_type([b]) == [True]
 
 
 @pytest.fixture
@@ -398,6 +402,130 @@ class TestCountPath:
         with pytest.raises(LatticeTooLarge, match="k=300 needs 212536701 lattice points"):
             P.lattice_points(300)
         assert example_polytope("simplex2").lattice_count(100000).n_k == 5_000_150_000
+
+
+def benchmark_inputs():
+    """The inputs of the benchmark's lattice workload at seeds 1-5."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        from perfbench.workloads import Inputs
+    finally:
+        sys.path.pop(0)
+    import toriceig
+
+    names = ("perturbed-simplex", "hirzebruch17", "box", "square", "cube")
+    return [Inputs(toriceig, seed).get(name) for seed in range(1, 6) for name in names]
+
+
+def outcome(call):
+    """(N_k, low_sums) of a count, or the type and message of its error."""
+    try:
+        count = call()
+    except PolytopeError as exc:
+        return type(exc), str(exc)
+    return count.n_k, count.low_sums
+
+
+def window_outcomes(P, stop):
+    """The outcome of each k = 1..stop - 1 from the window scans, walked as
+    the k0 search walks them."""
+    outcomes, k, length = [], 1, 8
+    while k < stop:
+        results = P._scan(range(k, min(k + length, stop)))[0]
+        for result in results:
+            outcomes.append(
+                (type(result), str(result)) if isinstance(result, PolytopeError) else result
+            )
+        k += len(results)
+        length *= 2
+    return outcomes
+
+
+class TestScanWindows:
+    """A window of k scans as its k one at a time, and the k0 search and the
+    bound rows walk the windows."""
+
+    @pytest.mark.parametrize(
+        "P",
+        [*map(example_polytope, EXAMPLES), far_translated(),
+         *(polytope_from_dict(data) for data, _, _ in MISTYPED_POLYGONS)],
+    )
+    def test_window_equals_one_k(self, P):
+        assert window_outcomes(P, 41) == [outcome(lambda: P.lattice_count(k)) for k in range(1, 41)]
+
+    def test_benchmark_inputs_window_equals_one_k(self):
+        for P in benchmark_inputs():
+            assert window_outcomes(P, 41) == [
+                outcome(lambda: P.lattice_count(k)) for k in range(1, 41)
+            ]
+
+    def test_window_cap(self, monkeypatch):
+        # each k of the square scans k + 1 columns of 9 entries; a cap of 40
+        # entries holds k = 1 and 2 (18 + 27 > 40 holds only k = 1), and a
+        # k past the cap still comes alone
+        square = example_polytope("square")
+        monkeypatch.setattr(polytope_module, "WINDOW_ENTRIES", 40)
+        assert len(square._scan(range(1, 9))[0]) == 1
+        monkeypatch.setattr(polytope_module, "WINDOW_ENTRIES", 45)
+        assert len(square._scan(range(1, 9))[0]) == 2
+        assert len(square._scan(range(9, 17))[0]) == 1
+
+    def test_refusal_deferred_past_k0(self, monkeypatch):
+        # perturbed-simplex scans k - 1 columns of 8 entries at k >= 2, so a
+        # cap of 47 refuses k = 7 and 8, inside the first window with k0 = 3
+        P = example_polytope("perturbed-simplex")
+        monkeypatch.setattr(polytope_module, "MAX_LATTICE", 47)
+        assert P.k0_count().k == 3 and P.check_kpk_integral(3)["n_k"] == 2
+        assert len(P.k0_rows(rows=4)) == 4
+        message = "k=7 needs 6 lattice columns of 8 entries each, more than the MAX_LATTICE = 47"
+        with pytest.raises(LatticeTooLarge, match=message):
+            P.lattice_count(7)
+        with pytest.raises(LatticeTooLarge, match=message):
+            P.k0_rows(rows=5)
+
+    @pytest.mark.parametrize(
+        "P,rows",
+        [
+            (cube(10), 4),  # one window, k = 1..4
+            (cube(10), 5),  # k = 5 passes the window cap and is scanned alone
+            # 0 <= y <= 1/17, x + y <= 2000/17: k0 = 17, over six windows
+            (LabelledPolytope(
+                2, [((1, 0), 0), ((0, 1), 0), ((0, -1), F(1, 17)), ((-1, -1), F(2000, 17))]
+            ), 5),
+        ],
+    )
+    def test_k0_search_memory_within_cap(self, monkeypatch, P, rows):
+        # the search and its rows hold at most the int64 entries its column
+        # checks count
+        P.k0()
+        found, peak, counted = TestLattice.counted_peak(monkeypatch, lambda: P.k0_rows(rows=rows))
+        assert len(found) == rows and peak <= 8 * sum(counted)
+
+    @pytest.mark.parametrize("data,k0,mistyped", MISTYPED_POLYGONS)
+    def test_mistyped_rows_dropped(self, data, k0, mistyped):
+        P = polytope_from_dict(data)
+        rows = P.k0_rows(rows=5)
+        assert [row.k for row in rows] == [k for k in range(k0, k0 + 5) if k not in mistyped]
+        for k in range(k0, k0 + 5):
+            count = P.lattice_count(k)
+            offsets = [-m for m in count.low_sums]
+            assert reference_same_combinatorial_type(P, offsets) == (k not in mistyped)
+            if k in mistyped:
+                with pytest.raises(WrongTypeK, match=f"k={k}: kP_k does not have"):
+                    P.bly_bound(k)
+                with pytest.raises(NonSimple, match="lies on facets"):
+                    P.check_kpk_integral(k)
+            else:
+                assert P.typed_count(k) == count
+                assert P.bly_bound(k).n_k == count.n_k
+
+    def test_kpk_nonsimple_message(self):
+        # the message names kP_k's first degenerate vertex, as building kP_k
+        # as a polytope did
+        P = polytope_from_dict(MISTYPED_POLYGONS[2][0])
+        message = r"^vertex \(Fraction\(28, 1\), Fraction\(-29, 1\)\) lies on facets \(1, 2, 3\)$"
+        with pytest.raises(NonSimple, match=message):
+            P.check_kpk_integral(5)
 
 
 # Normals of the 2-D families whose GL(2, Z) images the scan is checked on, and

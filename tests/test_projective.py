@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    MISTYPED_POLYGONS,
     balance_exp_per_iteration,
     interval_midpoint_integral,
     log_z2_guillemin_loop,
@@ -21,6 +22,7 @@ from toriceig import (
     example_polytope,
     guillemin,
     lambda1_invariant,
+    polytope_from_dict,
     psi_diag,
     quadratic_perturbed,
     saturation_check,
@@ -428,12 +430,25 @@ class TestBoundReport:
         assert not row.is_integer_bound
 
 
+    @pytest.mark.parametrize("data,k0,mistyped", MISTYPED_POLYGONS)
+    def test_mistyped_rows_dropped(self, data, k0, mistyped):
+        # a row whose kP_k has not P's type is left out, and the least bound
+        # is taken over the rows kept
+        P = polytope_from_dict(data)
+        report = bound_report(P)
+        kept = [k for k in range(k0, k0 + 5) if k not in mistyped]
+        assert report.k0 == k0 and [b.k_used for b in report.bounds] == kept
+        assert [b.n_k for b in report.bounds] == [P.lattice_count(k).n_k for k in kept]
+        assert report.recommended == min(b.bound for b in report.bounds)
+        assert report.recommended == report.bounds[0].bound
+
+
 class TestBoundReportCalls:
     """bound_report searches k0 once, lists no point and keeps nothing
     between calls."""
 
     def test_one_k0_search_per_report(self, monkeypatch):
-        calls = {"k0_count": 0, "lattice_count": 0, "lattice_points": 0}
+        calls = {"k0_rows": 0, "_scan": 0, "lattice_count": 0, "lattice_points": 0}
         for name in calls:
             original = getattr(LabelledPolytope, name)
 
@@ -451,13 +466,14 @@ class TestBoundReportCalls:
         for _ in range(2):
             report = bound_report(P)
             counts.append(dict(calls))
-            calls.update(k0_count=0, lattice_count=0, lattice_points=0)
+            calls.update(k0_rows=0, _scan=0, lattice_count=0, lattice_points=0)
             assert report.k0 == 17
             assert [b.bound for b in report.bounds] == [
                 F(697, 10), F(516, 7), F(855, 11), F(1880, 23), F(343, 4)
             ]
-        # k = 1..17 in the search, then the four later rows
-        assert counts[0] == {"k0_count": 1, "lattice_count": 21, "lattice_points": 0}
+        # one search over the scan windows k = 1..8 and 9..24, which hold k0
+        # and the four later rows
+        assert counts[0] == {"k0_rows": 1, "_scan": 2, "lattice_count": 0, "lattice_points": 0}
         assert counts[1] == counts[0]
 
     def test_k_max_above_default(self):
