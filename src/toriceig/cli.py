@@ -22,14 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry
-from .polytope import (
-    BlyBound,
-    LabelledPolytope,
-    PolytopeError,
-    PrematureK,
-    load_polytope,
-    polytope_to_dict,
-)
+from .polytope import LabelledPolytope, PolytopeError, load_polytope, polytope_to_dict
 from .potential import NotPositiveDefinite, PotentialError, potential_from_spec
 from .projective import NoConvergence, balance, bound_report, build_embedding, saturation_check
 from .quadrature import MAX_ORDER, build_quadrature
@@ -94,14 +87,10 @@ def _cmd_info(args, P: LabelledPolytope) -> dict:
 
 
 def _cmd_bound(args, P: LabelledPolytope) -> dict:
-    if not P.is_delzant():
-        raise PolytopeError("bounds require a Delzant polytope")
     report = bound_report(P, k_max=args.k_max)
     out = {"is_integral": P.is_integral(), **vars(report)}
     if args.k is not None:
-        if args.k < report.k0:
-            raise PrematureK(f"k={args.k} is below k0={report.k0}")
-        out["single_k"] = BlyBound.from_lattice(P.dim, P.typed_count(args.k))
+        out["single_k"] = P.bly_bound(args.k, args.k_max)
     return out
 
 

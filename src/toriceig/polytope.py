@@ -21,17 +21,18 @@ keeps each column's first and last point, and gives each k its N_k and the
 integer offsets of kP_k = {<nu_i, y> >= min_j <nu_i, j>}.  The k0 search
 walks windows that double in length and decides the type of every kP_k of
 a window in one stacked solve, with no point or Fraction made; the bound
-rows after k0 come from the same windows.  The bound at k needs kP_k of
-P's type: a bound row without it is dropped, and `bly_bound(k)` and
-`typed_count(k)` raise WrongTypeK.  A k's error (a scan past
-MAX_LATTICE or int64, or an empty lattice, which the search skips) is kept
-with that k and raised only when the walk reaches it.  A window holds at
-most WINDOW_ENTRIES column entries, and one k at least; a single k, as
-`lattice_count` and `lattice_points` scan, is capped by MAX_LATTICE.
-Listing is the scan followed by the integer array of numerators j, each
-written once, and returns only those and N_k.  Before allocating, the scan
-checks that its values fit int64 and each k's column table fits
-MAX_LATTICE entries, and a listing that its points do too.
+rows after k0 come from the same windows.  The bound at k needs a Delzant P
+and kP_k of P's type, and a k whose kP_k has P's type is >= k0 and needs no
+search; a bound row without it is dropped, and `bly_bound(k)` raises
+WrongTypeK.  A k's error (a scan past MAX_LATTICE or int64, or an empty
+lattice, which the search skips) is kept with that k and raised only when
+the walk reaches it.  A window holds at most WINDOW_ENTRIES column entries,
+and one k at least; a single k, as `lattice_count` and `lattice_points`
+scan, is capped by MAX_LATTICE.  Listing is the scan followed by the
+integer array of numerators j, each written once, and returns only those
+and N_k.  Before allocating, the scan checks that its values fit int64 and
+each k's column table fits MAX_LATTICE entries, and a listing that its
+points do too.
 """
 
 from __future__ import annotations
@@ -639,16 +640,6 @@ class LabelledPolytope:
             raise result
         return (LatticeCount(k, *result), *scan)
 
-    def typed_count(self, k: int) -> LatticeCount:
-        """`lattice_count(k)` where kP_k has P's combinatorial type, the
-        condition for the bound at k; WrongTypeK elsewhere."""
-        (result,), (typed,) = self._typed_scan(range(k, k + 1))
-        if isinstance(result, PolytopeError):
-            raise result
-        if not typed:
-            raise WrongTypeK(f"k={k}: kP_k does not have the combinatorial type of P")
-        return result
-
     def lattice_points(self, k: int) -> LatticeData:
         """Enumerate P intersect Z^n/k."""
         count, j0, size, prefix, first, lengths = self._scan_one(k)
@@ -676,12 +667,7 @@ class LabelledPolytope:
 
     def k0(self, k_max: int = 64) -> int:
         """Smallest k <= k_max whose shrunk polytope P_k matches P combinatorially."""
-        return self.k0_count(k_max).k
-
-    def k0_count(self, k_max: int = 64) -> LatticeCount:
-        """The `LatticeCount` at k0, the smallest k <= k_max whose P_k
-        matches P combinatorially."""
-        return self.k0_rows(k_max)[0]
+        return self.k0_rows(k_max)[0].k
 
     def k0_rows(self, k_max: int = 64, rows: int = 1) -> tuple:
         """The k0 search and the bound rows after it: the `LatticeCount`s of
@@ -694,7 +680,7 @@ class LabelledPolytope:
         EmptyLattice.
         """
         if not self.is_delzant():
-            raise InvalidPolytope("k0 is defined for Delzant polytopes")
+            raise InvalidPolytope("bounds require a Delzant polytope")
         found: list = []
         k, length, stop = 1, 8, k_max + 1
         while k < stop:
@@ -723,11 +709,7 @@ class LabelledPolytope:
         integral iff every det divides its numerators and Delzant iff every
         det is 1.  Its lattice points are scanned at k = 1 over the box of
         its vertices."""
-        count = self.k0_count(k_max)
-        if k < count.k:
-            raise PrematureK(f"k={k} is below k0={count.k}")
-        if k > count.k:
-            count = self.lattice_count(k)
+        count, _ = self._count_at(k, k_max)
         b = [-m for m in count.low_sums]
         found = self._vertex_dict(b)
         _check_simple(self.dim, found)
@@ -745,20 +727,32 @@ class LabelledPolytope:
             "n_k": count.n_k,
         }
 
-    def bly_bound(self, k: Optional[int] = None, k_max: int = 64) -> BlyBound:
-        """The exact rational eigenvalue bound 2nk(N_k+1)/N_k.
+    def _count_at(self, k: int, k_max: int) -> tuple:
+        """The `LatticeCount` at k and whether kP_k has P's type.  Such a k
+        is >= k0 and needs no search, so the k0 walk runs only for an untyped
+        k, k <= 0, k > k_max or a P that is not Delzant, and raises first
+        what it raises (InvalidPolytope, a scan error, K0NotFound); then
+        come PrematureK below k0 and the scan's own error at k."""
+        count, typed = None, False
+        if k >= 1 and self.is_delzant():
+            (count,), (typed,) = self._typed_scan(range(k, k + 1))
+        if not typed or k > k_max:
+            k0 = self.k0_rows(k_max)[0].k
+            if k < k0:
+                raise PrematureK(f"k={k} is below k0={k0}")
+        if isinstance(count, PolytopeError):
+            raise count
+        return count, typed
 
-        With no k the integral case uses k=1 and the non-integral case k=k0(P).
-        A k whose kP_k has not P's type raises WrongTypeK.
-        """
-        count = None if self.is_integral() else self.k0_count(k_max)
-        threshold = 1 if count is None else count.k
+    def bly_bound(self, k: Optional[int] = None, k_max: int = 64) -> BlyBound:
+        """The exact rational eigenvalue bound 2nk(N_k+1)/N_k, at k0(P) when
+        no k is given.  A k whose kP_k has not P's type raises WrongTypeK."""
         if k is None:
-            k = threshold
-        elif k < threshold:
-            raise PrematureK(f"k={k} is below k0={threshold}")
-        if count is None or k > count.k:
-            count = self.typed_count(k)
+            count = self.k0_rows(k_max)[0]
+        else:
+            count, typed = self._count_at(k, k_max)
+            if not typed:
+                raise WrongTypeK(f"k={k}: kP_k does not have the combinatorial type of P")
         return BlyBound.from_lattice(self.dim, count)
 
     # -- misc -----------------------------------------------------------------

@@ -424,9 +424,15 @@ class TestExitCodes:
                 }
             )
         )
-        code, _, err = run_cli(capsys, "bound", str(orb))
-        assert code == 2
-        assert "Delzant" in err
+        # integral but not Delzant: no bound, with or without --k
+        for k in ((), ("--k", "1"), ("--k", "2")):
+            code, out, err = run_cli(capsys, "bound", str(orb), *k)
+            assert (code, out, err) == (2, "", "invalid input: bounds require a Delzant polytope\n")
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_bound_k_not_positive(self, capsys, k):
+        code, out, err = run_cli(capsys, "bound", SIMPLEX2, "--k", str(k))
+        assert (code, out, err) == (2, "", f"invalid input: k={k} is below k0=1\n")
 
     def test_balance_no_convergence(self, capsys):
         code, _, err = run_cli(

@@ -26,6 +26,7 @@ from oracles import (
 
 from toriceig import (
     LabelledPolytope,
+    bound_report,
     build_quadrature,
     example_polytope,
     load_polytope,
@@ -35,10 +36,12 @@ from toriceig import (
 from toriceig import polytope as polytope_module
 from toriceig.data import EXAMPLES
 from toriceig.polytope import (
+    BlyBound,
     DegenerateN,
     EmptyLattice,
     InvalidPolytope,
     K0NotFound,
+    LatticeCount,
     LatticeTooLarge,
     NonSimple,
     PolytopeError,
@@ -369,7 +372,7 @@ class TestCountPath:
             if integer and listed_k0 is None:
                 listed_k0 = k
         assert P.k0() == listed_k0
-        assert P.k0_count() == P.lattice_count(listed_k0)
+        assert P.k0_rows()[0] == P.lattice_count(listed_k0)
 
     def test_far_translated_listing_is_object(self):
         assert far_translated().lattice_points(12).points.dtype == object
@@ -475,7 +478,7 @@ class TestScanWindows:
         # cap of 47 refuses k = 7 and 8, inside the first window with k0 = 3
         P = example_polytope("perturbed-simplex")
         monkeypatch.setattr(polytope_module, "MAX_LATTICE", 47)
-        assert P.k0_count().k == 3 and P.check_kpk_integral(3)["n_k"] == 2
+        assert P.k0_rows()[0].k == 3 and P.check_kpk_integral(3)["n_k"] == 2
         assert len(P.k0_rows(rows=4)) == 4
         message = "k=7 needs 6 lattice columns of 8 entries each, more than the MAX_LATTICE = 47"
         with pytest.raises(LatticeTooLarge, match=message):
@@ -516,8 +519,7 @@ class TestScanWindows:
                 with pytest.raises(NonSimple, match="lies on facets"):
                     P.check_kpk_integral(k)
             else:
-                assert P.typed_count(k) == count
-                assert P.bly_bound(k).n_k == count.n_k
+                assert P.bly_bound(k) == BlyBound.from_lattice(P.dim, count)
 
     def test_kpk_nonsimple_message(self):
         # the message names kP_k's first degenerate vertex, as building kP_k
@@ -864,6 +866,84 @@ class TestK0AndBound:
             k0 = P.k0()
             for k in (k0, k0 + 1, k0 + 2):
                 assert P.check_kpk_integral(k)["lattice_count_matches"]
+
+
+def counted_calls(monkeypatch, *names):
+    """A dict of the calls made to each named LabelledPolytope method."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(LabelledPolytope, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabelledPolytope, name, counted)
+    return calls
+
+
+# x, y >= 0, x + 2y <= 2: the normals at (0, 1) have determinant 2
+ORBIFOLD_TRIANGLE = LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)])
+
+
+class TestBoundRule:
+    """One rule for which k has a bound: a Delzant P, and a k whose kP_k has
+    P's type, which is >= k0 and needs no search."""
+
+    @pytest.mark.parametrize("name,k0", [("simplex2", 1), ("interval-third", 3),
+                                         ("perturbed-simplex", 3)])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_not_positive_is_premature(self, name, k0, k):
+        P = example_polytope(name)
+        with pytest.raises(PrematureK, match=f"^k={k} is below k0={k0}$"):
+            P.bly_bound(k)
+        with pytest.raises(PrematureK, match=f"^k={k} is below k0={k0}$"):
+            P.check_kpk_integral(k)
+
+    @pytest.mark.parametrize("call", [
+        lambda P: P.bly_bound(),
+        lambda P: P.bly_bound(1),
+        lambda P: P.bly_bound(2),
+        lambda P: P.k0(),
+        lambda P: P.check_kpk_integral(2),
+        bound_report,
+    ])
+    def test_non_delzant_refused(self, call):
+        # integral, so only the Delzant check refuses it
+        P = ORBIFOLD_TRIANGLE
+        assert P.is_integral() and not P.is_delzant()
+        with pytest.raises(InvalidPolytope, match="^bounds require a Delzant polytope$"):
+            call(P)
+
+    def test_typed_k_needs_no_walk(self, monkeypatch):
+        # perturbed-simplex has k0 = 3; check_kpk_integral's second scan is
+        # its recount of kP_k at k = 1
+        P = example_polytope("perturbed-simplex")
+        calls = counted_calls(monkeypatch, "k0_rows", "_scan")
+        assert P.bly_bound(5).k_used == 5
+        assert calls == {"k0_rows": 0, "_scan": 1}
+        calls.update(k0_rows=0, _scan=0)
+        assert P.check_kpk_integral(3)["lattice_count_matches"]
+        assert calls == {"k0_rows": 0, "_scan": 2}
+
+    @pytest.mark.parametrize("data,k0,mistyped", MISTYPED_POLYGONS)
+    def test_mistyped_k_walks_once(self, monkeypatch, data, k0, mistyped):
+        P = polytope_from_dict(data)
+        calls = counted_calls(monkeypatch, "k0_rows")
+        for k in mistyped:
+            calls["k0_rows"] = 0
+            with pytest.raises(WrongTypeK, match=f"^k={k}: kP_k does not have"):
+                P.bly_bound(k)
+            assert calls["k0_rows"] == 1
+
+    def test_k_past_k_max_walks(self):
+        # k = 3 has a bound, but no k <= k_max = 2 reaches P's type
+        with pytest.raises(K0NotFound):
+            interval(0, F(1, 3)).bly_bound(3, k_max=2)
+
+    def test_degenerate_n(self):
+        with pytest.raises(DegenerateN, match="^N_1 = 0"):
+            BlyBound.from_lattice(2, LatticeCount(1, 0, (0, 0, 0)))
 
 
 class TestHigherDimensions:
