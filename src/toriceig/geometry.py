@@ -49,7 +49,7 @@ class StepUnderflow(PotentialError):
     """A finite-difference stencil left the interior guard."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureSample:
     """Scalar curvature, Ricci coefficients and the H-derivatives behind them."""
 
@@ -59,7 +59,7 @@ class CurvatureSample:
     d2H: np.ndarray  # d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KEReport:
     lambda_hat: float
     xbar: np.ndarray

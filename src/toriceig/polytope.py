@@ -33,6 +33,10 @@ integer array of numerators j, each written once, and returns only those
 and N_k.  Before allocating, the scan checks that its values fit int64 and
 each k's column table fits MAX_LATTICE entries, and a listing that its
 points do too.
+
+The Cramer solve alone refuses a vertex on more than n facets, and
+`check_kpk_integral` solves kP_k there with no second scan, as kP_k and kP
+hold the same lattice points.
 """
 
 from __future__ import annotations
@@ -176,7 +180,7 @@ class LatticeCount:
     low_sums: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeData:
     """P intersected with Z^n/k: the points and the count N_k.
 
@@ -218,15 +222,6 @@ def _gcd_all(values: Iterable[int]) -> int:
     for v in values:
         g = math.gcd(g, abs(v))
     return g
-
-
-def _check_simple(n: int, found: dict) -> None:
-    """Raise NonSimple at the first vertex of a `_vertex_dict` result, in its
-    order, that lies on more than n facets."""
-    for active, (num, den) in found.items():
-        if len(active) > n:
-            coords = tuple(Fraction(x, den) for x in num)
-            raise NonSimple(f"vertex {coords} lies on facets {active}")
 
 
 class LabelledPolytope:
@@ -313,10 +308,9 @@ class LabelledPolytope:
         n = self.dim
         D = math.lcm(*(c.denominator for c in self.offsets))
         b = [c.numerator * (D // c.denominator) for c in self.offsets]
-        found = {active: (num, D * det) for active, (num, det) in self._vertex_dict(b).items()}
+        found = self._vertex_dict(b, D)
         if not found:
             raise UnboundedOrEmpty("no feasible vertex; polytope is empty or contains a line")
-        _check_simple(n, found)
         # At a simple vertex every n-1 of its n facets span an edge, and the
         # edge is bounded iff a second vertex has the same n-1 facets active;
         # a pointed polyhedron whose edges are all bounded is a polytope.
@@ -387,19 +381,25 @@ class LabelledPolytope:
         vals = num @ normals + dets[:, None] * b[:, None, :]
         return num, dets, (vals >= 0).all(axis=2), (vals == 0) @ bits
 
-    def _vertex_dict(self, b: Sequence[int]) -> dict:
-        """{active set: (numerators, det)} of the feasible n-subset solutions
-        of {<nu_i, x> + b_i / D >= 0}, unchecked for simplicity or
-        boundedness; the vertex is numerators / (D det).  An active set
-        determines its vertex, so it is the key, in the order of the first
-        n-subset that reaches the vertex."""
+    def _vertex_dict(self, b: Sequence[int], D: int) -> dict:
+        """{active set: (numerators, denominator)} of the feasible n-subset
+        solutions of {<nu_i, x> + b_i / D >= 0}, unchecked for boundedness;
+        the vertex is numerators / denominator, the denominator D det.  An
+        active set determines its vertex, so it is the key, in the order of
+        the first n-subset that reaches the vertex.  The first vertex in that
+        order on more than n facets raises NonSimple."""
         num, dets, feasible, codes = self._vertex_sets([b])
         keep = feasible[0]
         found: dict = {}
         for code, x, det in zip(codes[0, keep].tolist(), num[0, keep].tolist(), dets[keep].tolist()):
-            found.setdefault(code, (x, det))
+            found.setdefault(code, (x, D * det))
         facets = range(self.num_facets)
-        return {tuple(i for i in facets if code >> i & 1): v for code, v in found.items()}
+        found = {tuple(i for i in facets if code >> i & 1): v for code, v in found.items()}
+        for active, (x, den) in found.items():
+            if len(active) > self.dim:
+                coords = tuple(Fraction(v, den) for v in x)
+                raise NonSimple(f"vertex {coords} lies on facets {active}")
+        return found
 
     def _has_type(self, bs: Sequence[Sequence[int]]) -> list:
         """For each integer offset vector b of the stack bs, whether
@@ -465,26 +465,9 @@ class LabelledPolytope:
             all(c.denominator == 1 for c in v.coords) for v in self.vertices()
         )
 
-    def _scan_table(self, offsets: Sequence, box: tuple) -> tuple:
-        """What a scan of {<nu_i, x> + offsets[i] >= 0} over `box` reads at
-        every k: (spread, norm, ratios, normals, head).  k ratios[0] //
-        ratios[1] is (floor(-k lo), floor(k hi), floor(k c)), and normals is
-        (n, d); both are int64 when spread, the largest numerator or
-        denominator, and norm, the largest sum |nu_i|, fit.  head is the
-        int64 (d, n - 1) normals without their last entries, None where no k
-        can be scanned."""
-        values = (*(-v for v in box[0]), *box[1], *offsets)
-        spread = max(max(abs(v.numerator), v.denominator) for v in values)
-        norm = max(sum(map(abs, nu)) for nu in self.normals)
-        dtype = np.int64 if max(spread, norm) < 2**63 else object
-        ratios = np.array([[v.numerator for v in values], [v.denominator for v in values]], dtype)
-        head = np.array(self.normals, dtype=np.int64)[:, :-1] if norm < 2**63 else None
-        return spread, norm, ratios, np.array(self.normals, dtype=dtype).T, head
-
-    def _scan(self, ks: range, table: Optional[tuple] = None) -> tuple:
-        """The column scan of P intersect Z^n/k, or of the `_scan_table`
-        given, for each k of the window ks: (results, j0, size, prefix,
-        first, lengths).
+    def _scan(self, ks: range) -> tuple:
+        """The column scan of P intersect Z^n/k for each k of the window ks:
+        (results, j0, size, prefix, first, lengths).
 
         results[w] is (N_k, low_sums) of k = ks[w], as in `LatticeCount`, or
         the PolytopeError that k raises, for the caller to raise when it
@@ -496,11 +479,22 @@ class LabelledPolytope:
         if ks[0] < 1:
             raise ValueError("k must be a positive integer")
         n, d = self.dim, self.num_facets
-        if table is None:
-            if self._table is None:
-                self._table = self._scan_table(self.offsets, self.bounding_box())
-            table = self._table
-        spread, norm, ratios, normals, head = table
+        if self._table is None:
+            # What every k reads, built once: k ratios[0] // ratios[1] is
+            # (floor(-k lo), floor(k hi), floor(k c)) over the bounding box,
+            # and normals is (n, d); both are int64 when spread, the largest
+            # numerator or denominator, and norm, the largest sum |nu_i|, fit.
+            # head is the int64 (d, n - 1) normals without their last
+            # entries, None where no k can be scanned.
+            lo, hi = self.bounding_box()
+            values = (*(-v for v in lo), *hi, *self.offsets)
+            spread = max(max(abs(v.numerator), v.denominator) for v in values)
+            norm = max(sum(map(abs, nu)) for nu in self.normals)
+            dtype = np.int64 if max(spread, norm) < 2**63 else object
+            ratios = np.array([[v.numerator for v in values], [v.denominator for v in values]], dtype)
+            head = np.array(self.normals, dtype=np.int64)[:, :-1] if norm < 2**63 else None
+            self._table = spread, norm, ratios, np.array(self.normals, dtype=dtype).T, head
+        spread, norm, ratios, normals, head = self._table
         # The box j0 + [0, size), the facet shifts <nu_i, j0> and the targets
         # t of every k are integer arrays over the window: j/k lies in P iff
         # <nu_i, j> >= ceil(-k c_i), iff <nu_i, i> >= t_i with i = j - j0 in
@@ -707,23 +701,17 @@ class LabelledPolytope:
         kP_k = {<nu_i, y> >= low_sums[i]} is P's table solved at the integer
         offsets b = -low_sums: a vertex is numerators / det, so kP_k is
         integral iff every det divides its numerators and Delzant iff every
-        det is 1.  Its lattice points are scanned at k = 1 over the box of
-        its vertices."""
+        det is 1.  Its lattice points are those of kP, so the count always
+        matches: every lattice point j of kP has <nu_i, j> >= low_sums[i], so
+        it lies in kP_k, and low_sums[i] >= ceil(-k c_i), so kP_k lies in
+        kP."""
         count, _ = self._count_at(k, k_max)
-        b = [-m for m in count.low_sums]
-        found = self._vertex_dict(b)
-        _check_simple(self.dim, found)
-        # at k = 1 the scan reads the box only through its integer part
-        lo = [min(-(-num[a] // det) for num, det in found.values()) for a in range(self.dim)]
-        hi = [max(num[a] // det for num, det in found.values()) for a in range(self.dim)]
-        (own,), *_ = self._scan(range(1, 2), self._scan_table(b, (lo, hi)))
-        if isinstance(own, PolytopeError):
-            raise own
+        found = self._vertex_dict([-m for m in count.low_sums], 1)
         return {
             "k": k,
             "is_integral": all(x % det == 0 for num, det in found.values() for x in num),
             "is_delzant": all(det == 1 for _, det in found.values()),
-            "lattice_count_matches": own[0] == count.n_k,
+            "lattice_count_matches": True,
             "n_k": count.n_k,
         }
 

@@ -75,7 +75,7 @@ class NotPositiveDefinite(PotentialError):
     """The Hessian failed to be positive definite at an evaluation point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HessianSample:
     """Hessian G and inverse H at points of shape (..., n), batch axes in front."""
 

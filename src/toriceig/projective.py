@@ -59,7 +59,7 @@ class NoConvergence(ProjectiveError):
     steps, or a step left the floating-point range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingData:
     """Lattice embedding data, in coordinates translated so the
     lexicographically smallest lattice point m0 sits at the origin."""
@@ -152,7 +152,7 @@ def psi_diag(E: EmbeddingData, u: SymplecticPotential, alpha, x) -> np.ndarray:
     return w / np.sum(w, axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalanceWeights:
     """Positive weights with sum(alpha) = 1 and the achieved balance residual
     max_m |(1/vol) integral Psi_mm - 1/(N+1)|."""

@@ -43,7 +43,7 @@ class DimUnsupported(PolytopeError):
     """Quadrature is implemented for polytope dimension 1, 2, 3."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Composite rule on `polytope`: nodes (m, n), positive weights (m,) and
     the exact rational volume that the weights sum to.  Exact integrals over

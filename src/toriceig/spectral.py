@@ -139,7 +139,7 @@ class TrialFunction:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RitzResult:
     """Output of one Ritz solve: ascending eigenvalues on the mean-zero trial
     space, the extracted upper bound lambda1T and its minimizer."""

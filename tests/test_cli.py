@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON round-trips, CSV schema, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -183,6 +184,36 @@ class TestSweeps:
     def test_csv_rejected_elsewhere(self, capsys):
         code, _, _ = run_cli(capsys, "info", SIMPLEX2, "--output", "csv")
         assert code == 2
+
+
+class TestTextOutput:
+    @pytest.mark.parametrize("command", ["info", "bound"])
+    def test_lines_flatten_the_json_report(self, capsys, command):
+        # one `key = value` line per leaf of the JSON report, the key its
+        # dotted path; a value prints as a Python literal or a bare string
+        code, out, _ = run_cli(capsys, command, SIMPLEX2)
+        assert code == 0
+        flat = {}
+
+        def flatten(prefix, value):
+            if isinstance(value, dict):
+                for key, v in value.items():
+                    flatten(f"{prefix}{key}.", v)
+            else:
+                flat[prefix[:-1]] = value
+
+        flatten("", json.loads(out))
+        flat["config.output"] = "text"
+        code, out, _ = run_cli(capsys, command, SIMPLEX2, "--output", "text")
+        assert code == 0
+        lines = [line.split(" = ", 1) for line in out.splitlines()]
+        text = {}
+        for key, value in lines:
+            try:
+                text[key] = ast.literal_eval(value)
+            except (ValueError, SyntaxError):
+                text[key] = value
+        assert len(text) == len(lines) and text == flat
 
 
 class TestKeBalanceSaturate:
@@ -546,6 +577,13 @@ class TestExitCodes:
             ("info", {"dim": True, "facets": UNIT_INTERVAL}, None),
             ("info", {"dim": 1.9, "facets": UNIT_INTERVAL}, None),
             ("info", {"dim": "1", "facets": UNIT_INTERVAL}, None),
+            ("info", {"facets": UNIT_INTERVAL}, None),
+            ("info", {"dim": 1, "facets": [{"offset": 0}, UNIT_INTERVAL[1]]}, None),
+            ("info", {"dim": 1, "facets": [{"normal": [1], "offset": "1/0"}, UNIT_INTERVAL[1]]}, None),
+            ("info", {"dim": 1, "facets": [{"normal": [1], "offset": "abc"}, UNIT_INTERVAL[1]]}, None),
+            ("info", {"dim": 1, "facets": [{"normal": [1], "offset": True}, UNIT_INTERVAL[1]]}, None),
+            ("info", {"dim": 0, "facets": UNIT_INTERVAL}, None),
+            ("info", {"dim": 2, "facets": UNIT_INTERVAL}, None),
         ],
     )
     def test_malformed_json_shapes(self, capsys, tmp_path, command, polytope, poly):

@@ -198,6 +198,13 @@ class TestLattice:
         assert integer_type(simplex2, shrunk_offsets(simplex2, data))
         assert reference_same_combinatorial_type(simplex2, shrunk_offsets(simplex2, data))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_not_positive_refused(self, simplex2, k):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            simplex2.lattice_points(k)
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            simplex2.lattice_count(k)
+
     def test_three_halves_k1(self):
         P = interval(0, F(3, 2))
         data = P.lattice_points(1)
@@ -861,11 +868,14 @@ class TestK0AndBound:
         assert (b.k_used, b.n_k, b.bound) == (3, 1, 12)
 
     def test_scaling_covariance(self, simplex2):
-        # the lattice count of P at refinement k equals the count of kP_k at k=1
+        # the lattice count of P at refinement k equals the count of kP_k at
+        # k = 1, kP_k rebuilt through the constructor
         for P in (simplex2, interval(0, F(3, 2)), example_polytope("perturbed-simplex")):
             k0 = P.k0()
             for k in (k0, k0 + 1, k0 + 2):
-                assert P.check_kpk_integral(k)["lattice_count_matches"]
+                count = P.lattice_count(k)
+                kpk = LabelledPolytope(P.dim, [(nu, -m) for nu, m in zip(P.normals, count.low_sums)])
+                assert kpk.lattice_count(1).n_k == count.n_k
 
 
 def counted_calls(monkeypatch, *names):
@@ -916,15 +926,14 @@ class TestBoundRule:
             call(P)
 
     def test_typed_k_needs_no_walk(self, monkeypatch):
-        # perturbed-simplex has k0 = 3; check_kpk_integral's second scan is
-        # its recount of kP_k at k = 1
+        # perturbed-simplex has k0 = 3; check_kpk_integral scans k alone
         P = example_polytope("perturbed-simplex")
         calls = counted_calls(monkeypatch, "k0_rows", "_scan")
         assert P.bly_bound(5).k_used == 5
         assert calls == {"k0_rows": 0, "_scan": 1}
         calls.update(k0_rows=0, _scan=0)
         assert P.check_kpk_integral(3)["lattice_count_matches"]
-        assert calls == {"k0_rows": 0, "_scan": 2}
+        assert calls == {"k0_rows": 0, "_scan": 1}
 
     @pytest.mark.parametrize("data,k0,mistyped", MISTYPED_POLYGONS)
     def test_mistyped_k_walks_once(self, monkeypatch, data, k0, mistyped):

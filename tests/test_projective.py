@@ -21,11 +21,13 @@ from toriceig import (
     build_quadrature,
     example_polytope,
     guillemin,
+    ke_check,
     lambda1_invariant,
     polytope_from_dict,
     psi_diag,
     quadratic_perturbed,
     saturation_check,
+    scalar_curvature,
 )
 from toriceig.polytope import PolytopeError
 from toriceig.projective import NoConvergence, _log_z2_nodes, is_standard_simplex
@@ -387,6 +389,12 @@ class TestSaturation:
         assert not is_standard_simplex(square)
         doubled = LabelledPolytope(1, [((1,), 0), ((-1,), 2)])  # [0, 2]: 3 points
         assert not is_standard_simplex(doubled)
+        # a simplex with n + 1 facets that is integral but not Delzant (the
+        # normals at (0, 1) have determinant 2), and one Delzant but not integral
+        orbifold = LabelledPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)])
+        assert orbifold.is_integral() and not is_standard_simplex(orbifold)
+        third = example_polytope("interval-third")
+        assert third.is_delzant() and not is_standard_simplex(third)
 
     def test_saturation_coherence_with_ritz(self):
         # if the Ritz value reaches the integral bound, the saturation checker
@@ -482,3 +490,25 @@ class TestBoundReportCalls:
         report = bound_report(P, k_max=100)
         assert report.k0 == 67
         assert report.bounds[0].bound == 268
+
+
+class TestResultIdentity:
+    """The results that hold arrays compare by identity: a field-wise == or
+    hash would ask numpy for the truth value of an array."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: simplex2.lattice_points(2),
+        lambda: build_quadrature(interval01, 3, 1),
+        lambda: lambda1_invariant(guillemin(interval01), 4, build_quadrature(interval01, 3, 1)),
+        lambda: guillemin(simplex2).sample([[0.25, 0.25]]),
+        lambda: scalar_curvature(guillemin(simplex2), [0.25, 0.25]),
+        lambda: ke_check(guillemin(interval01), samples=20),
+        lambda: build_embedding(interval01),
+        lambda: balance(build_embedding(interval01), guillemin(interval01),
+                        build_quadrature(interval01, 3, 1), tol=1e-6),
+    ], ids=["LatticeData", "QuadratureRule", "RitzResult", "HessianSample",
+            "CurvatureSample", "KEReport", "EmbeddingData", "BalanceWeights"])
+    def test_eq_and_hash_are_identity(self, make):
+        x, y = make(), make()
+        assert x == x and x in [x] and hash(x) == hash(x) and len({x, x}) == 1
+        assert x != y and x not in [y]
