@@ -19,7 +19,7 @@ from .potential import (
     HessianSample,
     SymplecticPotential,
     dilation,
-    dilation_limit_B,
+    dilation_limit,
     guillemin,
     guillemin_plus_poly,
     potential_from_spec,

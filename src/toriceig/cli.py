@@ -61,11 +61,17 @@ def _emit(report: dict, output: str) -> str:
     lines = []
 
     def walk(prefix, value):
-        if isinstance(value, dict):
+        # one `path = leaf` line per leaf, the leaf in its JSON spelling; a
+        # list entry's path segment is its index, and an empty dict or list
+        # is a leaf
+        if isinstance(value, dict) and value:
             for key in sorted(value):
                 walk(f"{prefix}{key}.", value[key])
+        elif isinstance(value, list) and value:
+            for i, v in enumerate(value):
+                walk(f"{prefix}{i}.", v)
         else:
-            lines.append(f"{prefix[:-1]} = {value}")
+            lines.append(f"{prefix[:-1]} = {json.dumps(value)}")
 
     walk("", report)
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ metric.  Every kind here has the Guillemin/Abreu form
 for a facet profile psi and a polynomial v, so the value, gradient, G, dG and
 d2G are the facet sums 1/2 sum_k psi^(r)(L_k) nu_k^(r-fold tensor) for
 r = 0..4 plus the exact derivatives of v: every kind has them in closed form.
-The kinds differ only in psi and v:
+A kind is data of the one class `SymplecticPotential`: its name, psi and v.
 
 * ``guillemin``            -- psi(L) = L log L - L, v = 0 (the canonical u0);
 * ``quadratic_perturbed``  -- v = (c/2) x_i^2, which degenerates H along
@@ -17,6 +17,8 @@ The kinds differ only in psi and v:
 * ``dilation``             -- psi(L) - psi(L + (s-1) L(p))/s, i.e. u0 - u0^s/s
                               for P dilated by s about its vertex barycenter
                               p, which blows H up as s drops to 1;
+* ``dilation_limit``       -- psi(L) = L log L - L - L(p) log L, whose G is
+                              the limit B of G^s/(s-1) as s drops to 1;
 * ``guillemin_plus_poly``  -- any polynomial v, validity checked by sampling.
 
 Points are arrays of shape (..., n): every method evaluates on the last axis
@@ -50,16 +52,13 @@ __all__ = [
     "NotPositiveDefinite",
     "HessianSample",
     "SymplecticPotential",
-    "QuadraticPerturbedPotential",
-    "DilationPotential",
-    "GuilleminPlusPolyPotential",
     "guillemin",
     "quadratic_perturbed",
     "dilation",
+    "dilation_limit",
     "guillemin_plus_poly",
     "potential_from_spec",
     "validate",
-    "dilation_limit_B",
 ]
 
 
@@ -94,14 +93,21 @@ _LOG_PROFILE = (
 
 
 class SymplecticPotential:
-    """u = 1/2 sum_k psi(L_k) + v.  This base class is the Guillemin kind;
-    the other kinds change only `profile` and the added polynomial."""
+    """u = 1/2 sum_k psi(L_k) + v.  A kind is its name, its facet profile
+    psi^(r) for r = 0..4 and its polynomial v (None for v = 0); the defaults
+    are the Guillemin kind."""
 
-    kind = "guillemin"
-    added: MultiPoly | None = None  # the polynomial v
-
-    def __init__(self, polytope: LabelledPolytope):
+    def __init__(
+        self,
+        polytope: LabelledPolytope,
+        kind: str = "guillemin",
+        psi: tuple = _LOG_PROFILE,
+        added: MultiPoly | None = None,
+    ):
         self.polytope = polytope
+        self.kind = kind
+        self.psi = psi
+        self.added = added
         self._terms = {}  # order -> `_facet_terms(order)`, built on first use
 
     def _facet_terms(self, order: int) -> tuple:
@@ -125,7 +131,7 @@ class SymplecticPotential:
 
     def profile(self, L: np.ndarray, order: int) -> np.ndarray:
         """psi^(order) at every facet value in L."""
-        return _LOG_PROFILE[order](L)
+        return self.psi[order](L)
 
     # -- interior guard -------------------------------------------------------
 
@@ -240,76 +246,10 @@ def _not_positive_definite(x: np.ndarray, G: np.ndarray) -> NotPositiveDefinite:
     )
 
 
-class QuadraticPerturbedPotential(SymplecticPotential):
-    """u0 + (c/2) x_axis^2.  The Hessian gains c on the (axis, axis) entry;
-    all higher derivatives coincide with the Guillemin ones."""
-
-    kind = "quadratic_perturbed"
-
-    def __init__(self, polytope: LabelledPolytope, axis: int, c: float):
-        super().__init__(polytope)
-        if not 0 <= axis < polytope.dim:
-            raise ValueError(f"axis {axis} out of range for dim {polytope.dim}")
-        if not math.isfinite(c):
-            raise ValueError(f"perturbation strength c must be finite, got {c}")
-        if c < 0:
-            raise ValueError("perturbation strength c must be >= 0")
-        self.axis = axis
-        self.c = float(c)
-        square = tuple(2 if j == axis else 0 for j in range(polytope.dim))
-        self.added = MultiPoly(polytope.dim, {square: 0.5 * self.c})
-
-
 def _barycenter_values(P: LabelledPolytope) -> np.ndarray:
     """L_k(p) at the vertex barycenter p of P, exact before rounding; all
     positive, and equal to the offsets c_k when p = 0."""
     return np.array([float(v) for v in P.defining_values(P.vertex_barycenter())])
-
-
-class DilationPotential(SymplecticPotential):
-    """u0 - u0^s / s where u0^s is the Guillemin potential of P dilated by
-    s > 1 about its vertex barycenter p: the profile psi(L) - psi(L + (s-1)
-    L(p))/s, since the facet values of p + s(P - p) are L + (s-1) L(p).  The
-    potential lives on P itself, in the input's coordinates.
-    """
-
-    kind = "dilation"
-
-    def __init__(self, polytope: LabelledPolytope, s: float):
-        if not s > 1:
-            raise ValueError("dilation parameter s must be > 1")
-        if not math.isfinite(s):
-            raise ValueError(f"dilation parameter s must be finite, got {s}")
-        super().__init__(polytope)
-        self.s = float(s)
-        self._Lp = _barycenter_values(polytope)
-
-    def profile(self, L: np.ndarray, order: int) -> np.ndarray:
-        psi = _LOG_PROFILE[order]
-        return psi(L) - psi(L + (self.s - 1.0) * self._Lp) / self.s
-
-
-class GuilleminPlusPolyPotential(SymplecticPotential):
-    """u0 + v for a polynomial v.  There is no algorithmic membership test for
-    the valid-potential class, so positivity of the Hessian is checked by
-    sampling at construction (disable with check=False to inspect a bad v via
-    validate()).  dG and d2G add the exact derivatives of v, as for every kind."""
-
-    kind = "guillemin_plus_poly"
-
-    def __init__(self, polytope: LabelledPolytope, poly: MultiPoly, check: bool = True):
-        super().__init__(polytope)
-        if poly.nvars != polytope.dim:
-            raise ValueError("polynomial variable count must match the polytope dimension")
-        if not all(math.isfinite(c) for c in poly.terms.values()):
-            raise ValueError("polynomial coefficients must be finite")
-        self.added = poly
-        if check:
-            report = validate(self)
-            if not report["passed"]:
-                raise NotPositiveDefinite(
-                    f"Hessian of u0 + v fails positivity: worst margin {report['worst_margin']:.3e}"
-                )
 
 
 # -- constructors -------------------------------------------------------------
@@ -319,18 +259,73 @@ def guillemin(P: LabelledPolytope) -> SymplecticPotential:
     return SymplecticPotential(P)
 
 
-def quadratic_perturbed(P: LabelledPolytope, axis: int, c: float) -> QuadraticPerturbedPotential:
-    return QuadraticPerturbedPotential(P, axis, c)
+def quadratic_perturbed(P: LabelledPolytope, axis: int, c: float) -> SymplecticPotential:
+    """u0 + (c/2) x_axis^2.  The Hessian gains c on the (axis, axis) entry;
+    all higher derivatives coincide with the Guillemin ones."""
+    if not 0 <= axis < P.dim:
+        raise ValueError(f"axis {axis} out of range for dim {P.dim}")
+    if not math.isfinite(c):
+        raise ValueError(f"perturbation strength c must be finite, got {c}")
+    if c < 0:
+        raise ValueError("perturbation strength c must be >= 0")
+    c = float(c)
+    square = tuple(2 if j == axis else 0 for j in range(P.dim))
+    u = SymplecticPotential(P, "quadratic_perturbed", added=MultiPoly(P.dim, {square: 0.5 * c}))
+    u.axis, u.c = axis, c
+    return u
 
 
-def dilation(P: LabelledPolytope, s: float) -> DilationPotential:
-    return DilationPotential(P, s)
+def dilation(P: LabelledPolytope, s: float) -> SymplecticPotential:
+    """u0 - u0^s / s where u0^s is the Guillemin potential of P dilated by
+    s > 1 about its vertex barycenter p: the profile psi(L) - psi(L + (s-1)
+    L(p))/s, since the facet values of p + s(P - p) are L + (s-1) L(p).  The
+    potential lives on P itself, in the input's coordinates."""
+    if not s > 1:
+        raise ValueError("dilation parameter s must be > 1")
+    if not math.isfinite(s):
+        raise ValueError(f"dilation parameter s must be finite, got {s}")
+    s = float(s)
+    shift = (s - 1.0) * _barycenter_values(P)
+    psi = tuple(lambda L, f=f: f(L) - f(L + shift) / s for f in _LOG_PROFILE)
+    u = SymplecticPotential(P, "dilation", psi)
+    u.s = s
+    return u
+
+
+def dilation_limit(P: LabelledPolytope) -> SymplecticPotential:
+    """The s -> 1 limit B of G^s/(s-1) for `dilation(P, s)`: the profile
+    L log L - L - a log L with a = L(p), p the vertex barycenter, so that
+    B = 1/2 sum (L_k + L_k(p))/L_k^2 nu_k nu_k^T."""
+    a = _barycenter_values(P)
+    psi = (
+        lambda L: L * np.log(L) - L - a * np.log(L),
+        lambda L: np.log(L) - a / L,
+        lambda L: (L + a) / L**2,
+        lambda L: -1.0 / L**2 - 2.0 * a / L**3,
+        lambda L: 2.0 / L**3 + 6.0 * a / L**4,
+    )
+    return SymplecticPotential(P, "dilation_limit", psi)
 
 
 def guillemin_plus_poly(
     P: LabelledPolytope, poly: MultiPoly, check: bool = True
-) -> GuilleminPlusPolyPotential:
-    return GuilleminPlusPolyPotential(P, poly, check=check)
+) -> SymplecticPotential:
+    """u0 + v for a polynomial v.  There is no algorithmic membership test for
+    the valid-potential class, so positivity of the Hessian is checked by
+    sampling at construction (disable with check=False to inspect a bad v via
+    validate())."""
+    if poly.nvars != P.dim:
+        raise ValueError("polynomial variable count must match the polytope dimension")
+    if not all(math.isfinite(c) for c in poly.terms.values()):
+        raise ValueError("polynomial coefficients must be finite")
+    u = SymplecticPotential(P, "guillemin_plus_poly", added=poly)
+    if check:
+        report = validate(u)
+        if not report["passed"]:
+            raise NotPositiveDefinite(
+                f"Hessian of u0 + v fails positivity: worst margin {report['worst_margin']:.3e}"
+            )
+    return u
 
 
 def _spec_params(spec: str, keys: set, usage: str) -> dict:
@@ -415,14 +410,3 @@ def validate(u: SymplecticPotential) -> dict:
     ]
     worst = float(np.min(lowest, initial=np.inf))
     return {"passed": not failures, "worst_margin": worst, "failures": failures}
-
-
-def dilation_limit_B(P: LabelledPolytope, x) -> np.ndarray:
-    """The s->1 limit of G^s/(s-1) for `dilation(P, s)`:
-    B_x = 1/2 sum (L_k + L_k(p))/L_k^2 nu_k nu_k^T, p the vertex barycenter."""
-    A, _ = P.float_facets()
-    L = facet_values(P, x)
-    if np.min(L) < EPS_INTERIOR:
-        raise BoundaryPoint(f"point {x} is not interior")
-    coeff = (L + _barycenter_values(P)) / L**2
-    return 0.5 * np.einsum("k,ki,kj->ij", coeff, A, A)

@@ -89,8 +89,6 @@ def build_embedding(P: LabelledPolytope) -> EmbeddingData:
     if not P.is_integral():
         raise PolytopeError("embedding needs an integral polytope")
     lattice = P.lattice_points(1)
-    if lattice.n_k + 1 < 2:
-        raise PolytopeError("need at least two lattice points")
     m0 = tuple(lattice.points[0].tolist())
     translated = P.translated(m0)
     pts = (lattice.points - lattice.points[0]).astype(np.int64)

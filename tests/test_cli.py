@@ -1,6 +1,5 @@
 """CLI contract: exit codes, JSON round-trips, CSV schema, determinism."""
 
-import ast
 import hashlib
 import json
 import os
@@ -190,15 +189,19 @@ class TestTextOutput:
     @pytest.mark.parametrize("command", ["info", "bound"])
     def test_lines_flatten_the_json_report(self, capsys, command):
         # one `key = value` line per leaf of the JSON report, the key its
-        # dotted path; a value prints as a Python literal or a bare string
+        # dotted path with a list index as a segment, the value in its JSON
+        # spelling
         code, out, _ = run_cli(capsys, command, SIMPLEX2)
         assert code == 0
         flat = {}
 
         def flatten(prefix, value):
-            if isinstance(value, dict):
+            if isinstance(value, dict) and value:
                 for key, v in value.items():
                     flatten(f"{prefix}{key}.", v)
+            elif isinstance(value, list) and value:
+                for i, v in enumerate(value):
+                    flatten(f"{prefix}{i}.", v)
             else:
                 flat[prefix[:-1]] = value
 
@@ -207,12 +210,7 @@ class TestTextOutput:
         code, out, _ = run_cli(capsys, command, SIMPLEX2, "--output", "text")
         assert code == 0
         lines = [line.split(" = ", 1) for line in out.splitlines()]
-        text = {}
-        for key, value in lines:
-            try:
-                text[key] = ast.literal_eval(value)
-            except (ValueError, SyntaxError):
-                text[key] = value
+        text = {key: json.loads(value) for key, value in lines}
         assert len(text) == len(lines) and text == flat
 
 
@@ -459,6 +457,41 @@ class TestExitCodes:
         for k in ((), ("--k", "1"), ("--k", "2")):
             code, out, err = run_cli(capsys, "bound", str(orb), *k)
             assert (code, out, err) == (2, "", "invalid input: bounds require a Delzant polytope\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep-uc", INTERVAL01, "--c", "1,x"),
+             "error: argument --c: expected comma-separated floats, got '1,x'\n"),
+            (("lambda1t", SIMPLEX2, "--potential", "uc:i=2,c=1"),
+             "invalid input: axis 2 out of range for dim 2\n"),
+            (("lambda1t", SIMPLEX2, "--potential", "uc:i=0,c=-1"),
+             "invalid input: perturbation strength c must be >= 0\n"),
+            (("lambda1t", SIMPLEX2, "--quad-depth", "-1"), "invalid input: depth must be >= 0\n"),
+            (("lambda1t", SIMPLEX2, "--degree", "0"), "invalid input: degree must be >= 1\n"),
+        ],
+        ids=["float-list", "uc-axis", "uc-negative-c", "quad-depth", "degree"],
+    )
+    def test_refused_flags(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.endswith(message)
+
+    def test_refused_files(self, capsys, tmp_path):
+        # a non-integer normal, and a polynomial file whose coefficient is NaN
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 2, "facets": [
+            {"normal": [1.5, 0], "offset": 0},
+            {"normal": [0, 1], "offset": 0},
+            {"normal": [-1, -1], "offset": 1},
+        ]}))
+        code, out, err = run_cli(capsys, "info", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "invalid input: facet 0: normal entries must be integers\n"
+        poly = tmp_path / "v.json"
+        poly.write_text('[{"exponents": [2, 0], "coeff": NaN}]')
+        code, out, err = run_cli(capsys, "lambda1t", SIMPLEX2, "--potential", f"poly:{poly}")
+        assert (code, out) == (2, "")
+        assert err == "invalid input: polynomial coefficients must be finite\n"
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_bound_k_not_positive(self, capsys, k):

@@ -69,6 +69,10 @@ class TestLaplacian:
             fd = reference_laplacian(u, f, x, method="fd")
             assert fd == pytest.approx(closed, rel=1e-5, abs=1e-6)
 
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError, match="unknown derivative method 'bogus'"):
+            hessian_inverse_derivatives(guillemin(simplex2), [0.2, 0.3], method="bogus")
+
 
 class TestScalarCurvature:
     def test_interval_is_4(self):

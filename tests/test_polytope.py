@@ -152,6 +152,11 @@ class TestVertices:
         with pytest.raises(InvalidPolytope, match="facet 0"):
             LabelledPolytope(1, [((2,), 0), ((-1,), 1)])
 
+    def test_non_integer_normal_rejected(self):
+        # the constructor's own check; the JSON reader refuses a float first
+        with pytest.raises(InvalidPolytope, match="facet 0: normal entries must be integers"):
+            LabelledPolytope(2, [((1.5, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
+
     def test_redundant_facet_rejected(self, square):
         facets = [(n, c) for n, c in zip(square.normals, square.offsets)]
         facets.append(((-1, 0), 2))  # x <= 2 never binds on [0,1]^2

@@ -15,7 +15,7 @@ from toriceig import (
     MultiPoly,
     build_quadrature,
     dilation,
-    dilation_limit_B,
+    dilation_limit,
     example_polytope,
     guillemin,
     guillemin_plus_poly,
@@ -364,19 +364,42 @@ class TestDilation:
                 assert np.max(np.abs(eigs)) < 1.0
 
     def test_limit_matrix_values(self):
-        assert dilation_limit_B(intervalC, [0.0])[0, 0] == pytest.approx(2.0, rel=1e-12)
+        assert dilation_limit(intervalC).hessian([0.0])[0, 0] == pytest.approx(2.0, rel=1e-12)
         sq_centered = LabelledPolytope(
             2, [((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1)]
         )
         assert np.allclose(
-            dilation_limit_B(sq_centered, [0.0, 0.0]), 2.0 * np.eye(2), atol=1e-12
+            dilation_limit(sq_centered).hessian([0.0, 0.0]), 2.0 * np.eye(2), atol=1e-12
         )
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_limit_hessian_is_the_facet_sum(self, name):
+        # B = 1/2 sum (L_k + L_k(p))/L_k^2 nu_k nu_k^T, p the vertex
+        # barycenter, summed here by einsum at every node of the (3, 1) rule
+        P = example_polytope(name)
+        x = build_quadrature(P, 3, 1).nodes
+        A = np.array(P.normals, dtype=float)
+        Lp = np.array([float(v) for v in P.defining_values(P.vertex_barycenter())])
+        L = x @ A.T + np.array([float(v) for v in P.offsets])
+        B = 0.5 * np.einsum("qk,ki,kj->qij", (L + Lp) / L**2, A, A)
+        G = dilation_limit(P).hessian(x)
+        scale = np.max(np.abs(B), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(G - B) / scale) < 1e-12
+
+    def test_limit_profile_derivatives(self):
+        # psi^(r+1) of the limit profile is the central difference of psi^(r)
+        u = dilation_limit(simplex2)
+        L = np.array([[0.3, 0.5, 0.9], [1.5, 0.05, 2.0]])
+        h = 1e-6
+        for r in range(4):
+            fd = (u.profile(L + h, r) - u.profile(L - h, r)) / (2 * h)
+            assert np.allclose(fd, u.profile(L, r + 1), rtol=1e-6, atol=0)
 
     def test_limit_convergence(self):
         # || G^s/(s-1) - B || decreases through s = 1.1, 1.01, 1.001, also
         # where the origin is not interior (interval01, x = the image of 0.2)
         for P, x in ((intervalC, np.array([0.2])), (interval01, np.array([0.6]))):
-            B = dilation_limit_B(P, x)
+            B = dilation_limit(P).hessian(x)
             errs = []
             for s in (1.1, 1.01, 1.001):
                 G = dilation(P, s).hessian(x)

@@ -178,6 +178,21 @@ class TestPsi:
         alpha = np.array([1e-6, 1.0])
         assert psi_diag(E, u, alpha, [0.5])[1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_bad_weights_refused(self, emb2):
+        E, u, _ = emb2
+        with pytest.raises(ValueError, match=r"need 3 weights, got shape \(2,\)"):
+            psi_diag(E, u, [0.5, 0.5], [0.2, 0.3])
+        with pytest.raises(ValueError, match="weights must be positive"):
+            psi_diag(E, u, [0.5, 0.0, 0.5], [0.2, 0.3])
+
+    def test_untranslated_potential_refused(self):
+        # E lives on [1, 2] translated by its first lattice point, [0, 1]
+        P = LabelledPolytope(1, [((1,), -1), ((-1,), 2)])
+        E = build_embedding(P)
+        assert E.polytope != P
+        with pytest.raises(ValueError, match="translated polytope"):
+            psi_diag(E, guillemin(P), [0.5, 0.5], [1.5])
+
     def test_projective_invariance(self, emb2):
         E, u, _ = emb2
         alpha = np.array([0.2, 0.5, 0.3])
@@ -188,6 +203,11 @@ class TestPsi:
 
 
 class TestBalance:
+    def test_rule_on_another_polytope_refused(self, emb1):
+        E, u, _ = emb1
+        with pytest.raises(ValueError, match="must share one polytope"):
+            balance(E, u, build_quadrature(simplex2, 3, 0))
+
     def test_interval_uniform(self, emb1):
         E, u, Q = emb1
         w = balance(E, u, Q, tol=1e-10)

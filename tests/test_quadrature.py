@@ -269,6 +269,13 @@ class TestStructure:
         with pytest.raises(DimUnsupported):
             build_quadrature(box4, 2, 0)
 
+    def test_triangulate_dim_unsupported(self):
+        simplex4 = LabelledPolytope(
+            4, [(tuple(int(i == j) for j in range(4)), 0) for i in range(4)] + [((-1,) * 4, 1)]
+        )
+        with pytest.raises(DimUnsupported, match="dimension 4 > 3"):
+            triangulate(simplex4)
+
     def test_bad_order(self):
         for order in (0, MAX_ORDER + 1):
             with pytest.raises(ValueError):

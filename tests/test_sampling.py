@@ -8,7 +8,13 @@ import pytest
 
 from toriceig import LabelledPolytope, example_polytope
 from toriceig.polytope import PolytopeError
-from toriceig.sampling import SamplingError, facet_values, halton, interior_points
+from toriceig.sampling import (
+    SamplingError,
+    facet_proximal_points,
+    facet_values,
+    halton,
+    interior_points,
+)
 
 
 def radical_inverse(index: int, base: int) -> float:
@@ -52,6 +58,16 @@ class TestInteriorPoints:
         with pytest.raises(SamplingError, match="could not place 40 interior points"):
             interior_points(rectangle(Fraction(1, 10**9)), 40)
         assert issubclass(SamplingError, PolytopeError)
+
+
+class TestFacetProximalPoints:
+    def test_probe_leaving_the_polytope_is_skipped(self):
+        # on the 1 x 1e-6 box only the two facets x = 0 and x = 1 keep their
+        # probes: a step of 1e-2 or 1e-3 off y = 0 or y = 1e-6 leaves it
+        P = rectangle(Fraction(1, 10**6))
+        probes = facet_proximal_points(P, [1e-2, 1e-3])
+        assert [(i, d) for i, d, _ in probes] == [(0, 1e-2), (0, 1e-3), (1, 1e-2), (1, 1e-3)]
+        assert facet_values(P, np.array([x for _, _, x in probes])).min() > 0
 
 
 class TestFacetValues:
