@@ -16,7 +16,6 @@ from .polytope import (
 )
 from .polynomials import MultiPoly
 from .potential import (
-    HessianSample,
     SymplecticPotential,
     dilation,
     dilation_limit,

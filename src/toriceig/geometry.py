@@ -85,7 +85,7 @@ def hessian_inverse_derivatives(
         raise ValueError(f"unknown derivative method {method!r}")
 
     if method == "auto":
-        H = u.sample(x).H
+        H = u.sample(x)
         dG = u.hessian_derivative(x)  # (..., n, n, m)
         dH = -np.einsum("...ia,...abm,...bj->...ijm", H, dG, H)
         if not second:
@@ -110,7 +110,7 @@ def hessian_inverse_derivatives(
     pts = x[..., None, :] + h[..., None, None] * np.array(offsets)
     if facet_values(u.polytope, pts).min() < EPS_INTERIOR:
         raise StepUnderflow("finite-difference stencil left the interior guard")
-    Hs = np.moveaxis(u.sample(pts).H, -3, 0)  # (stencil, ..., n, n)
+    Hs = np.moveaxis(u.sample(pts), -3, 0)  # (stencil, ..., n, n)
     H, Hp, Hm = Hs[0], Hs[1 : n + 1], Hs[n + 1 : 2 * n + 1]
     h = h[..., None, None]
     dH = np.stack([(Hp[k] - Hm[k]) / (2 * h) for k in range(n)], axis=-1)

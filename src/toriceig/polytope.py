@@ -47,7 +47,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "LatticeTooLarge",
     "K0NotFound",
     "PrematureK",
-    "DegenerateN",
     "WrongTypeK",
     "Vertex",
     "LatticeCount",
@@ -104,10 +103,6 @@ class K0NotFound(PolytopeError):
 
 class PrematureK(PolytopeError):
     """Requested refinement k is below k0(P)."""
-
-
-class DegenerateN(PolytopeError):
-    """The lattice count N_k vanishes, so the bound formula is undefined."""
 
 
 class WrongTypeK(PolytopeError):
@@ -205,9 +200,9 @@ class BlyBound:
 
     @classmethod
     def from_lattice(cls, dim: int, data: LatticeCount) -> "BlyBound":
-        """The bound at data.k from its lattice count N_k."""
-        if data.n_k == 0:
-            raise DegenerateN(f"N_{data.k} = 0: the bound formula is undefined")
+        """The bound at data.k from its lattice count N_k.  Every caller
+        passes a k whose kP_k has P's type: a full-dimensional lattice
+        polytope with n + 1 vertices or more, so N_k >= n >= 1."""
         bound = Fraction(2 * dim * data.k * (data.n_k + 1), data.n_k)
         return cls(
             k_used=data.k,
@@ -215,13 +210,6 @@ class BlyBound:
             bound=bound,
             is_integer_bound=bound.denominator == 1,
         )
-
-
-def _gcd_all(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(v))
-    return g
 
 
 class LabelledPolytope:
@@ -243,7 +231,7 @@ class LabelledPolytope:
                 raise InvalidPolytope(f"facet {idx}: normal has length {len(nvec)}, expected {dim}")
             if any(int(v) != v for v in normal):
                 raise InvalidPolytope(f"facet {idx}: normal entries must be integers")
-            if _gcd_all(nvec) != 1:
+            if math.gcd(*nvec) != 1:
                 raise InvalidPolytope(f"facet {idx}: normal {nvec} is not primitive")
             normals.append(nvec)
             offsets.append(Fraction(offset))

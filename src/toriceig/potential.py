@@ -25,17 +25,18 @@ Points are arrays of shape (..., n): every method evaluates on the last axis
 and puts the batch axes in front.  The facet sums are elementwise array
 operations over all points at once, so a row of a batch gets exactly the
 bits of a one-point call, and each tensor entry is a copy of the entry of
-its sorted index, so the tensors are exactly symmetric.  `sample` factors
-G = R R^T in closed form on its (n, n, ...) entry arrays: no step calls
-LAPACK or BLAS once per point.  All evaluation happens at strictly interior
-points (every L_i >= EPS_INTERIOR) because G entries scale like 1/L_i.
+its sorted index, so the tensors are exactly symmetric.  `hessian` gives
+G, and `sample` gives H, the one thing the Ritz solver and the curvature
+code read: it factors G = R R^T in closed form on its (n, n, ...) entry
+arrays, so no step calls LAPACK or BLAS once per point.  All evaluation
+happens at strictly interior points (every L_i >= EPS_INTERIOR) because G
+entries scale like 1/L_i.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
     "PotentialError",
     "BoundaryPoint",
     "NotPositiveDefinite",
-    "HessianSample",
     "SymplecticPotential",
     "guillemin",
     "quadratic_perturbed",
@@ -72,14 +72,6 @@ class BoundaryPoint(PotentialError):
 
 class NotPositiveDefinite(PotentialError):
     """The Hessian failed to be positive definite at an evaluation point."""
-
-
-@dataclass(frozen=True, eq=False)
-class HessianSample:
-    """Hessian G and inverse H at points of shape (..., n), batch axes in front."""
-
-    G: np.ndarray
-    H: np.ndarray
 
 
 # psi^(r) for the Guillemin profile psi(L) = L log L - L, r = 0..4
@@ -129,10 +121,6 @@ class SymplecticPotential:
             self._terms[order] = (terms, (np.array(dst, dtype=int), np.array(src, dtype=int)))
         return self._terms[order]
 
-    def profile(self, L: np.ndarray, order: int) -> np.ndarray:
-        """psi^(order) at every facet value in L."""
-        return self.psi[order](L)
-
     # -- interior guard -------------------------------------------------------
 
     def _interior_L(self, x) -> np.ndarray:
@@ -154,7 +142,7 @@ class SymplecticPotential:
         summed in facet order from +0 over the nonzero terms, plus that
         derivative of v."""
         L = self._interior_L(x)
-        psi = self.profile(L, order)
+        psi = self.psi[order](L)
         terms, (dst, src) = self._facet_terms(order)
         T = np.zeros((self.polytope.dim**order,) + L.shape[:-1])
         for e, entry in terms:
@@ -190,8 +178,9 @@ class SymplecticPotential:
         """d2G[..., i, j, m, l] = d^2 G_ij / d x_m d x_l."""
         return self._derivative(x, 4)
 
-    def sample(self, x) -> HessianSample:
-        """G and H = G^{-1} at interior points.
+    def sample(self, x) -> np.ndarray:
+        """H = G^{-1} at interior points, batch axes in front; G itself
+        comes from `hessian`.
 
         G = R R^T is factored in closed form on its (n, n, ...) entry
         arrays; a nonpositive or NaN pivot raises NotPositiveDefinite naming
@@ -228,9 +217,7 @@ class SymplecticPotential:
             W[a, a] = sum(W[k, a] * W[k, a] for k in range(a, n))
         for a, b in itertools.combinations(range(n), 2):
             W[b, a] = W[a, b]
-        return HessianSample(
-            G=np.moveaxis(G, (0, 1), (-2, -1)), H=np.moveaxis(W, (0, 1), (-2, -1))
-        )
+        return np.moveaxis(W, (0, 1), (-2, -1))
 
 
 def _not_positive_definite(x: np.ndarray, G: np.ndarray) -> NotPositiveDefinite:

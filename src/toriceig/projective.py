@@ -70,16 +70,8 @@ class EmbeddingData:
     exponents: np.ndarray  # exponents[m, i] = L_i(points[m]), nonnegative ints
 
     @property
-    def n(self) -> int:
-        return self.polytope.dim
-
-    @property
     def count(self) -> int:
         return len(self.points)
-
-    @property
-    def N(self) -> int:
-        return len(self.points) - 1
 
 
 def build_embedding(P: LabelledPolytope) -> EmbeddingData:
@@ -260,7 +252,7 @@ def saturation_check(
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     P = E.polytope
-    n, N = E.n, E.N
+    n, N = P.dim, E.count - 1
     pts = interior_points(P, _SATURATION_POINTS, min_facet=polytope_scale(P) * 2e-2)
     pts_arr = np.array(E.points, dtype=float)
     psi = psi_diag(E, u, alpha, pts)  # (q, N+1)
@@ -268,7 +260,7 @@ def saturation_check(
     # gradient of log |Z_m|^2 = 2 m . du/dx at each sample.  For the Guillemin
     # kind the true gradient differs by sum_i c_i nu_i / L_i, the same for
     # every m, which cancels in grad Psi_00 because the Psi_mm sum to 1.
-    glog = 2.0 * np.einsum("qij,mj->qmi", u.sample(pts).G, pts_arr)
+    glog = 2.0 * np.einsum("qij,mj->qmi", u.hessian(pts), pts_arr)
 
     grad_psi00 = psi[:, 0:1] * (glog[:, 0, :] - np.einsum("qm,qmi->qi", psi, glog))
     directional = np.einsum("qi,mi->qm", grad_psi00, pts_arr[1:])  # skip m = 0

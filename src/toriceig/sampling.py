@@ -13,11 +13,14 @@ _MAX_CANDIDATES = 782 * 256
 
 class SamplingError(PolytopeError):
     """Too few Halton candidates land inside the polytope: it is too thin, or
-    the count exceeds the candidate budget."""
+    the count exceeds the candidate budget.  Also a dimension past the prime
+    bases of `halton`."""
 
 
 def halton(count: int, dim: int, skip: int = 20) -> np.ndarray:
     """`count` Halton points in [0,1)^dim (leading entries skipped)."""
+    if dim > len(_PRIMES):
+        raise SamplingError(f"Halton points need dim <= {len(_PRIMES)}, got {dim}")
     pts = np.zeros((count, dim))
     for j in range(dim):
         base = _PRIMES[j]

@@ -210,7 +210,7 @@ def _ritz(potentials, degree: int, Q: QuadratureRule) -> list:
         nodes, w = Q.nodes[a : a + step], Q.weights[a : a + step]
         V = _monomial_table(np.ascontiguousarray(((nodes - center) / halfwidth).T), degree)
         for u, K in zip(potentials, grams):
-            H = u.sample(nodes).H
+            H = u.sample(nodes)
             for j, k in itertools.combinations_with_replacement(range(n), 2):
                 # H_jk vanishes at every node for j != k on boxes under
                 # guillemin, uc and dilation; skipping its zero block moves no bit.
@@ -279,6 +279,8 @@ class SweepResult:
 def _sweep(parameter, params, potentials, degree, Q, trend) -> SweepResult:
     """lambda1T of each potential on one trial space; row i is flagged when
     trend(lambda1T_i, lambda1T_{i-1}) is false."""
+    if not params:
+        raise ValueError(f"the {parameter} list is empty")
     rows = tuple((p, r.lambda1T) for p, r in zip(params, _ritz(potentials, degree, Q)))
     violations = tuple(i for i in range(1, len(rows)) if not trend(rows[i][1], rows[i - 1][1]))
     return SweepResult(parameter, rows, degree, quad_nodes=len(Q), trend_violations=violations)

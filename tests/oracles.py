@@ -387,7 +387,7 @@ def rayleigh_quotient(u, f, Q) -> float:
     w = Q.weights
     vals = np.asarray(f.value(Q.nodes), dtype=float)
     grads = np.asarray(f.gradient(Q.nodes), dtype=float)
-    numerator = float(np.einsum("qj,qjk,qk->", grads * w[:, None], u.sample(Q.nodes).H, grads))
+    numerator = float(np.einsum("qj,qjk,qk->", grads * w[:, None], u.sample(Q.nodes), grads))
     fbar = float(w @ vals) / float(np.sum(w))
     centered = vals - fbar
     denominator = float(w @ centered**2)
@@ -565,14 +565,14 @@ def reference_sample(u, x):
     1/2 sum_k psi''(L_k) nu_k nu_k^T as one BLAS row-vector product per
     point, G symmetrised, then LAPACK's Cholesky (`numpy.linalg.cholesky`,
     one call per point), R^{-1} by forward substitution and H = R^{-T} R^{-1}.
-    It shares only u.profile and the polynomial part u.added with the
+    It shares only u.psi and the polynomial part u.added with the
     library; a nonpositive pivot raises numpy's LinAlgError."""
     x = np.asarray(x, dtype=float)
     A = np.array(u.polytope.normals, dtype=float)
     c = np.array([float(v) for v in u.polytope.offsets])
     L = (x[..., None, :] @ A.T)[..., 0, :] + c
     half_nu_nu = 0.5 * np.einsum("ki,kj->kij", A, A).reshape(len(A), -1)
-    G = (u.profile(L, 2)[..., None, :] @ half_nu_nu)[..., 0, :].reshape(x.shape + x.shape[-1:])
+    G = (u.psi[2](L)[..., None, :] @ half_nu_nu)[..., 0, :].reshape(x.shape + x.shape[-1:])
     if u.added is not None:
         G = G + u.added.derivatives(x, 2)
     G = 0.5 * (G + G.swapaxes(-1, -2))

@@ -469,8 +469,11 @@ class TestExitCodes:
              "invalid input: perturbation strength c must be >= 0\n"),
             (("lambda1t", SIMPLEX2, "--quad-depth", "-1"), "invalid input: depth must be >= 0\n"),
             (("lambda1t", SIMPLEX2, "--degree", "0"), "invalid input: degree must be >= 1\n"),
+            (("sweep-uc", INTERVAL01, "--c", ""), "invalid input: the c list is empty\n"),
+            (("sweep-dilation", INTERVALC, "--s", ""), "invalid input: the s list is empty\n"),
         ],
-        ids=["float-list", "uc-axis", "uc-negative-c", "quad-depth", "degree"],
+        ids=["float-list", "uc-axis", "uc-negative-c", "quad-depth", "degree", "empty-c",
+             "empty-s"],
     )
     def test_refused_flags(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -715,6 +718,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ke-check", str(thin))
         assert code == 2
         assert "could not place 40 interior points" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n, exit_code", [(4, 0), (6, 2)])
+    def test_ke_check_past_the_halton_dimension(self, capsys, tmp_path, n, exit_code):
+        # Halton points have prime bases for 5 axes; the standard 6-simplex
+        # is refused where the 4-simplex runs
+        simplex = tmp_path / "simplex.json"
+        facets = [{"normal": [int(i == j) for j in range(n)], "offset": 0} for i in range(n)]
+        facets.append({"normal": [-1] * n, "offset": 1})
+        simplex.write_text(json.dumps({"dim": n, "facets": facets}))
+        code, out, err = run_cli(capsys, "ke-check", str(simplex))
+        assert code == exit_code and "Traceback" not in err
+        if exit_code == 2:
+            assert out == "" and err.endswith("Halton points need dim <= 5, got 6\n")
 
     @pytest.mark.parametrize("coeff", ["Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize("command", ["lambda1t", "ke-check", "balance"])

@@ -37,11 +37,9 @@ from toriceig import polytope as polytope_module
 from toriceig.data import EXAMPLES
 from toriceig.polytope import (
     BlyBound,
-    DegenerateN,
     EmptyLattice,
     InvalidPolytope,
     K0NotFound,
-    LatticeCount,
     LatticeTooLarge,
     NonSimple,
     PolytopeError,
@@ -954,10 +952,6 @@ class TestBoundRule:
         # k = 3 has a bound, but no k <= k_max = 2 reaches P's type
         with pytest.raises(K0NotFound):
             interval(0, F(1, 3)).bly_bound(3, k_max=2)
-
-    def test_degenerate_n(self):
-        with pytest.raises(DegenerateN, match="^N_1 = 0"):
-            BlyBound.from_lattice(2, LatticeCount(1, 0, (0, 0, 0)))
 
 
 class TestHigherDimensions:

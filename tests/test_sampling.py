@@ -42,6 +42,11 @@ class TestHalton:
             expected = [radical_inverse(i + skip, base) for i in range(300)]
             assert pts[:, j].tobytes() == np.array(expected).tobytes()
 
+    def test_dimension_past_the_primes_refused(self):
+        with pytest.raises(SamplingError, match="need dim <= 5, got 6"):
+            halton(4, 6)
+
+
 
 class TestInteriorPoints:
     def test_margin(self):
